@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import compute_indicators, estimator_total
+from .estimator import Q_RED, compute_indicators, estimator_total
 from .fem import (DiscreteFunction, Space, energy_error_exact, energy_norm,
                   prolongate, solve_galerkin_exact)
 from .mesh import uniform_refine
@@ -33,9 +33,6 @@ __all__ = ["RLinearFit", "rlinear_constants_from_criterion",
            "tailsum_rlinear_equivalence", "rates_equals_complexity",
            "fit_rate_loglog", "verify_axioms", "threshold_helpers",
            "quasi_error_sequence", "CriterionError"]
-
-Q_RED = 2.0 ** -0.25
-
 
 class CriterionError(ValueError):
     """A hypothesis of the summability criterion fails on the given data."""

@@ -8,6 +8,8 @@ verify  axiom suite, sequence-lemma property suites, and contraction checks
 
 Configuration precedence: command-line flags > config file (simple
 ``key=value`` lines, keys named like the long flags) > built-in defaults.
+A config line that is not ``key=value`` or names no flag of the subcommand
+is a usage error.
 Exit codes: 0 success, 1 run failure, 2 usage error.  The environment
 variable AFEM_LAB_THREADS caps sweep parallelism.
 """
@@ -79,42 +81,45 @@ def build_parser():
     return ap
 
 
-def _apply_config(ap, argv):
-    """Config-file values become parser defaults; flags still win."""
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    path = argv[i + 1]
-    values = {}
-    with open(path) as fh:
-        for line in fh:
+def _parse(ap, argv):
+    """Parse argv; the lines of a ``--config`` file become flags placed ahead
+    of the command line's own, so argparse checks them and flags still win."""
+    args = ap.parse_args(argv)
+    sub = ap._subparsers._group_actions[0].choices[args.command]
+    if args.config is not None:
+        flags = {opt for a in sub._actions for opt in a.option_strings} \
+            - {"-h", "--help", "--config"}
+        try:
+            with open(args.config) as fh:
+                lines = fh.read().splitlines()
+        except OSError as exc:
+            sub.error(f"cannot read config file: {exc}")
+        tokens = []
+        for n, line in enumerate(lines, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
-    for action in ap._subparsers._group_actions[0].choices.values():
-        known = {a.dest for a in action._actions}
-        action.set_defaults(**{k: _coerce(v) for k, v in values.items()
-                               if k in known})
-    return argv
+            key, sep, val = line.partition("=")
+            flag = "--" + key.strip().replace("_", "-")
+            if not sep or flag not in flags:
+                sub.error(f"{args.config}:{n}: expected key=value with a "
+                          f"'{args.command}' flag as key, got {line!r}")
+            tokens += [flag, val.strip()]
+        at = argv.index(args.command) + 1
+        args = ap.parse_args(argv[:at] + tokens + argv[at:])
+    # verify has a default problem
+    if getattr(args, "problem", "") is None:
+        sub.error("--problem is required")
+    return args
 
 
-def _coerce(text):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    return text
-
-
-def _nested_config(args, prob):
-    delta = args.delta
+def _zarantonello(prob, delta=None, lambda_sym=0.7, lambda_alg=0.7):
+    """Nested-loop parameters; delta defaults to 1/L for the nonlinear
+    problem and 0.5 otherwise."""
     if delta is None:
         delta = 1.0 / prob.L if prob.is_nonlinear else 0.5
-    return ZarantonelloConfig(delta=delta, lambda_sym=args.lambda_sym,
-                              lambda_alg=args.lambda_alg, alpha=prob.alpha,
+    return ZarantonelloConfig(delta=delta, lambda_sym=lambda_sym,
+                              lambda_alg=lambda_alg, alpha=prob.alpha,
                               L=prob.L)
 
 
@@ -133,10 +138,7 @@ def execute_run(problem, algo, theta, lam, p, solver, max_dofs, eta_tol=None,
         return driver.run_single(prob, mesh, theta=theta, lam=lam, p=p,
                                  solver_kind=kind, max_dofs=max_dofs,
                                  eta_tol=eta_tol)
-    if delta is None:
-        delta = 1.0 / prob.L if prob.is_nonlinear else 0.5
-    cfg = ZarantonelloConfig(delta=delta, lambda_sym=lambda_sym,
-                             lambda_alg=lambda_alg, alpha=prob.alpha, L=prob.L)
+    cfg = _zarantonello(prob, delta, lambda_sym, lambda_alg)
     return driver.run_nested(prob, mesh, theta=theta, cfg=cfg, p=p,
                              solver_kind=kind, max_dofs=max_dofs,
                              eta_tol=eta_tol)
@@ -157,8 +159,6 @@ def _summarize(hist):
 
 
 def cmd_run(args):
-    if args.problem is None:
-        raise UsageError("--problem is required")
     hist = execute_run(args.problem, args.algo, args.theta, args.lam, args.p,
                        args.solver, args.max_dofs, args.eta_tol, args.delta,
                        args.lambda_sym, args.lambda_alg)
@@ -178,8 +178,6 @@ def _sweep_worker(params):
 
 
 def cmd_sweep(args):
-    if args.problem is None:
-        raise UsageError("--problem is required")
     thetas = [float(t) for t in args.thetas.split(",") if t]
     lambdas = [float(t) for t in args.lambdas.split(",") if t]
     jobs = max(1, min(args.jobs,
@@ -239,18 +237,13 @@ def cmd_verify(args):
     lines = [f"verification report (seed={args.seed})"]
 
     prob, mesh = by_name(args.problem)
-    if prob.is_nonlinear:
-        cfg = ZarantonelloConfig(delta=1.0 / prob.L, lambda_sym=0.7,
-                                 lambda_alg=0.7, alpha=prob.alpha, L=prob.L)
-        hist = driver.run_nested(prob, mesh, theta=0.5, cfg=cfg, p=1,
-                                 max_dofs=args.max_dofs, store_artifacts=True)
-    elif prob.is_symmetric:
+    if prob.is_symmetric:
         hist = driver.run_single(prob, mesh, theta=0.5, lam=0.01, p=1,
                                  solver_kind="local_multigrid",
                                  max_dofs=args.max_dofs, store_artifacts=True)
     else:
-        cfg = ZarantonelloConfig(delta=0.5, lambda_sym=0.7, lambda_alg=0.7)
-        hist = driver.run_nested(prob, mesh, theta=0.5, cfg=cfg, p=1,
+        hist = driver.run_nested(prob, mesh, theta=0.5,
+                                 cfg=_zarantonello(prob), p=1,
                                  max_dofs=args.max_dofs, store_artifacts=True)
     report = analysis.verify_axioms(hist, prob,
                                     rng=np.random.default_rng(args.seed))
@@ -286,23 +279,16 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
-class UsageError(Exception):
-    pass
-
-
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
-    argv = _apply_config(ap, argv)
-    args = ap.parse_args(argv)
+    args = _parse(ap, argv)
     try:
         if args.command == "run":
             return cmd_run(args)
         if args.command == "sweep":
             return cmd_sweep(args)
         return cmd_verify(args)
-    except UsageError as exc:
-        ap.error(str(exc))  # exits with code 2
     except Exception as exc:  # run failures -> exit 1
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -1,4 +1,9 @@
-"""The adaptive loops: exact solver, contractive solver, nested solvers.
+"""The adaptive loop: solve, estimate, mark, refine.
+
+One loop, ``_adapt``, runs all four entry points.  They differ only in how a
+level is solved (exactly, by one solver loop k, or by Zarantonello steps k
+around an algebraic solver loop j) and in how the mesh is refined (Doerfler
+marking, or uniformly in ``run_uniform``).
 
 Each run returns a History: the ordered ledger of all solver steps with
 their (ell, k, j) indices, element/DOF counts, estimator values, energy
@@ -14,6 +19,10 @@ Stop-flag semantics: a flag is the literal stopping inequality evaluated at
 the recorded iterate, OR-ed with "the solver step was exact" (certified
 contraction factor 0), in which case one step settles the algebraic system
 and further iterations would only duplicate it.
+
+Timing: solve and estimate are timed per step; mark and refine (building the
+next level's space and carrying the iterate over included) land on a level's
+last record.  Solver setup, extension and certification are not timed.
 """
 
 import itertools
@@ -23,7 +32,7 @@ import warnings
 
 import numpy as np
 
-from .estimator import compute_indicators
+from .estimator import Q_RED, compute_indicators
 from .fem import (DiscreteFunction, Space, assemble_rhs, dirichlet_values,
                   energy_gram, prolongation_matrix, solve_galerkin_exact)
 from .iteration import (check_lambda_constraint, inner_stop, outer_stop,
@@ -39,7 +48,6 @@ __all__ = ["History", "run_exact", "run_uniform", "run_single", "run_nested",
 CSV_HEADER = ("ell,k,j,n_elem,n_dof,eta,increment,stop_outer,stop_inner,"
               "t_solve,t_estimate,t_mark,t_refine,cum_cost")
 
-Q_RED = 2.0 ** -0.25
 MG_CEILING = 0.9
 
 
@@ -72,12 +80,10 @@ class History:
 
     def column(self, name):
         vals = [r[name] for r in self.records]
-        if name in ("ell", "k", "j"):
+        if name in ("ell", "k", "j", "increment"):
             return np.array([math.nan if v is None else v for v in vals])
         if name in ("stop_outer", "stop_inner"):
             return np.array(vals, dtype=bool)
-        if name == "increment":
-            return np.array([math.nan if v is None else v for v in vals])
         return np.array(vals)
 
     def cumulative_times(self):
@@ -158,96 +164,94 @@ def _stop_reason(n_dof, eta, max_dofs, eta_tol):
 
 
 # ---------------------------------------------------------------------------
-# exact and uniform drivers
+# the adaptive loop
 
 
-def run_exact(prob, mesh0, theta, p=1, max_dofs=5e4, eta_tol=None,
-              store_artifacts=False):
-    """AFEM with exact solver: solve / estimate / mark / refine."""
-    history = History("exact", meta=dict(problem=prob.name, theta=theta, p=p))
+def _adapt(history, prob, mesh, p, theta, solve_level, max_dofs, eta_tol,
+           store_artifacts, solver_kind=None, certify_each_level=True,
+           certify_trials=1, cfg=None):
+    """Solve, estimate, mark, refine until a stopping criterion holds.
+
+    ``solve_level(ell, space, state, u, art)`` runs the solver loop of one
+    level from the full coefficient vector ``u``, appends its records, and
+    returns the final iterate and its indicators; it may add entries to the
+    level's artifact dict ``art``.  Without a ``solver_kind`` levels are
+    solved exactly: there is no solver state and no iterate to carry over.
+    With ``theta=None`` every level is refined uniformly.
+    """
+    space = Space(mesh, p)
+    state = u = None
+    if solver_kind is not None:
+        state = setup_solver(solver_kind, space, prob)
+        _certify(history, state, certify_trials, cfg, theta)
+        u = dirichlet_values(space, prob)
+        history.meta["eta_initial"] = compute_indicators(space, u, prob).total
     artifacts = []
-    mesh = mesh0
     for ell in itertools.count():
-        t0 = time.perf_counter()
-        space = Space(mesh, p)
-        u = solve_galerkin_exact(space, prob)
-        t_solve = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        ind = compute_indicators(space, u, prob)
+        art = dict(space=space)
+        u, ind = solve_level(ell, space, state, u, art)
         eta = ind.total
-        t_estimate = time.perf_counter() - t0
-        if ell == 0:
-            history.meta["eta_initial"] = eta
+        history.meta.setdefault("eta_initial", eta)
         if store_artifacts:
-            artifacts.append(dict(space=space, final=u, ind=ind))
+            art.update(final=DiscreteFunction(space, u), ind=ind)
+            artifacts.append(art)
 
         reason = _stop_reason(space.n_free, eta, max_dofs, eta_tol)
-        t_mark = t_refine = 0.0
-        if reason is None:
-            t0 = time.perf_counter()
+        if reason is not None:
+            history.meta["stop_reason"] = reason
+            break
+        t0 = time.perf_counter()
+        t_mark = 0.0
+        if theta is None:
+            mesh = uniform_refine(mesh)
+        else:
             marked = doerfler_mark(ind, theta)
             t_mark = time.perf_counter() - t0
             t0 = time.perf_counter()
             mesh = refine(mesh, marked)
-            t_refine = time.perf_counter() - t0
-        history.append(ell, n_elem=space.mesh.n_elements, n_dof=space.n_free,
-                       eta=eta, t_solve=t_solve, t_estimate=t_estimate,
-                       t_mark=t_mark, t_refine=t_refine)
-        if reason is not None:
-            history.meta["stop_reason"] = reason
-            break
+        new_space = Space(mesh, p)
+        if state is not None:
+            u = prolongation_matrix(space, new_space) @ u
+            u[new_space.dirichlet_mask] = dirichlet_values(
+                new_space, prob)[new_space.dirichlet_mask]
+        t_refine = time.perf_counter() - t0
+        history.records[-1]["t_mark"] += t_mark
+        history.records[-1]["t_refine"] += t_refine
+        # the superseded mesh stays alive through the refinement chain, but
+        # nothing consults its edge tables again
+        space.mesh.release_edge_tables()
+        if state is not None:
+            state = extend_solver(state, new_space)
+            if certify_each_level:
+                _certify(history, state, certify_trials, cfg, theta)
+        space = new_space
     if store_artifacts:
         history.meta["artifacts"] = artifacts
     return history
 
 
-def run_uniform(prob, mesh0, p=1, max_dofs=5e4, eta_tol=None,
-                store_artifacts=False):
-    """Uniform-refinement baseline with exact solves per level."""
-    history = History("uniform", meta=dict(problem=prob.name, p=p))
-    artifacts = []
-    mesh = mesh0
-    for ell in itertools.count():
-        t0 = time.perf_counter()
-        space = Space(mesh, p)
-        u = solve_galerkin_exact(space, prob)
-        t_solve = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        ind = compute_indicators(space, u, prob)
-        eta = ind.total
-        t_estimate = time.perf_counter() - t0
-        if ell == 0:
-            history.meta["eta_initial"] = eta
-        if store_artifacts:
-            artifacts.append(dict(space=space, final=u, ind=ind))
-        reason = _stop_reason(space.n_free, eta, max_dofs, eta_tol)
-        t_refine = 0.0
-        if reason is None:
-            t0 = time.perf_counter()
-            mesh = uniform_refine(mesh)
-            t_refine = time.perf_counter() - t0
-        history.append(ell, n_elem=space.mesh.n_elements, n_dof=space.n_free,
-                       eta=eta, t_solve=t_solve, t_estimate=t_estimate,
-                       t_refine=t_refine)
-        if reason is not None:
-            history.meta["stop_reason"] = reason
-            break
-    if store_artifacts:
-        history.meta["artifacts"] = artifacts
-    return history
+def _steps(max_inner, loop):
+    """1, 2, ..., max_inner; asking for one more raises RuntimeError."""
+    yield from range(1, max_inner + 1)
+    raise RuntimeError(f"{loop} exceeded {max_inner} iterations; the solver "
+                       "does not contract fast enough")
 
 
-# ---------------------------------------------------------------------------
-# contractive-solver driver (Algorithm with single solver loop)
+def _solver_step(state, rhs, space, u):
+    """One solver step from ``u``: the new iterate and the energy norm of
+    the increment."""
+    new_free = solver_step(state, rhs, u[space.free])
+    increment = state.energy_norm(new_free - u[space.free])
+    u = u.copy()
+    u[space.free] = new_free
+    return u, increment
 
 
-def _certify(state, trials, history):
-    ceiling = MG_CEILING if state.kind == "local_multigrid" else None
-    q = certify_contraction(state, trials=trials, ceiling=ceiling)
-    history.meta.setdefault("q_alg_levels", []).append(q)
-    history.meta["q_alg"] = max(history.meta["q_alg_levels"])
-    return q
+def _estimate(space, u, prob):
+    """Indicators of ``u`` and the time they took."""
+    t0 = time.perf_counter()
+    ind = compute_indicators(space, u, prob)
+    return ind, time.perf_counter() - t0
 
 
 def _exact_step(state):
@@ -255,10 +259,15 @@ def _exact_step(state):
     return state.kind == "direct" or state.certified_q == 0.0
 
 
-def _lambda_advice(history, cfg, theta):
-    """Advisory feasibility of the stopping parameters, re-evaluated as the
-    certified contraction grows over the levels."""
-    if cfg.q_sym_star is None:
+def _certify(history, state, trials, cfg, theta):
+    """Certify the solver of the current level; with a Zarantonello
+    ``cfg``, re-check the advisory feasibility of the stopping parameters
+    as the certified contraction grows over the levels."""
+    ceiling = MG_CEILING if state.kind == "local_multigrid" else None
+    q = certify_contraction(state, trials=trials, ceiling=ceiling)
+    history.meta.setdefault("q_alg_levels", []).append(q)
+    history.meta["q_alg"] = max(history.meta["q_alg_levels"])
+    if cfg is None or cfg.q_sym_star is None:
         return
     q_theta = math.sqrt(1.0 - (1.0 - Q_RED ** 2) * theta)
     q_sym, ok = check_lambda_constraint(cfg, history.meta["q_alg"], q_theta)
@@ -270,7 +279,41 @@ def _lambda_advice(history, cfg, theta):
                f"premise (q_sym = {q_sym:.3f})")
         if cfg.strict:
             raise ValueError(msg)
-        warnings.warn(msg, stacklevel=3)
+        warnings.warn(msg, stacklevel=4)
+
+
+# ---------------------------------------------------------------------------
+# entry points
+
+
+def run_exact(prob, mesh0, theta, p=1, max_dofs=5e4, eta_tol=None,
+              store_artifacts=False):
+    """AFEM with exact solver: solve / estimate / mark / refine."""
+    history = History("exact", meta=dict(problem=prob.name, theta=theta, p=p))
+    return _adapt(history, prob, mesh0, p, theta,
+                  _exact_level(history, prob), max_dofs, eta_tol,
+                  store_artifacts)
+
+
+def run_uniform(prob, mesh0, p=1, max_dofs=5e4, eta_tol=None,
+                store_artifacts=False):
+    """Uniform-refinement baseline with exact solves per level."""
+    history = History("uniform", meta=dict(problem=prob.name, p=p))
+    return _adapt(history, prob, mesh0, p, None,
+                  _exact_level(history, prob), max_dofs, eta_tol,
+                  store_artifacts)
+
+
+def _exact_level(history, prob):
+    def solve_level(ell, space, state, u, art):
+        t0 = time.perf_counter()
+        u = solve_galerkin_exact(space, prob).coeffs
+        t_solve = time.perf_counter() - t0
+        ind, t_estimate = _estimate(space, u, prob)
+        history.append(ell, n_elem=space.mesh.n_elements, n_dof=space.n_free,
+                       eta=ind.total, t_solve=t_solve, t_estimate=t_estimate)
+        return u, ind
+    return solve_level
 
 
 def run_single(prob, mesh0, theta, lam, p=1, solver_kind="local_multigrid",
@@ -289,79 +332,32 @@ def run_single(prob, mesh0, theta, lam, p=1, solver_kind="local_multigrid",
         raise ValueError("solver-stopping parameter must be positive")
     history = History("single", meta=dict(
         problem=prob.name, theta=theta, lam=lam, p=p, solver=solver_kind))
-    artifacts = []
-    mesh = mesh0
-    space = Space(mesh, p)
-    state = setup_solver(solver_kind, space, prob)
-    _certify(state, certify_trials, history)
-    u = dirichlet_values(space, prob)
-    history.meta["eta_initial"] = compute_indicators(space, u, prob).total
 
-    for ell in itertools.count():
-        A_red = state.matrix
-        u_level_start = u
+    def solve_level(ell, space, state, u, art):
+        art["initial"] = u
         t0 = time.perf_counter()
         rhs = assemble_rhs(space, prob)
         t_assemble = time.perf_counter() - t0
-        ind = None
-        for k in itertools.count(1):
-            if k > max_inner:
-                raise RuntimeError(
-                    f"solver loop exceeded {max_inner} iterations on level "
-                    f"{ell}; the solver does not contract fast enough")
+        for k in _steps(max_inner, f"solver loop on level {ell}"):
             t0 = time.perf_counter()
-            new_free = solver_step(state, rhs, u[space.free])
-            d = new_free - u[space.free]
-            inc = float(np.sqrt(max(d @ (A_red @ d), 0.0)))
-            u = u.copy()
-            u[space.free] = new_free
+            u, inc = _solver_step(state, rhs, space, u)
             t_solve = time.perf_counter() - t0 + t_assemble
             t_assemble = 0.0
-            t0 = time.perf_counter()
-            ind = compute_indicators(space, u, prob)
-            eta = ind.total
-            t_estimate = time.perf_counter() - t0
-            stop = outer_stop(inc, eta, lam) or _exact_step(state)
-            history.append(ell, k, n_elem=mesh.n_elements, n_dof=space.n_free,
-                           eta=eta, increment=inc, stop_outer=stop,
-                           t_solve=t_solve, t_estimate=t_estimate)
+            ind, t_estimate = _estimate(space, u, prob)
+            stop = outer_stop(inc, ind.total, lam) or _exact_step(state)
+            history.append(ell, k, n_elem=space.mesh.n_elements,
+                           n_dof=space.n_free, eta=ind.total, increment=inc,
+                           stop_outer=stop, t_solve=t_solve,
+                           t_estimate=t_estimate)
             if store_artifacts:
                 history.meta.setdefault("iterates", []).append(u.copy())
             if stop:
                 history.k_stop[ell] = k
-                break
-        if store_artifacts:
-            artifacts.append(dict(space=space, initial=u_level_start,
-                                  final=DiscreteFunction(space, u), ind=ind))
+                return u, ind
 
-        reason = _stop_reason(space.n_free, eta, max_dofs, eta_tol)
-        if reason is not None:
-            history.meta["stop_reason"] = reason
-            break
-        t0 = time.perf_counter()
-        marked = doerfler_mark(ind, theta)
-        t_mark = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        mesh = refine(mesh, marked)
-        new_space = Space(mesh, p)
-        P = prolongation_matrix(space, new_space)
-        u = P @ u
-        u[new_space.dirichlet_mask] = dirichlet_values(
-            new_space, prob)[new_space.dirichlet_mask]
-        t_refine = time.perf_counter() - t0
-        history.records[-1]["t_mark"] += t_mark
-        history.records[-1]["t_refine"] += t_refine
-        state = extend_solver(state, new_space)
-        if certify_each_level:
-            _certify(state, certify_trials, history)
-        space = new_space
-    if store_artifacts:
-        history.meta["artifacts"] = artifacts
-    return history
-
-
-# ---------------------------------------------------------------------------
-# nested-solver driver (Zarantonello symmetrization + algebraic solver)
+    return _adapt(history, prob, mesh0, p, theta, solve_level, max_dofs,
+                  eta_tol, store_artifacts, solver_kind, certify_each_level,
+                  certify_trials)
 
 
 def run_nested(prob, mesh0, theta, cfg, p=1, solver_kind="local_multigrid",
@@ -380,106 +376,53 @@ def run_nested(prob, mesh0, theta, cfg, p=1, solver_kind="local_multigrid",
     history = History("nested", meta=dict(
         problem=prob.name, theta=theta, p=p, solver=solver_kind,
         delta=cfg.delta, lambda_sym=cfg.lambda_sym, lambda_alg=cfg.lambda_alg))
-    artifacts = []
-    mesh = mesh0
-    space = Space(mesh, p)
-    state = setup_solver(solver_kind, space, prob)
-    _certify(state, certify_trials, history)
-    _lambda_advice(history, cfg, theta)
-    u = dirichlet_values(space, prob)
-    history.meta["eta_initial"] = compute_indicators(space, u, prob).total
-    outer_increments = []
-    history.meta["outer_increments"] = outer_increments
+    outer_increments = history.meta["outer_increments"] = []
 
-    for ell in itertools.count():
-        A_red = state.matrix
-        A_full = energy_gram(space, prob)
+    def solve_level(ell, space, state, u, art):
         lift = u * space.dirichlet_mask
-        lift_term = (A_full @ lift)[space.free]
-        level_art = dict(space=space, initial=u, outer=[], kstar=[])
-        for k in itertools.count(1):
-            if k > max_inner:
-                raise RuntimeError(
-                    f"symmetrization loop exceeded {max_inner} iterations "
-                    f"on level {ell}")
+        lift_term = (energy_gram(space, prob) @ lift)[space.free]
+        art.update(initial=u, outer=[], kstar=[])
+        for k in _steps(max_inner, f"symmetrization loop on level {ell}"):
             u_prev = u
             t0 = time.perf_counter()
-            G = zarantonello_rhs(space, prob, cfg.delta, u)
-            rhs_red = G[space.free] - lift_term
+            rhs = zarantonello_rhs(space, prob, cfg.delta, u)[space.free] \
+                - lift_term
             t_assemble = time.perf_counter() - t0
             if compute_kstar:
                 kstar = u.copy()
-                kstar[space.free] = state.levels[-1].lu.solve(rhs_red)
-                level_art["kstar"].append(kstar)
-            w = u
-            for j in itertools.count(1):
-                if j > max_inner:
-                    raise RuntimeError(
-                        f"algebraic loop exceeded {max_inner} iterations on "
-                        f"level {ell}, outer step {k}")
+                kstar[space.free] = state.levels[-1].lu.solve(rhs)
+                art["kstar"].append(kstar)
+            for j in _steps(max_inner, f"algebraic loop on level {ell}, "
+                                       f"outer step {k}"):
                 t0 = time.perf_counter()
-                new_free = solver_step(state, rhs_red, w[space.free])
-                d = new_free - w[space.free]
-                inc_j = float(np.sqrt(max(d @ (A_red @ d), 0.0)))
-                w = w.copy()
-                w[space.free] = new_free
-                do = w[space.free] - u_prev[space.free]
-                outer_inc_now = float(np.sqrt(max(do @ (A_red @ do), 0.0)))
+                u, inc = _solver_step(state, rhs, space, u)
+                outer_inc = state.energy_norm(
+                    u[space.free] - u_prev[space.free])
                 t_solve = time.perf_counter() - t0 + t_assemble
                 t_assemble = 0.0
-                t0 = time.perf_counter()
-                ind = compute_indicators(space, w, prob)
-                eta = ind.total
-                t_estimate = time.perf_counter() - t0
-                stop_in = inner_stop(inc_j, eta, outer_inc_now, cfg) \
+                ind, t_estimate = _estimate(space, u, prob)
+                stop_in = inner_stop(inc, ind.total, outer_inc, cfg) \
                     or _exact_step(state)
-                history.append(ell, k, j, n_elem=mesh.n_elements,
-                               n_dof=space.n_free, eta=eta, increment=inc_j,
-                               stop_inner=stop_in,
+                history.append(ell, k, j, n_elem=space.mesh.n_elements,
+                               n_dof=space.n_free, eta=ind.total,
+                               increment=inc, stop_inner=stop_in,
                                t_solve=t_solve, t_estimate=t_estimate)
-                outer_increments.append(outer_inc_now)
+                outer_increments.append(outer_inc)
                 if store_artifacts:
-                    history.meta.setdefault("iterates", []).append(w.copy())
+                    history.meta.setdefault("iterates", []).append(u.copy())
                 if stop_in:
                     history.j_stop[(ell, k)] = j
                     break
-            u = w
-            stop_out = outer_stop(outer_inc_now, eta, cfg.lambda_sym)
+            stop_out = outer_stop(outer_inc, ind.total, cfg.lambda_sym)
             history.records[-1]["stop_outer"] = stop_out
-            level_art["outer"].append(u)
+            art["outer"].append(u)
             if stop_out:
                 history.k_stop[ell] = k
-                break
-        if store_artifacts:
-            level_art["final"] = DiscreteFunction(space, u)
-            level_art["ind"] = ind
-            artifacts.append(level_art)
+                return u, ind
 
-        reason = _stop_reason(space.n_free, eta, max_dofs, eta_tol)
-        if reason is not None:
-            history.meta["stop_reason"] = reason
-            break
-        t0 = time.perf_counter()
-        marked = doerfler_mark(ind, theta)
-        t_mark = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        mesh = refine(mesh, marked)
-        new_space = Space(mesh, p)
-        P = prolongation_matrix(space, new_space)
-        u = P @ u
-        u[new_space.dirichlet_mask] = dirichlet_values(
-            new_space, prob)[new_space.dirichlet_mask]
-        t_refine = time.perf_counter() - t0
-        history.records[-1]["t_mark"] += t_mark
-        history.records[-1]["t_refine"] += t_refine
-        state = extend_solver(state, new_space)
-        if certify_each_level:
-            _certify(state, certify_trials, history)
-            _lambda_advice(history, cfg, theta)
-        space = new_space
-    if store_artifacts:
-        history.meta["artifacts"] = artifacts
-    return history
+    return _adapt(history, prob, mesh0, p, theta, solve_level, max_dofs,
+                  eta_tol, store_artifacts, solver_kind, certify_each_level,
+                  certify_trials, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,11 @@ from numpy.polynomial.legendre import legval
 from .fem import _diffusion_at
 from .quadrature import edge_rule, triangle_rule
 
-__all__ = ["Indicators", "compute_indicators", "estimator_total"]
+__all__ = ["Indicators", "compute_indicators", "estimator_total", "Q_RED"]
+
+# estimator reduction factor on refined elements: a bisection halves |T|, so
+# the weights |T| and |T|^(1/2) of eta^2 shrink by at least 2^(-1/2)
+Q_RED = 2.0 ** -0.25
 
 # relative pull of edge quadrature points towards the element centroid, so
 # that piecewise coefficients are sampled from the correct side

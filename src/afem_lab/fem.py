@@ -18,15 +18,16 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
-from .mesh import ancestor_map
+from .mesh import _edge_lookup, ancestor_map
 from .quadrature import triangle_rule
 
 __all__ = [
     "Space", "ProblemDef", "Nonlinearity", "DiscreteFunction",
     "assemble_a", "assemble_b", "assemble_rhs", "solve_galerkin_exact",
     "prolongate", "prolongation_matrix", "energy_norm", "energy_inner",
+    "solve_direct", "SolverError",
 ]
 
 
@@ -39,7 +40,7 @@ class AssemblyError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    pass
+    """A linear or fixed-point solve failed or cannot be set up."""
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +246,9 @@ class Space:
         if len(mesh.boundary_edges):
             bedges = mesh.boundary_edges[:, :2]
             mask[bedges.ravel()] = True
-            und = np.sort(bedges, axis=1)
-            keys = {tuple(r) for r in und}
-            for eid, (va, vb) in enumerate(edges):
-                if (va, vb) in keys:
-                    mask[nv + eid * (p - 1): nv + (eid + 1) * (p - 1)] = True
+            eids = _edge_lookup(edges, np.sort(bedges, axis=1))
+            for t in range(p - 1):
+                mask[nv + eids * (p - 1) + t] = True
         self.dirichlet_mask = mask
         self.free = np.nonzero(~mask)[0]
         self.n_free = len(self.free)
@@ -354,9 +353,10 @@ def assemble_a(space, prob, reduced=True):
 
     Exactly symmetric by construction; SPD on the free DOFs.
     """
-    key = ("a", id(prob), reduced)
-    if key in space._cache:
-        return space._cache[key]
+    key = ("a", reduced)
+    hit = space._cache.get(key)
+    if hit is not None and hit[0] is prob:
+        return hit[1]
     pts, w = triangle_rule(2 * space.degree)
     _, grad, _ = space.basis_tables(pts)
     kind, A = _diffusion_at(prob, space.physical_points(pts).reshape(-1, 2))
@@ -371,7 +371,7 @@ def assemble_a(space, prob, reduced=True):
     local = 0.5 * (local + local.transpose(0, 2, 1))
     M = _scatter(space, local)
     out = _reduce(space, M) if reduced else M
-    space._cache[key] = out
+    space._cache[key] = (prob, out)
     return out
 
 
@@ -381,9 +381,10 @@ def assemble_b(space, prob, reduced=True):
         raise UnsupportedFormError(
             "assemble_b needs a linear problem; use nonlinear_form for the "
             "monotone operator")
-    key = ("b", id(prob), reduced)
-    if key in space._cache:
-        return space._cache[key]
+    key = ("b", reduced)
+    hit = space._cache.get(key)
+    if hit is not None and hit[0] is prob:
+        return hit[1]
     M = assemble_a(space, prob, reduced=False).copy()
     if prob.convection is not None or prob.reaction is not None:
         pts, w = triangle_rule(2 * space.degree)
@@ -401,7 +402,7 @@ def assemble_b(space, prob, reduced=True):
             local += np.einsum("eq,ql,qm,eq->eml", c, N, N, wdet)
         M = M + _scatter(space, local)
     out = _reduce(space, M) if reduced else M
-    space._cache[key] = out
+    space._cache[key] = (prob, out)
     return out
 
 
@@ -494,7 +495,7 @@ def nonlinear_energy(space, prob, coeffs):
 # solves
 
 
-def solve_galerkin_exact(space, prob, tol=1e-12):
+def solve_galerkin_exact(space, prob):
     """Galerkin solution; nonlinear problems by damped Zarantonello iteration.
 
     The nonlinear fixed point uses delta = 1/L and iterates until the energy
@@ -502,22 +503,16 @@ def solve_galerkin_exact(space, prob, tol=1e-12):
     """
     lift = dirichlet_values(space, prob)
     if not prob.is_nonlinear:
-        B = assemble_b(space, prob)
-        rhs = assemble_rhs(space, prob)
-        x = _direct_solve(B, rhs)
-        res = np.linalg.norm(rhs - B @ x)
-        scale = np.linalg.norm(rhs)
-        if scale > 0 and res > tol * scale * 1e3:
-            raise SolverError(f"direct solve residual too large: {res:.3e}")
         coeffs = lift
-        coeffs[space.free] = x
+        coeffs[space.free] = solve_direct(assemble_b(space, prob),
+                                          assemble_rhs(space, prob))
         return DiscreteFunction(space, coeffs)
 
     if prob.L is None:
         raise SolverError("nonlinear problem needs monotonicity constants")
     delta = 1.0 / prob.L
     A = assemble_a(space, prob)
-    lu = sp.linalg.splu(A.tocsc())
+    lu = splu(A.tocsc())
     G = energy_gram(space, prob)
     F = load_vector(space, prob)
     coeffs = lift.copy()
@@ -532,12 +527,30 @@ def solve_galerkin_exact(space, prob, tol=1e-12):
     raise SolverError("Zarantonello fixed point did not converge")
 
 
-def _direct_solve(M, rhs):
-    if M.shape[0] == 0:
+def solve_direct(operator, rhs):
+    """Exact sparse solve: one LU factorization, then up to three steps of
+    iterative refinement with the same factors; the relative residual must
+    end at most 1e-12."""
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.size == 0:
         return np.zeros(0)
-    x = spsolve(M.tocsc(), rhs)
+    M = sp.csc_matrix(operator)
+    try:
+        lu = splu(M)
+    except RuntimeError as exc:
+        raise SolverError(f"direct solve failed: {exc}") from exc
+    x = lu.solve(rhs)
     if not np.all(np.isfinite(x)):
         raise SolverError("singular system")
+    scale = np.linalg.norm(rhs)
+    for _ in range(3):
+        r = rhs - M @ x
+        if np.linalg.norm(r) <= 1e-12 * scale:
+            return x
+        x = x + lu.solve(r)
+    res = np.linalg.norm(rhs - M @ x) / scale
+    if res > 1e-12:
+        raise SolverError(f"relative residual {res:.2e} above 1e-12")
     return x
 
 
@@ -570,7 +583,9 @@ def prolongation_matrix(coarse, fine):
     reproduces the identical piecewise polynomial (exact interpolation at
     fine DOF nodes inside each ancestor element).
     """
-    key = ("prol", id(coarse))
+    # keyed on the coarse mesh, which the refinement chain keeps alive, so
+    # the key cannot be reused; the coarse space itself is not pinned
+    key = ("prol", coarse.mesh)
     if key in fine._cache:
         return fine._cache[key]
     if fine.degree != coarse.degree:

@@ -120,6 +120,10 @@ class Mesh:
         self._edge_cache = (edges, elem_edges, edge_elems)
         return self._edge_cache
 
+    def release_edge_tables(self):
+        """Drop the cached edge tables; ``edge_tables`` rebuilds them."""
+        self._edge_cache = None
+
     # -- serialization -----------------------------------------------------
 
     def dump(self, fileobj=None):
@@ -162,31 +166,6 @@ class Mesh:
                 bnd.append([int(t) for t in line.split()])
         return cls(verts, elems, np.array(bnd, dtype=np.int64).reshape(-1, 3),
                    generation=gen)
-
-
-def assign_reference_edges(vertices, elements):
-    """Rotate each element so its longest edge is the reference edge.
-
-    Ties are broken by the smallest opposite-vertex index.  Elements are
-    flipped to positive orientation first.
-    """
-    vertices = np.asarray(vertices, dtype=float)
-    elements = np.array(elements, dtype=np.int64)
-    c = vertices[elements]
-    d1 = c[:, 1] - c[:, 0]
-    d2 = c[:, 2] - c[:, 0]
-    neg = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) < 0
-    elements[neg] = elements[neg][:, [0, 2, 1]]
-    out = np.empty_like(elements)
-    for i, tri in enumerate(elements):
-        pts = vertices[tri]
-        lengths = np.array([np.linalg.norm(pts[(k + 1) % 3] - pts[k])
-                            for k in range(3)])
-        lmax = lengths.max()
-        candidates = [k for k in range(3) if lengths[k] >= lmax * (1 - 1e-12)]
-        k = min(candidates, key=lambda k: tri[(k + 2) % 3])
-        out[i] = np.roll(tri, -k)
-    return out
 
 
 def refine(mesh, marked):

@@ -16,19 +16,22 @@ Three kinds:
   squaring it buys the needed margin at the same cost per unit of progress.
 
 All vectors are reduced (free DOFs only); the energy norm of a reduced error
-vector e is (e' A e)^(1/2) with A the reduced SPD matrix.  States are
-immutable after setup; ``extend_solver`` returns a new state for the next
-refinement level and shares the coarser levels.
+vector e is (e' A e)^(1/2) with A the reduced SPD matrix.  A state holds
+the space of its finest level only.  ``extend_solver`` never modifies the
+state it is given: it returns a new state for the next refinement level that
+shares the coarser levels.  The one field set after construction is
+``certified_q``, written by ``certify_contraction``.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .fem import assemble_a, prolongation_matrix
+from .fem import SolverError, assemble_a, prolongation_matrix, solve_direct
 
 __all__ = ["SolverState", "setup_solver", "extend_solver", "solver_step",
-           "certify_contraction", "solve_direct", "NonContractiveError"]
+           "certify_contraction", "solve_direct", "SolverError",
+           "NonContractiveError"]
 
 KINDS = ("direct", "damped_richardson", "local_multigrid")
 
@@ -37,15 +40,10 @@ class NonContractiveError(RuntimeError):
     """A measured per-step energy-error ratio reached 1: setup rejected."""
 
 
-class SolverError(RuntimeError):
-    pass
-
-
 class _Level:
     """Per-level data: reduced SPD matrix, smoother factors, prolongation."""
 
-    def __init__(self, space, matrix, prol=None, smooth_dofs=None):
-        self.space = space
+    def __init__(self, matrix, prol=None, smooth_dofs=None):
         self.matrix = matrix
         self.prol = prol          # reduced prolongation from previous level
         self.smooth_dofs = smooth_dofs
@@ -66,18 +64,18 @@ class _Level:
 
 
 class SolverState:
-    def __init__(self, kind, prob, levels, omega=None):
+    """Solver on the space of the finest level; only that space is held, so
+    superseded spaces and their caches can be collected."""
+
+    def __init__(self, kind, prob, space, levels, omega=None):
         if kind not in KINDS:
             raise ValueError(f"unknown solver kind {kind!r}")
         self.kind = kind
         self.prob = prob
+        self.space = space
         self.levels = levels
         self.omega = omega
         self.certified_q = None
-
-    @property
-    def space(self):
-        return self.levels[-1].space
 
     @property
     def matrix(self):
@@ -129,32 +127,22 @@ def setup_solver(kind, space, prob):
     omega = None
     if kind == "damped_richardson":
         omega = _richardson_damping(A)
-    return SolverState(kind, prob, [_Level(space, A)], omega=omega)
+    return SolverState(kind, prob, space, [_Level(A)], omega=omega)
 
 
 def extend_solver(state, space):
-    """State for the next refinement level of the same problem.
-
-    Extension consumes the previous top level (its space reference is
-    released so caches can be collected): states form a single chain, one
-    extension per state, which is how the adaptive drivers use them.
-    """
+    """New state for the next refinement level of the same problem; the
+    multigrid hierarchy shares the coarser levels of ``state``."""
     A = assemble_a(space, state.prob)
     _check_spd(A)
     if state.kind == "local_multigrid":
         prev = state.space
-        lvl = _Level(space, A, prol=_reduced_prolongation(prev, space),
+        lvl = _Level(A, prol=_reduced_prolongation(prev, space),
                      smooth_dofs=_new_dof_block(prev, space))
-        # superseded spaces are never consulted again by the V-cycle; drop
-        # them so their geometry and assembly caches can be collected (the
-        # mesh itself stays alive through the refinement chain)
-        old = state.levels[-1].space
-        if old is not None:
-            old.mesh._edge_cache = None
-        state.levels[-1].space = None
-        return SolverState(state.kind, state.prob, state.levels + [lvl])
+        return SolverState(state.kind, state.prob, space, state.levels + [lvl])
     omega = _richardson_damping(A) if state.kind == "damped_richardson" else None
-    return SolverState(state.kind, state.prob, [_Level(space, A)], omega=omega)
+    return SolverState(state.kind, state.prob, space, [_Level(A)],
+                       omega=omega)
 
 
 def _richardson_damping(A, iters=50, seed=0):
@@ -275,37 +263,3 @@ def certify_contraction(state, trials=3, rng=None, safety=1.05, ceiling=None):
             f"ceiling {ceiling}")
     state.certified_q = q
     return q
-
-
-def solve_direct(operator, rhs):
-    """Exact sparse solve with a residual check (relative 1e-12)."""
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.size == 0:
-        return np.zeros(0)
-    M = sp.csc_matrix(operator)
-    try:
-        x = splu(M).solve(rhs)
-    except RuntimeError as exc:
-        raise SolverError(f"direct solve failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise SolverError("singular system")
-    scale = np.linalg.norm(rhs)
-    if scale > 0:
-        res = np.linalg.norm(rhs - M @ x) / scale
-        if res > 1e-12:
-            x, info = _refine_iteratively(M, rhs, x)
-            if info > 1e-12:
-                raise SolverError(f"relative residual {info:.2e} above 1e-12")
-    return x
-
-
-def _refine_iteratively(M, rhs, x, steps=3):
-    lu = splu(M)
-    scale = np.linalg.norm(rhs)
-    for _ in range(steps):
-        r = rhs - M @ x
-        x = x + lu.solve(r)
-        res = np.linalg.norm(rhs - M @ x) / scale
-        if res <= 1e-12:
-            return x, res
-    return x, res

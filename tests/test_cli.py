@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from afem_lab.cli import main
 from afem_lab.driver import CSV_HEADER
 
@@ -85,3 +87,33 @@ def test_config_file_precedence(tmp_path):
     code = main(["run", "--config", str(cfg), "--max-dofs", "80",
                  "--out", str(out)])
     assert code == 0
+
+
+def test_config_without_path_is_usage_error():
+    proc = run_cli(["run", "--problem", "kellogg", "--config"])
+    assert proc.returncode == 2
+    assert "--config" in proc.stderr
+
+
+def test_config_equals_form_is_read(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("algo=exact\nmax_dofs=150\ntheta=0.3\n")
+
+    def n_elem(args):
+        out = tmp_path / "run.csv"
+        assert main(["run", "--problem", "kellogg"] + args
+                    + ["--out", str(out)]) == 0
+        return [row.split(",")[3] for row in out.read_text().splitlines()[1:]]
+
+    flags = ["--algo", "exact", "--max-dofs", "150"]
+    assert n_elem([f"--config={cfg}"]) == n_elem(flags + ["--theta", "0.3"])
+    assert n_elem([f"--config={cfg}"]) != n_elem(flags + ["--theta", "0.5"])
+
+
+@pytest.mark.parametrize("line", ["thetaa=0.3", "theta 0.3"])
+def test_bad_config_line_is_usage_error(tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("max_dofs=150\n" + line + "\n")
+    proc = run_cli(["run", "--problem", "kellogg", "--config", str(cfg)])
+    assert proc.returncode == 2
+    assert "bad.cfg:2" in proc.stderr

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from afem_lab.driver import (CSV_HEADER, run_exact, run_nested,
-                             run_single, weighted_cost_table)
+                             run_single, run_uniform, weighted_cost_table)
 from afem_lab.fem import (DiscreteFunction, ProblemDef, energy_norm,
                           prolongate, solve_galerkin_exact)
 from afem_lab.iteration import ZarantonelloConfig
@@ -30,6 +30,30 @@ def test_run_exact_kellogg_smoke():
     assert lv["eta"][-1] < lv["eta"][0]
     # exact runs leave k and j blank
     assert all(r["k"] is None and r["j"] is None for r in hist.records)
+
+
+@pytest.mark.parametrize("entry, blank_k, blank_j", [
+    ("exact", True, True), ("uniform", True, True),
+    ("single", False, True), ("nested", False, False)])
+def test_every_entry_point_keeps_the_ledger_invariants(entry, blank_k,
+                                                       blank_j):
+    prob, mesh = kellogg()
+    cfg = ZarantonelloConfig(delta=0.5, lambda_sym=0.7, lambda_alg=0.7)
+    run = dict(
+        exact=lambda: run_exact(prob, mesh, theta=0.5, max_dofs=200),
+        uniform=lambda: run_uniform(prob, mesh, max_dofs=200),
+        single=lambda: run_single(prob, mesh, theta=0.5, lam=0.1,
+                                  solver_kind="local_multigrid",
+                                  max_dofs=200),
+        nested=lambda: run_nested(prob, mesh, theta=0.5, cfg=cfg,
+                                  solver_kind="local_multigrid",
+                                  max_dofs=200))[entry]
+    hist = run()
+    assert hist.check_invariants()
+    assert hist.meta["stop_reason"] == "max_dofs"
+    assert len(hist.level_summary()["ell"]) >= 2
+    assert all((r["k"] is None) == blank_k and (r["j"] is None) == blank_j
+               for r in hist.records)
 
 
 def test_theta_one_marks_everything():

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from afem_lab.estimator import compute_indicators, estimator_total
+from afem_lab.estimator import Q_RED, compute_indicators, estimator_total
 from afem_lab.fem import (DiscreteFunction, ProblemDef, Space, interpolate,
                           prolongate, solve_galerkin_exact)
 from afem_lab.mesh import refine, uniform_refine
 
 POISSON = ProblemDef(load=lambda x: np.ones(len(x)))
-Q_RED = 2.0 ** -0.25
 
 
 def test_zero_function_zero_data_gives_zero(square2):

@@ -6,7 +6,7 @@ from afem_lab.fem import (DiscreteFunction, Nonlinearity, ProblemDef, Space,
                           assemble_rhs, energy_inner, energy_norm,
                           interpolate, load_vector,
                           nonlinear_energy, nonlinear_form, prolongate,
-                          solve_galerkin_exact)
+                          prolongation_matrix, solve_galerkin_exact)
 from afem_lab.mesh import Mesh, refine, uniform_refine
 
 POISSON = ProblemDef(load=lambda x: np.ones(len(x)))
@@ -61,6 +61,31 @@ def test_assembly_is_deterministic(square2):
     M2 = assemble_b(space, prob)
     assert (M1 != M2).nnz == 0
     assert np.array_equal(M1.data, M2.data)
+
+
+def test_stiffness_cache_never_serves_another_problem(square2):
+    # a problem built after another was freed may get its id; the cache must
+    # still assemble the new problem's own matrix
+    space = Space(uniform_refine(square2), 1)
+    K1 = assemble_a(space, POISSON).toarray()
+    for _ in range(20):
+        assemble_a(space, ProblemDef(diffusion=lambda x: np.ones(len(x))))
+        K2 = assemble_a(space, ProblemDef(
+            diffusion=lambda x: np.full(len(x), 2.0)))
+        assert np.allclose(K2.toarray(), 2.0 * K1)
+
+
+def test_prolongation_cache_never_serves_another_coarse_space(square2):
+    # the same for a coarse space freed after use
+    mesh1 = uniform_refine(square2)
+    fine = Space(uniform_refine(mesh1), 1)
+    for _ in range(20):
+        prolongation_matrix(Space(square2, 1), fine)
+        coarse = Space(mesh1, 1)
+        P = prolongation_matrix(coarse, fine)
+        assert P.shape == (fine.n_dofs, coarse.n_dofs)
+        # a linear function is carried over exactly
+        assert np.allclose(P @ coarse.dof_points[:, 0], fine.dof_points[:, 0])
 
 
 def test_assemble_a_exact_symmetry_and_scaling(square2):

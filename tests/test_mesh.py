@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afem_lab.mesh import (Mesh, ancestor_map, assign_reference_edges,
-                           check_conforming, refine, uniform_refine)
+from afem_lab.mesh import (Mesh, ancestor_map, check_conforming, refine,
+                           uniform_refine)
 
 
 def barycentric(tri_coords, pts):
@@ -148,19 +148,6 @@ def test_shape_regularity_floor(square2):
                             size=max(1, mesh.n_elements // 4), replace=False)
         mesh = refine(mesh, marked)
     assert mesh.min_angle() >= floor - 1e-12
-
-
-def test_assign_reference_edges_longest_edge():
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    elements = assign_reference_edges(verts, [[0, 1, 2], [0, 2, 3]])
-    for tri in elements:
-        pts = verts[tri]
-        lengths = [np.linalg.norm(pts[(k + 1) % 3] - pts[k]) for k in range(3)]
-        assert lengths[0] == max(lengths)
-    # orientation preserved/fixed up
-    m = Mesh(verts, elements, np.array([[0, 1, 0], [1, 2, 0], [2, 3, 0],
-                                        [3, 0, 0]]))
-    assert (m.signed_areas() > 0).all()
 
 
 def test_dump_load_roundtrip(square2):

@@ -115,6 +115,24 @@ def test_solve_direct_examples(square2):
     assert state.energy_norm(x - x_direct) <= 1e-8
 
 
+def test_one_solver_error_for_fem_and_solvers():
+    from afem_lab import fem
+    assert fem.SolverError is SolverError
+    with pytest.raises(SolverError):
+        solve_direct(sp.csr_matrix(np.ones((2, 2))), np.array([1.0, 2.0]))
+
+
+def test_extend_solver_leaves_its_argument_alone(square2):
+    state = build_hierarchy(square2, "local_multigrid", steps=2)
+    space, levels = state.space, list(state.levels)
+    edges = space.mesh.edge_tables()
+    fine = Space(refine(space.mesh, {0}), 1)
+    new = extend_solver(state, fine)
+    assert new.space is fine and new.levels[:-1] == levels
+    assert state.space is space and state.levels == levels
+    assert space.mesh.edge_tables() is edges
+
+
 def test_setup_rejects_non_spd(square2):
     # convection makes the b-form nonsymmetric; the SPD solver must refuse it
     space = Space(uniform_refine(uniform_refine(square2)), 1)
