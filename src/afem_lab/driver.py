@@ -34,7 +34,8 @@ import numpy as np
 
 from .estimator import Q_RED, compute_indicators
 from .fem import (DiscreteFunction, Space, assemble_rhs, dirichlet_values,
-                  energy_gram, prolongation_matrix, solve_galerkin_exact)
+                  energy_gram, prolongation_matrix, solve_direct,
+                  solve_galerkin_exact)
 from .iteration import (check_lambda_constraint, inner_stop, outer_stop,
                         zarantonello_rhs)
 from .marking import doerfler_mark
@@ -42,13 +43,17 @@ from .mesh import refine, uniform_refine
 from .solvers import (certify_contraction, extend_solver, setup_solver,
                       solver_step)
 
-__all__ = ["History", "run_exact", "run_uniform", "run_single", "run_nested",
-           "weighted_cost_table", "CSV_HEADER"]
+__all__ = ["History", "LedgerError", "run_exact", "run_uniform", "run_single",
+           "run_nested", "weighted_cost_table", "CSV_HEADER"]
 
 CSV_HEADER = ("ell,k,j,n_elem,n_dof,eta,increment,stop_outer,stop_inner,"
               "t_solve,t_estimate,t_mark,t_refine,cum_cost")
 
 MG_CEILING = 0.9
+
+
+class LedgerError(AssertionError):
+    """A History violates its index, cost-law or stop-flag invariants."""
 
 
 class History:
@@ -126,30 +131,35 @@ class History:
             fileobj.write(",".join(fields) + "\n")
 
     def check_invariants(self):
-        """Index-set consistency, cost law, and stop-flag placement."""
+        """Index-set consistency, cost law, and stop-flag placement; raises
+        LedgerError (also under ``python -O``) on the first violation."""
         def as_key(rec):
             return tuple(0 if v is None else v
                          for v in (rec["ell"], rec["k"], rec["j"]))
+
+        def require(ok, msg):
+            if not ok:
+                raise LedgerError(msg)
 
         cost = 0
         prev = None
         for r, rec in enumerate(self.records):
             cost += rec["n_elem"]
-            assert rec["cum_cost"] == cost, "cost law violated"
+            require(rec["cum_cost"] == cost, "cost law violated")
             key = as_key(rec)
-            assert prev is None or key > prev, \
-                f"records out of lexicographic order at {r}"
+            require(prev is None or key > prev,
+                    f"records out of lexicographic order at {r}")
             prev = key
         for r, rec in enumerate(self.records):
             ell, k, j = rec["ell"], rec["k"], rec["j"]
             if k is not None:
                 is_last_outer = (k == self.k_stop.get(ell) and (
                     j is None or j == self.j_stop.get((ell, k))))
-                assert rec["stop_outer"] == is_last_outer, \
-                    f"outer stop flag inconsistent at record {r}"
+                require(rec["stop_outer"] == is_last_outer,
+                        f"outer stop flag inconsistent at record {r}")
             if j is not None:
-                assert rec["stop_inner"] == (j == self.j_stop.get((ell, k))), \
-                    f"inner stop flag inconsistent at record {r}"
+                require(rec["stop_inner"] == (j == self.j_stop.get((ell, k))),
+                        f"inner stop flag inconsistent at record {r}")
         return True
 
 
@@ -390,7 +400,7 @@ def run_nested(prob, mesh0, theta, cfg, p=1, solver_kind="local_multigrid",
             t_assemble = time.perf_counter() - t0
             if compute_kstar:
                 kstar = u.copy()
-                kstar[space.free] = state.levels[-1].lu.solve(rhs)
+                kstar[space.free] = solve_direct(state.matrix, rhs)
                 art["kstar"].append(kstar)
             for j in _steps(max_inner, f"algebraic loop on level {ell}, "
                                        f"outer step {k}"):

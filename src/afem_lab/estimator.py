@@ -164,12 +164,14 @@ def _side_flux(space, coeffs, prob, geom, side, edge_ids):
         g = space.function_gradients(coeffs, ref0)[e][:, 0, :]
         grads = np.broadcast_to(g[:, None, :], phys.shape)
     else:
-        loc = np.einsum("eij,eqj->eqi", space.inv_jac[e],
-                        phys - space.origin[e][:, None, :])
+        # reference gradients at the mapped points, contracted with the
+        # element coefficients before the map to physical coordinates
+        inv = space.inv_jac[e]
+        loc = (phys - space.origin[e][:, None, :]) @ inv.transpose(0, 2, 1)
         dN = space.ref.grad(loc.reshape(-1, 2)).reshape(
             loc.shape[0], loc.shape[1], -1, 2)
-        gr = np.einsum("eqlj,eji->eqli", dN, space.inv_jac[e])
-        grads = np.einsum("eqli,el->eqi", gr, coeffs[space.elem_dofs[e]])
+        c = coeffs[space.elem_dofs[e]]
+        grads = (c[:, None, None, :] @ dN)[:, :, 0, :] @ inv
     flux = _flux_coefficient(prob, pulled, grads)
     if prob.flux_load is not None:
         flux = flux - np.asarray(prob.flux_load(

@@ -236,9 +236,7 @@ class Space:
 
         # DOF coordinates
         pts = np.zeros((self.n_dofs, 2))
-        phys = self.origin[:, None, :] + np.einsum(
-            "eij,nj->eni", J, ref.nodes)
-        pts[dof.ravel()] = phys.reshape(-1, 2)
+        pts[dof.ravel()] = self.physical_points(ref.nodes).reshape(-1, 2)
         self.dof_points = pts
 
         # Dirichlet classification: all boundary segments carry Dirichlet data
@@ -258,48 +256,61 @@ class Space:
 
     def physical_points(self, ref_pts):
         """Map reference points to each element, shape (ne, nq, 2)."""
-        return self.origin[:, None, :] + np.einsum(
-            "eij,qj->eqi", self.jac, np.asarray(ref_pts))
+        return self.origin[:, None, :] \
+            + np.asarray(ref_pts) @ self.jac.transpose(0, 2, 1)
 
     def basis_tables(self, ref_pts):
-        """(N, grad_phys, hess_phys) for reference points on every element.
+        """(N, grad_phys) for reference points on every element.
 
-        N is (nq, nl); gradients (ne, nq, nl, 2); Hessians (ne, nq, nl, 3).
+        N is (nq, nl); the physical gradients are (ne, nq, nl, 2).  Only the
+        assembly of forms reads them: the field evaluations below contract
+        the coefficients with the reference tables first and never build
+        per-element basis tables.
         """
         key = ("bt", ref_pts.tobytes())
-        if key in self._cache:
-            return self._cache[key]
-        ref = self.ref
-        N = ref.eval(ref_pts)
-        dN = ref.grad(ref_pts)
-        grad = np.einsum("qlj,eji->eqli", dN, self.inv_jac)
-        hess = None
-        if self.degree >= 2:
-            H = ref.hess(ref_pts)  # (nq, nl, 3)
-            Hfull = np.empty(H.shape[:2] + (2, 2))
-            Hfull[..., 0, 0] = H[..., 0]
-            Hfull[..., 0, 1] = Hfull[..., 1, 0] = H[..., 1]
-            Hfull[..., 1, 1] = H[..., 2]
-            hp = np.einsum("eaj,qlab,ebi->eqlji", self.inv_jac, Hfull,
-                           self.inv_jac)
-            hess = np.stack([hp[..., 0, 0], hp[..., 0, 1], hp[..., 1, 1]],
-                            axis=-1)
-        self._cache[key] = (N, grad, hess)
+        if key not in self._cache:
+            dN = self._ref_table("grad", ref_pts)
+            self._cache[key] = (self._ref_table("eval", ref_pts),
+                                dN[None] @ self.inv_jac[:, None])
         return self._cache[key]
 
+    def _ref_table(self, kind, ref_pts):
+        """Reference basis table ``kind`` at ref_pts: "eval" (nq, nl),
+        "grad" (nq, nl, 2) or "hess" (nq, nl, 3)."""
+        key = (kind, ref_pts.tobytes())
+        if key not in self._cache:
+            self._cache[key] = getattr(self.ref, kind)(ref_pts)
+        return self._cache[key]
+
+    def _contract(self, coeffs, table):
+        """Element coefficients times a reference table (nq, nl, c) in one
+        GEMM; shape (ne, nq, c)."""
+        nq, nl, c = table.shape
+        flat = table.transpose(1, 0, 2).reshape(nl, nq * c)
+        return (coeffs[self.elem_dofs] @ flat).reshape(-1, nq, c)
+
     def function_values(self, coeffs, ref_pts):
-        N, _, _ = self.basis_tables(ref_pts)
-        return np.einsum("ql,el->eq", N, coeffs[self.elem_dofs])
+        return coeffs[self.elem_dofs] @ self._ref_table("eval", ref_pts).T
 
     def function_gradients(self, coeffs, ref_pts):
-        _, grad, _ = self.basis_tables(ref_pts)
-        return np.einsum("eqli,el->eqi", grad, coeffs[self.elem_dofs])
+        return self._contract(coeffs, self._ref_table("grad", ref_pts)) \
+            @ self.inv_jac
 
     def function_hessians(self, coeffs, ref_pts):
-        _, _, hess = self.basis_tables(ref_pts)
-        if hess is None:
+        """Physical Hessians (ne, nq, 3) as xx, xy, yy: K^T H K at each
+        point, with H the reference Hessian and K the inverse Jacobian."""
+        if self.degree == 1:
             return np.zeros((self.mesh.n_elements, len(ref_pts), 3))
-        return np.einsum("eqli,el->eqi", hess, coeffs[self.elem_dofs])
+        h = self._contract(coeffs, self._ref_table("hess", ref_pts))
+        hxx, hxy, hyy = h[..., 0], h[..., 1], h[..., 2]
+        K = self.inv_jac[:, None]
+        k00, k01 = K[..., 0, 0], K[..., 0, 1]
+        k10, k11 = K[..., 1, 0], K[..., 1, 1]
+        return np.stack([
+            k00 * k00 * hxx + 2.0 * k00 * k10 * hxy + k10 * k10 * hyy,
+            k00 * k01 * hxx + (k00 * k11 + k10 * k01) * hxy + k10 * k11 * hyy,
+            k01 * k01 * hxx + 2.0 * k01 * k11 * hxy + k11 * k11 * hyy,
+        ], axis=-1)
 
 
 @dataclass
@@ -351,14 +362,24 @@ def _reduce(space, M):
 def assemble_a(space, prob, reduced=True):
     """Stiffness of the energy product a(u, v) = <A grad u, grad v>.
 
-    Exactly symmetric by construction; SPD on the free DOFs.
+    Exactly symmetric by construction; SPD on the free DOFs.  The reduced
+    matrix is cut from the cached full one, so a level assembles once.
     """
     key = ("a", reduced)
     hit = space._cache.get(key)
     if hit is not None and hit[0] is prob:
         return hit[1]
+    if reduced:
+        out = _reduce(space, assemble_a(space, prob, reduced=False))
+    else:
+        out = _scatter(space, _local_stiffness(space, prob))
+    space._cache[key] = (prob, out)
+    return out
+
+
+def _local_stiffness(space, prob):
     pts, w = triangle_rule(2 * space.degree)
-    _, grad, _ = space.basis_tables(pts)
+    _, grad = space.basis_tables(pts)
     kind, A = _diffusion_at(prob, space.physical_points(pts).reshape(-1, 2))
     if kind == "scalar":
         A = A.reshape(space.mesh.n_elements, -1)
@@ -368,15 +389,12 @@ def assemble_a(space, prob, reduced=True):
         flux = np.einsum("eqij,eqlj->eqli", A, grad)
     wdet = w[None, :] * space.det[:, None]
     local = np.einsum("eqli,eqmi,eq->elm", flux, grad, wdet)
-    local = 0.5 * (local + local.transpose(0, 2, 1))
-    M = _scatter(space, local)
-    out = _reduce(space, M) if reduced else M
-    space._cache[key] = (prob, out)
-    return out
+    return 0.5 * (local + local.transpose(0, 2, 1))
 
 
 def assemble_b(space, prob, reduced=True):
-    """Full linear form b(u, v) = a(u, v) + <conv . grad u + c u, v>."""
+    """Full linear form b(u, v) = a(u, v) + <conv . grad u + c u, v>; the
+    reduced matrix is cut from the cached full one."""
     if prob.is_nonlinear:
         raise UnsupportedFormError(
             "assemble_b needs a linear problem; use nonlinear_form for the "
@@ -385,25 +403,32 @@ def assemble_b(space, prob, reduced=True):
     hit = space._cache.get(key)
     if hit is not None and hit[0] is prob:
         return hit[1]
-    M = assemble_a(space, prob, reduced=False).copy()
-    if prob.convection is not None or prob.reaction is not None:
-        pts, w = triangle_rule(2 * space.degree)
-        N, grad, _ = space.basis_tables(pts)
-        phys = space.physical_points(pts).reshape(-1, 2)
-        ne = space.mesh.n_elements
-        wdet = w[None, :] * space.det[:, None]
-        local = np.zeros((ne, space.ref.n_local, space.ref.n_local))
-        if prob.convection is not None:
-            bvec = np.asarray(prob.convection(phys)).reshape(ne, -1, 2)
-            bgrad = np.einsum("eqi,eqli->eql", bvec, grad)
-            local += np.einsum("eql,qm,eq->eml", bgrad, N, wdet)
-        if prob.reaction is not None:
-            c = np.asarray(prob.reaction(phys)).reshape(ne, -1)
-            local += np.einsum("eq,ql,qm,eq->eml", c, N, N, wdet)
-        M = M + _scatter(space, local)
-    out = _reduce(space, M) if reduced else M
+    if reduced:
+        out = _reduce(space, assemble_b(space, prob, reduced=False))
+    else:
+        out = assemble_a(space, prob, reduced=False).copy()
+        if prob.convection is not None or prob.reaction is not None:
+            out = out + _scatter(space, _local_lower_order(space, prob))
     space._cache[key] = (prob, out)
     return out
+
+
+def _local_lower_order(space, prob):
+    """Element matrices of <conv . grad u + c u, v>."""
+    pts, w = triangle_rule(2 * space.degree)
+    N, grad = space.basis_tables(pts)
+    phys = space.physical_points(pts).reshape(-1, 2)
+    ne = space.mesh.n_elements
+    wdet = w[None, :] * space.det[:, None]
+    local = np.zeros((ne, space.ref.n_local, space.ref.n_local))
+    if prob.convection is not None:
+        bvec = np.asarray(prob.convection(phys)).reshape(ne, -1, 2)
+        bgrad = np.einsum("eqi,eqli->eql", bvec, grad)
+        local += np.einsum("eql,qm,eq->eml", bgrad, N, wdet)
+    if prob.reaction is not None:
+        c = np.asarray(prob.reaction(phys)).reshape(ne, -1)
+        local += np.einsum("eq,ql,qm,eq->eml", c, N, N, wdet)
+    return local
 
 
 def load_vector(space, prob):
@@ -412,7 +437,7 @@ def load_vector(space, prob):
     if prob.load is None and prob.flux_load is None:
         return F
     pts, w = triangle_rule(2 * space.degree)
-    N, grad, _ = space.basis_tables(pts)
+    N, grad = space.basis_tables(pts)
     phys = space.physical_points(pts).reshape(-1, 2)
     ne = space.mesh.n_elements
     wdet = w[None, :] * space.det[:, None]
@@ -453,7 +478,7 @@ def nonlinear_form(space, prob, coeffs):
     if nl is None:
         raise UnsupportedFormError("problem has no nonlinearity")
     pts, w = triangle_rule(2 * space.degree + 4)
-    N, grad_tab, _ = space.basis_tables(pts)
+    N, grad_tab = space.basis_tables(pts)
     g = space.function_gradients(coeffs, pts)
     t = (g ** 2).sum(axis=2)
     flux = nl.a(t)[:, :, None] * g

@@ -105,7 +105,10 @@ class Mesh:
         e = self.elements
         raw = np.concatenate([e[:, [0, 1]], e[:, [1, 2]], e[:, [2, 0]]])
         und = np.sort(raw, axis=1)
-        edges, inv = np.unique(und, axis=0, return_inverse=True)
+        # int64 keys sort in the lexicographic order of the vertex pairs
+        nv = self.n_vertices
+        keys, inv = np.unique(und[:, 0] * nv + und[:, 1], return_inverse=True)
+        edges = np.column_stack(np.divmod(keys, nv))
         elem_edges = inv.reshape(3, -1).T.copy()
         edge_elems = np.full((len(edges), 2), -1, dtype=np.int64)
         owner = np.tile(np.arange(len(e)), 3)
@@ -251,12 +254,12 @@ def refine(mesh, marked):
 
 
 def _edge_lookup(sorted_edges, queries):
-    """Rows of ``queries`` located in the lexicographically sorted edge list."""
-    keys = sorted_edges[:, 0] * (sorted_edges.max() + 1) + sorted_edges[:, 1]
-    qkeys = queries[:, 0] * (sorted_edges.max() + 1) + queries[:, 1]
-    order = np.argsort(keys)
-    pos = np.searchsorted(keys[order], qkeys)
-    idx = order[np.clip(pos, 0, len(order) - 1)]
+    """Rows of ``queries`` located in the lexicographically sorted edge list
+    of ``Mesh.edge_tables``; its int64 keys are therefore already sorted."""
+    base = sorted_edges.max() + 1
+    keys = sorted_edges[:, 0] * base + sorted_edges[:, 1]
+    pos = np.searchsorted(keys, queries[:, 0] * base + queries[:, 1])
+    idx = np.clip(pos, 0, len(keys) - 1)
     if not np.array_equal(sorted_edges[idx], queries):
         raise ValueError("edge not found in mesh")
     return idx

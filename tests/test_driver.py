@@ -258,3 +258,76 @@ def test_weighted_cost_table():
     table3 = weighted_cost_table({(0.5, 0.5): h1}, 1e-9)
     assert not table3["entries"][(0.5, 0.5)]["complete"]
     assert table3["entries"][(0.5, 0.5)]["time"] is None
+
+
+def _corrupted_history():
+    from afem_lab.driver import History
+    hist = History("exact")
+    hist.append(1, n_elem=8, n_dof=5, eta=1.0)
+    hist.append(0, n_elem=16, n_dof=9, eta=0.5)
+    hist.records[-1]["cum_cost"] = 999
+    return hist
+
+
+def test_ledger_violation_raises_ledger_error():
+    from afem_lab.driver import LedgerError
+    assert issubclass(LedgerError, AssertionError)
+    with pytest.raises(LedgerError, match="cost law"):
+        _corrupted_history().check_invariants()
+
+
+def test_ledger_check_survives_python_O():
+    # under -O the check must still raise, not return True
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    code = ("import test_driver as t\n"
+            "from afem_lab.driver import LedgerError\n"
+            "try:\n"
+            "    t._corrupted_history().check_invariants()\n"
+            "except LedgerError as exc:\n"
+            "    print('raised', exc)\n"
+            "else:\n"
+            "    print('passed')\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=f"{here.parent / 'src'}:{here}")
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised cost law violated"), out.stdout
+
+
+def test_kstar_reference_pins_no_factorization(monkeypatch):
+    from scipy.sparse.linalg import splu
+    from afem_lab import driver
+    from afem_lab.fem import assemble_a, energy_gram
+    from afem_lab.iteration import zarantonello_rhs
+    states = []
+    for name in ("setup_solver", "extend_solver"):
+        fn = getattr(driver, name)
+        monkeypatch.setattr(driver, name,
+                            lambda *a, fn=fn: states.append(fn(*a))
+                            or states[-1])
+    prob, mesh = lshape_convection()
+    cfg = ZarantonelloConfig(delta=0.5, lambda_sym=0.7, lambda_alg=0.7)
+    hist = run_nested(prob, mesh, theta=0.3, cfg=cfg, p=1, max_dofs=300,
+                      store_artifacts=True, compute_kstar=True)
+    levels = states[-1].levels
+    assert len(levels) >= 3
+    # the V-cycle factorizes the coarsest level only
+    assert [lvl._lu is not None for lvl in levels] \
+        == [True] + [False] * (len(levels) - 1)
+    # each u^(k,*) solves its Zarantonello system as a full LU solve does
+    for art in hist.meta["artifacts"]:
+        space, free = art["space"], art["space"].free
+        lift = art["initial"] * space.dirichlet_mask
+        lift_term = (energy_gram(space, prob) @ lift)[free]
+        lu = splu(assemble_a(space, prob).tocsc())
+        for u_prev, kstar in zip([art["initial"]] + art["outer"],
+                                 art["kstar"]):
+            rhs = zarantonello_rhs(space, prob, cfg.delta, u_prev)[free] \
+                - lift_term
+            expected = lu.solve(rhs)
+            assert np.linalg.norm(kstar[free] - expected) \
+                <= 1e-12 * np.linalg.norm(expected)

@@ -324,3 +324,116 @@ def test_space_nested_dof_counts(square2):
         expected = fine.n_vertices + len(edges) * (p - 1) \
             + fine.n_elements * n_int
         assert space.n_dofs == expected
+
+
+def distorted_mesh(square2, seed):
+    """Uniformly refined square with jittered interior vertices, then
+    refined locally."""
+    rng = np.random.default_rng(seed)
+    mesh = uniform_refine(uniform_refine(square2))
+    verts = mesh.vertices.copy()
+    interior = (verts > 0).all(axis=1) & (verts < 1).all(axis=1)
+    verts[interior] += rng.uniform(-0.06, 0.06, (interior.sum(), 2))
+    mesh = Mesh(verts, mesh.elements, mesh.boundary_edges)
+    for _ in range(2):
+        mesh = refine(mesh, rng.choice(mesh.n_elements, 5, replace=False))
+    return mesh
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_field_kernels_exact_on_polynomials(square2, p):
+    # the interpolant of a degree-p polynomial is the polynomial itself, so
+    # values, gradients and Hessians must match the analytic ones
+    from afem_lab.quadrature import triangle_rule
+    rng = np.random.default_rng(p)
+    exps = [(a, b) for a in range(p + 1) for b in range(p + 1 - a)]
+    c = rng.uniform(-1.0, 1.0, len(exps))
+
+    def poly(x, da=0, db=0):
+        out = np.zeros(len(x))
+        for ck, (a, b) in zip(c, exps):
+            if a >= da and b >= db:
+                fa = np.prod(np.arange(a - da + 1, a + 1))
+                fb = np.prod(np.arange(b - db + 1, b + 1))
+                out += ck * fa * fb * x[:, 0] ** (a - da) * x[:, 1] ** (b - db)
+        return out
+
+    space = Space(distorted_mesh(square2, seed=p), p)
+    v = interpolate(space, poly)
+    pts, _ = triangle_rule(2 * p + 2)
+    x = space.physical_points(pts).reshape(-1, 2)
+    shape = (space.mesh.n_elements, len(pts))
+    # 1e-11 relative to the size of each field: the reference basis comes
+    # from an inverted Vandermonde matrix, so rounding grows with p (about
+    # 5e-11 absolute on the P4 Hessians here, with the earlier kernels too)
+    fields = [(space.function_values(v.coeffs, pts), [(0, 0)]),
+              (space.function_gradients(v.coeffs, pts), [(1, 0), (0, 1)]),
+              (space.function_hessians(v.coeffs, pts),
+               [(2, 0), (1, 1), (0, 2)])]
+    for got, derivs in fields:
+        got = got.reshape(shape + (len(derivs),))
+        exact = np.stack([poly(x, *d).reshape(shape) for d in derivs], -1)
+        scale = max(1.0, np.abs(exact).max())
+        assert np.abs(got - exact).max() <= 1e-11 * scale
+
+
+def test_assembly_builds_no_hessians(square2, monkeypatch):
+    from afem_lab import fem
+
+    def no_hessians(self, pts):
+        raise AssertionError("Hessian table built outside the estimator")
+
+    monkeypatch.setattr(fem._RefElem, "hess", no_hessians)
+    space = Space(distorted_mesh(square2, seed=0), 2)
+    assemble_a(space, POISSON)
+    load_vector(space, POISSON)
+    tables = [a for v in space._cache.values()
+              for a in (v if isinstance(v, tuple) else (v,))
+              if isinstance(a, np.ndarray)]
+    assert tables and all(t.shape[-1] != 3 for t in tables if t.ndim >= 3)
+
+
+def test_reduced_stiffness_is_cut_from_one_assembly(square2, monkeypatch):
+    from afem_lab import fem
+    calls = []
+    local = fem._local_stiffness
+    monkeypatch.setattr(fem, "_local_stiffness",
+                        lambda *a: calls.append(1) or local(*a))
+    mesh = distorted_mesh(square2, seed=1)
+    for first in (True, False):
+        space = Space(mesh, 2)
+        K1 = assemble_a(space, POISSON, reduced=first)
+        K2 = assemble_a(space, POISSON, reduced=not first)
+        full, red = (K2, K1) if first else (K1, K2)
+        cut = fem._reduce(space, full)
+        assert (red != cut).nnz == 0
+        assert np.array_equal(red.data, cut.data)
+        assert np.array_equal(red.indices, cut.indices)
+    assert len(calls) == 2
+
+
+def _indicator_mesh(mesh):
+    for r in range(4):
+        mesh = refine(mesh, np.arange(r % 2, mesh.n_elements, 3))
+    return mesh
+
+
+@pytest.mark.parametrize("name, p", [
+    ("kellogg", 2), ("zshape-nonlinear", 1), ("zshape-nonlinear", 2)])
+def test_indicators_match_recorded_values(name, p):
+    # recorded with the earlier table-based kernels on the same fixed mesh
+    # and field; the contraction order changed, the values must not
+    import json
+    from pathlib import Path
+    from afem_lab.estimator import compute_indicators
+    from afem_lab.problems import by_name
+    recorded = json.loads((Path(__file__).parent / "data"
+                           / "indicators_reference.json").read_text())
+    prob, mesh = by_name(name)
+    space = Space(_indicator_mesh(mesh), p)
+    v = interpolate(space, lambda x: np.sin(2 * x[:, 0] + 1)
+                    * np.cos(3 * x[:, 1]) + x[:, 0] * x[:, 1] ** 2)
+    eta2 = compute_indicators(space, v, prob).per_element
+    ref = np.array(recorded[f"{name}-p{p}"])
+    assert eta2.shape == ref.shape
+    assert np.all(np.abs(eta2 - ref) <= 1e-12 * np.abs(ref))

@@ -160,3 +160,33 @@ def test_dump_load_roundtrip(square2):
     assert np.array_equal(back.boundary_edges, mesh.boundary_edges)
     assert np.array_equal(back.generation, mesh.generation)
     assert check_conforming(back)
+
+
+def _edge_tables_by_rows(mesh):
+    """Edge tables from ``np.unique(axis=0)`` on the vertex pairs (oracle)."""
+    e = mesh.elements
+    raw = np.concatenate([e[:, [0, 1]], e[:, [1, 2]], e[:, [2, 0]]])
+    edges, inv = np.unique(np.sort(raw, axis=1), axis=0, return_inverse=True)
+    inv = inv.ravel()
+    edge_elems = np.full((len(edges), 2), -1, dtype=np.int64)
+    for k, (eid, owner) in enumerate(zip(inv, np.tile(np.arange(len(e)), 3))):
+        edge_elems[eid, int(edge_elems[eid, 0] >= 0)] = owner
+    return edges, inv.reshape(3, -1).T, edge_elems
+
+
+def test_edge_tables_match_row_unique_on_random_nvb_meshes(square2):
+    from afem_lab.mesh import _edge_lookup
+    rng = np.random.default_rng(3)
+    mesh = square2
+    for _ in range(12):
+        n = max(1, mesh.n_elements // 4)
+        mesh = refine(mesh, rng.choice(mesh.n_elements, n, replace=False))
+        edges, elem_edges, edge_elems = mesh.edge_tables()
+        ref_edges, ref_elem_edges, ref_edge_elems = _edge_tables_by_rows(mesh)
+        assert np.array_equal(edges, ref_edges)
+        assert np.array_equal(elem_edges, ref_elem_edges)
+        assert np.array_equal(edge_elems, ref_edge_elems)
+        pick = rng.permutation(len(edges))[:20]
+        assert np.array_equal(_edge_lookup(edges, edges[pick]), pick)
+    with pytest.raises(ValueError):
+        _edge_lookup(edges, np.array([[0, mesh.n_vertices]]))
