@@ -10,8 +10,9 @@ Configuration precedence: command-line flags > config file (simple
 ``key=value`` lines, keys named like the long flags) > built-in defaults.
 A config line that is not ``key=value`` or names no flag of the subcommand
 is a usage error.
+Flag and config values are range-checked while parsing, before any run.
 Exit codes: 0 success, 1 run failure, 2 usage error.  The environment
-variable AFEM_LAB_THREADS caps sweep parallelism.
+variable AFEM_LAB_THREADS (an integer >= 1) caps sweep parallelism.
 """
 
 import argparse
@@ -29,19 +30,43 @@ SOLVER_FLAGS = {"local-mg": "local_multigrid", "richardson":
                 "damped_richardson", "direct": "direct"}
 
 
+def _typed(kind, ok, what):
+    """argparse ``type=``: parse with ``kind`` and require ``ok(value)``."""
+    def parse(text):
+        try:
+            if ok(value := kind(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected {kind.__name__} {what}, got {text!r}")
+    return parse
+
+
+_theta = _typed(float, lambda v: 0 < v <= 1, "in (0, 1]")
+_positive = _typed(float, lambda v: v > 0, "> 0")
+_nonnegative = _typed(float, lambda v: v >= 0, ">= 0")
+_count = _typed(int, lambda v: v >= 1, ">= 1")
+
+
+def _listed(item):
+    """argparse ``type=``: a comma-separated list of ``item`` values."""
+    return lambda text: [item(t) for t in text.split(",")]
+
+
 def _add_common(p):
     p.add_argument("--problem", choices=sorted(PROBLEM_NAMES))
     p.add_argument("--algo", choices=["exact", "uniform", "single", "nested"],
                    default="single")
-    p.add_argument("--p", type=int, default=1, help="polynomial degree")
+    p.add_argument("--p", type=_count, default=1, help="polynomial degree")
     p.add_argument("--solver", choices=sorted(SOLVER_FLAGS), default="local-mg")
-    p.add_argument("--max-dofs", type=float, default=5e4)
-    p.add_argument("--eta-tol", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None,
+    p.add_argument("--max-dofs", type=_positive, default=5e4)
+    p.add_argument("--eta-tol", type=_positive, default=None)
+    p.add_argument("--delta", type=_positive, default=None,
                    help="Zarantonello damping (nested; default 0.5, or 1/L "
                         "for the nonlinear problem)")
-    p.add_argument("--lambda-sym", type=float, default=0.7)
-    p.add_argument("--lambda-alg", type=float, default=0.7)
+    p.add_argument("--lambda-sym", type=_positive, default=0.7)
+    p.add_argument("--lambda-alg", type=_nonnegative, default=0.7)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", type=str, default=None,
                    help="key=value file; flags override it")
@@ -54,8 +79,8 @@ def build_parser():
 
     run = sub.add_parser("run", help="one adaptive run -> History CSV")
     _add_common(run)
-    run.add_argument("--theta", type=float, default=0.5)
-    run.add_argument("--lambda", dest="lam", type=float, default=0.1,
+    run.add_argument("--theta", type=_theta, default=0.5)
+    run.add_argument("--lambda", dest="lam", type=_positive, default=0.1,
                      help="solver-stopping parameter (single)")
     run.add_argument("--out", type=str, default=None, help="CSV path")
     run.add_argument("--summary", type=str, default=None,
@@ -63,16 +88,17 @@ def build_parser():
 
     sw = sub.add_parser("sweep", help="theta x lambda sweep -> cost table")
     _add_common(sw)
-    sw.add_argument("--thetas", type=str, default="0.3,0.5")
-    sw.add_argument("--lambdas", type=str, default="0.1,0.7")
-    sw.add_argument("--eta-stop-factor", type=float, default=5e-2)
-    sw.add_argument("--jobs", type=int, default=1)
+    sw.add_argument("--thetas", type=_listed(_theta), default="0.3,0.5")
+    sw.add_argument("--lambdas", type=_listed(_positive), default="0.1,0.7",
+                    help="lambda, and lambda_sym = lambda_alg (nested)")
+    sw.add_argument("--eta-stop-factor", type=_positive, default=5e-2)
+    sw.add_argument("--jobs", type=_count, default=1)
     sw.add_argument("--out", type=str, default=None)
 
     ver = sub.add_parser("verify", help="axioms + sequence-lemma suites")
     ver.add_argument("--problem", choices=sorted(PROBLEM_NAMES),
                      default="kellogg")
-    ver.add_argument("--max-dofs", type=float, default=2000)
+    ver.add_argument("--max-dofs", type=_positive, default=2000)
     ver.add_argument("--instances", type=int, default=100,
                      help="random sequence-lemma instances")
     ver.add_argument("--seed", type=int, default=0)
@@ -110,6 +136,11 @@ def _parse(ap, argv):
     # verify has a default problem
     if getattr(args, "problem", "") is None:
         sub.error("--problem is required")
+    if args.command == "sweep" and "AFEM_LAB_THREADS" in os.environ:
+        try:
+            args.jobs = min(args.jobs, _count(os.environ["AFEM_LAB_THREADS"]))
+        except argparse.ArgumentTypeError as exc:
+            sub.error(f"AFEM_LAB_THREADS: {exc}")
     return args
 
 
@@ -178,23 +209,19 @@ def _sweep_worker(params):
 
 
 def cmd_sweep(args):
-    thetas = [float(t) for t in args.thetas.split(",") if t]
-    lambdas = [float(t) for t in args.lambdas.split(",") if t]
-    jobs = max(1, min(args.jobs,
-                      int(os.environ.get("AFEM_LAB_THREADS", args.jobs))))
     tasks = []
-    for lam in lambdas:
-        for theta in thetas:
+    for lam in args.lambdas:
+        for theta in args.thetas:
             tasks.append(dict(problem=args.problem, algo=args.algo,
                               theta=theta, lam=lam, p=args.p,
                               solver=args.solver, max_dofs=args.max_dofs,
                               delta=args.delta, lambda_sym=lam,
                               lambda_alg=lam))
     results = {}
-    if jobs == 1:
+    if args.jobs == 1:
         pairs = map(_sweep_worker, tasks)
     else:
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs)
         pairs = pool.map(_sweep_worker, tasks)
     for params, hist in pairs:
         results[(params["lam"], params["theta"])] = hist

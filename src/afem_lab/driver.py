@@ -178,8 +178,7 @@ def _stop_reason(n_dof, eta, max_dofs, eta_tol):
 
 
 def _adapt(history, prob, mesh, p, theta, solve_level, max_dofs, eta_tol,
-           store_artifacts, solver_kind=None, certify_each_level=True,
-           certify_trials=1, cfg=None):
+           store_artifacts, solver_kind=None, cfg=None):
     """Solve, estimate, mark, refine until a stopping criterion holds.
 
     ``solve_level(ell, space, state, u, art)`` runs the solver loop of one
@@ -193,7 +192,7 @@ def _adapt(history, prob, mesh, p, theta, solve_level, max_dofs, eta_tol,
     state = u = None
     if solver_kind is not None:
         state = setup_solver(solver_kind, space, prob)
-        _certify(history, state, certify_trials, cfg, theta)
+        _certify(history, state, cfg, theta)
         u = dirichlet_values(space, prob)
         history.meta["eta_initial"] = compute_indicators(space, u, prob).total
     artifacts = []
@@ -232,8 +231,7 @@ def _adapt(history, prob, mesh, p, theta, solve_level, max_dofs, eta_tol,
         space.mesh.release_edge_tables()
         if state is not None:
             state = extend_solver(state, new_space)
-            if certify_each_level:
-                _certify(history, state, certify_trials, cfg, theta)
+            _certify(history, state, cfg, theta)
         space = new_space
     if store_artifacts:
         history.meta["artifacts"] = artifacts
@@ -264,17 +262,12 @@ def _estimate(space, u, prob):
     return ind, time.perf_counter() - t0
 
 
-def _exact_step(state):
-    """One solver step settles the algebraic system exactly."""
-    return state.kind == "direct" or state.certified_q == 0.0
-
-
-def _certify(history, state, trials, cfg, theta):
+def _certify(history, state, cfg, theta):
     """Certify the solver of the current level; with a Zarantonello
     ``cfg``, re-check the advisory feasibility of the stopping parameters
     as the certified contraction grows over the levels."""
     ceiling = MG_CEILING if state.kind == "local_multigrid" else None
-    q = certify_contraction(state, trials=trials, ceiling=ceiling)
+    q = certify_contraction(state, ceiling=ceiling)
     history.meta.setdefault("q_alg_levels", []).append(q)
     history.meta["q_alg"] = max(history.meta["q_alg_levels"])
     if cfg is None or cfg.q_sym_star is None:
@@ -327,8 +320,8 @@ def _exact_level(history, prob):
 
 
 def run_single(prob, mesh0, theta, lam, p=1, solver_kind="local_multigrid",
-               max_dofs=5e4, eta_tol=None, certify_each_level=True,
-               certify_trials=1, store_artifacts=False, max_inner=500):
+               max_dofs=5e4, eta_tol=None, store_artifacts=False,
+               max_inner=500):
     """AFEM with one contractive solver; requires the symmetric case b = a.
 
     The solver loop repeats until |||u^k - u^(k-1)||| <= lam * eta(u^k)
@@ -354,7 +347,7 @@ def run_single(prob, mesh0, theta, lam, p=1, solver_kind="local_multigrid",
             t_solve = time.perf_counter() - t0 + t_assemble
             t_assemble = 0.0
             ind, t_estimate = _estimate(space, u, prob)
-            stop = outer_stop(inc, ind.total, lam) or _exact_step(state)
+            stop = outer_stop(inc, ind.total, lam) or state.certified_q == 0
             history.append(ell, k, n_elem=space.mesh.n_elements,
                            n_dof=space.n_free, eta=ind.total, increment=inc,
                            stop_outer=stop, t_solve=t_solve,
@@ -366,14 +359,12 @@ def run_single(prob, mesh0, theta, lam, p=1, solver_kind="local_multigrid",
                 return u, ind
 
     return _adapt(history, prob, mesh0, p, theta, solve_level, max_dofs,
-                  eta_tol, store_artifacts, solver_kind, certify_each_level,
-                  certify_trials)
+                  eta_tol, store_artifacts, solver_kind)
 
 
 def run_nested(prob, mesh0, theta, cfg, p=1, solver_kind="local_multigrid",
-               max_dofs=5e4, eta_tol=None, certify_each_level=True,
-               certify_trials=1, store_artifacts=False, max_inner=500,
-               compute_kstar=False):
+               max_dofs=5e4, eta_tol=None, store_artifacts=False,
+               max_inner=500, compute_kstar=False):
     """AFEM with nested contractive solvers (symmetrization + algebraic).
 
     Inner stop:  |||u^(k,j) - u^(k,j-1)||| <=
@@ -412,7 +403,7 @@ def run_nested(prob, mesh0, theta, cfg, p=1, solver_kind="local_multigrid",
                 t_assemble = 0.0
                 ind, t_estimate = _estimate(space, u, prob)
                 stop_in = inner_stop(inc, ind.total, outer_inc, cfg) \
-                    or _exact_step(state)
+                    or state.certified_q == 0
                 history.append(ell, k, j, n_elem=space.mesh.n_elements,
                                n_dof=space.n_free, eta=ind.total,
                                increment=inc, stop_inner=stop_in,
@@ -431,8 +422,7 @@ def run_nested(prob, mesh0, theta, cfg, p=1, solver_kind="local_multigrid",
                 return u, ind
 
     return _adapt(history, prob, mesh0, p, theta, solve_level, max_dofs,
-                  eta_tol, store_artifacts, solver_kind, certify_each_level,
-                  certify_trials, cfg)
+                  eta_tol, store_artifacts, solver_kind, cfg)
 
 
 # ---------------------------------------------------------------------------

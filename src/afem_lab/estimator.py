@@ -20,6 +20,7 @@ import numpy as np
 from numpy.polynomial.legendre import legval
 
 from .fem import _diffusion_at
+from .mesh import _edge_lookup
 from .quadrature import edge_rule, triangle_rule
 
 __all__ = ["Indicators", "compute_indicators", "estimator_total", "Q_RED"]
@@ -143,10 +144,8 @@ def _edge_geometry(space, nq):
     normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
     phys = pa[:, None, :] + t[None, :, None] * d[:, None, :]
     bnd_dirichlet = np.zeros(len(edges), dtype=bool)
-    if len(mesh.boundary_edges):
-        from .mesh import _edge_lookup
-        und = np.sort(mesh.boundary_edges[:, :2], axis=1)
-        bnd_dirichlet[_edge_lookup(edges, und)] = True
+    und = np.sort(mesh.boundary_edges[:, :2], axis=1)
+    bnd_dirichlet[_edge_lookup(edges, und)] = True
     geom = dict(edges=edges, owners=edge_elems, t=t, w=w, lengths=lengths,
                 normals=normals, phys=phys, dirichlet=bnd_dirichlet)
     space._cache[key] = geom

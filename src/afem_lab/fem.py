@@ -13,6 +13,7 @@ evaluated with the full (unreduced) symmetric Gram matrix, so it measures
 the true weighted H1 seminorm of the represented function.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -89,39 +90,32 @@ class _RefElem:
         self.edge_nodes = [[idx for _, idx in sorted(e)] for e in self.edge_nodes]
         self.nodes = np.array(nodes)
         self.n_local = len(nodes)
-        V = self._monomials(self.nodes)
+        V = self._table(self.nodes, 0, 0)
         self.coeffs = np.linalg.inv(V)  # phi_j = sum_k coeffs[k, j] x^a y^b
 
-    def _monomials(self, pts):
-        x, y = pts[:, 0], pts[:, 1]
-        return np.stack([x ** a * y ** b for a, b in self.exponents], axis=1)
+    def _table(self, pts, dx, dy):
+        """The (dx, dy) partial derivative of each monomial x^a y^b at pts,
+        one column per monomial."""
+        x, y = np.asarray(pts).T
+        cols = []
+        for a, b in self.exponents:
+            c = math.perm(a, dx) * math.perm(b, dy)  # falling factorials
+            cols.append(c * x ** (a - dx) * y ** (b - dy) if c else 0 * x)
+        return np.stack(cols, axis=1)
+
+    def _derivatives(self, pts, orders):
+        return np.stack([self._table(pts, dx, dy) @ self.coeffs
+                         for dx, dy in orders], axis=2)
 
     def eval(self, pts):
-        return self._monomials(np.asarray(pts)) @ self.coeffs
+        return self._table(pts, 0, 0) @ self.coeffs
 
     def grad(self, pts):
-        pts = np.asarray(pts)
-        x, y = pts[:, 0], pts[:, 1]
-        gx = np.stack([a * x ** max(a - 1, 0) * y ** b if a else 0 * x
-                       for a, b in self.exponents], axis=1)
-        gy = np.stack([b * x ** a * y ** max(b - 1, 0) if b else 0 * x
-                       for a, b in self.exponents], axis=1)
-        return np.stack([gx @ self.coeffs, gy @ self.coeffs], axis=2)
+        return self._derivatives(pts, [(1, 0), (0, 1)])
 
     def hess(self, pts):
         """Second derivatives at pts, shape (npts, n_local, 3): xx, xy, yy."""
-        pts = np.asarray(pts)
-        x, y = pts[:, 0], pts[:, 1]
-        z = 0 * x
-        hxx = np.stack([a * (a - 1) * x ** max(a - 2, 0) * y ** b if a >= 2 else z
-                        for a, b in self.exponents], axis=1)
-        hxy = np.stack([a * b * x ** max(a - 1, 0) * y ** max(b - 1, 0)
-                        if (a >= 1 and b >= 1) else z
-                        for a, b in self.exponents], axis=1)
-        hyy = np.stack([b * (b - 1) * x ** a * y ** max(b - 2, 0) if b >= 2 else z
-                        for a, b in self.exponents], axis=1)
-        return np.stack([hxx @ self.coeffs, hxy @ self.coeffs,
-                         hyy @ self.coeffs], axis=2)
+        return self._derivatives(pts, [(2, 0), (1, 1), (0, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +235,11 @@ class Space:
 
         # Dirichlet classification: all boundary segments carry Dirichlet data
         mask = np.zeros(self.n_dofs, dtype=bool)
-        if len(mesh.boundary_edges):
-            bedges = mesh.boundary_edges[:, :2]
-            mask[bedges.ravel()] = True
-            eids = _edge_lookup(edges, np.sort(bedges, axis=1))
-            for t in range(p - 1):
-                mask[nv + eids * (p - 1) + t] = True
+        bedges = mesh.boundary_edges[:, :2]
+        mask[bedges.ravel()] = True
+        eids = _edge_lookup(edges, np.sort(bedges, axis=1))
+        for t in range(p - 1):
+            mask[nv + eids * (p - 1) + t] = True
         self.dirichlet_mask = mask
         self.free = np.nonzero(~mask)[0]
         self.n_free = len(self.free)

@@ -140,34 +140,47 @@ class Mesh:
             out.write(f"{v0} {v1} {v2} 0 {g}\n")
         for v0, v1, seg in self.boundary_edges:
             out.write(f"{v0} {v1} {seg}\n")
-        if fileobj is None:
-            return out.getvalue()
-        return None
+        return out.getvalue() if fileobj is None else None
 
     @classmethod
     def load(cls, source):
-        """Read the ``afem-mesh v1`` format from a string or file object."""
-        if isinstance(source, str):
-            source = io.StringIO(source)
-        header = source.readline().strip()
+        """Read the ``afem-mesh v1`` format from a string or file object; a
+        malformed line raises ValueError naming its number."""
+        text = source if isinstance(source, str) else source.read()
+        lines = text.splitlines()
+        header = lines[0].strip() if lines else ""
         if header != "afem-mesh v1":
             raise ValueError(f"unrecognized mesh header: {header!r}")
-        nv, ne = map(int, source.readline().split())
-        verts = np.array([[float(t) for t in source.readline().split()]
-                          for _ in range(nv)])
+
+        def row(n, count, convert=int, vertex_ids=0):
+            if n > len(lines):
+                raise ValueError(f"line {n}: the file ends before the counts "
+                                 "of its header are read")
+            try:
+                vals = [convert(t) for t in lines[n - 1].split()]
+            except ValueError:
+                vals = []
+            if len(vals) != count:
+                raise ValueError(f"line {n}: expected {count} numbers, got "
+                                 f"{lines[n - 1]!r}")
+            if not all(0 <= v < nv for v in vals[:vertex_ids]):
+                raise ValueError(f"line {n}: vertex index outside [0, {nv})")
+            return vals
+
+        nv, ne = row(2, 2)
+        verts = np.array([row(n, 2, float) for n in range(3, 3 + nv)])
         elems = np.zeros((ne, 3), dtype=np.int64)
         gen = np.zeros(ne, dtype=np.int64)
-        for i in range(ne):
-            v0, v1, v2, ref, g = map(int, source.readline().split())
-            tri = [v0, v1, v2]
+        for i, n in enumerate(range(3 + nv, 3 + nv + ne)):
+            *tri, ref, gen[i] = row(n, 5, vertex_ids=3)
+            if ref not in (0, 1, 2):
+                raise ValueError(f"line {n}: ref_edge {ref} is not 0, 1 or 2")
             # rotate so the stored reference edge becomes local edge 0
             elems[i] = np.roll(tri, -ref)
-            gen[i] = g
-        bnd = []
-        for line in source:
-            if line.strip():
-                bnd.append([int(t) for t in line.split()])
-        return cls(verts, elems, np.array(bnd, dtype=np.int64).reshape(-1, 3),
+        rest = range(3 + nv + ne, len(lines) + 1)
+        bnd = [row(n, 3, vertex_ids=2) for n in rest if lines[n - 1].strip()]
+        return cls(verts.reshape(nv, 2), elems,
+                   np.array(bnd, dtype=np.int64).reshape(-1, 3),
                    generation=gen)
 
 
@@ -235,16 +248,14 @@ def refine(mesh, marked):
 
     # bisect boundary edges whose midpoint was created
     bnd = []
-    if len(mesh.boundary_edges):
-        und = np.sort(mesh.boundary_edges[:, :2], axis=1)
-        idx = _edge_lookup(edges, und)
-        for (a, b, seg), eid in zip(mesh.boundary_edges, idx):
-            m = midpoint_of[eid]
-            if m < 0:
-                bnd.append((a, b, seg))
-            else:
-                bnd.append((a, m, seg))
-                bnd.append((m, b, seg))
+    und = np.sort(mesh.boundary_edges[:, :2], axis=1)
+    for (a, b, seg), eid in zip(mesh.boundary_edges, _edge_lookup(edges, und)):
+        m = midpoint_of[eid]
+        if m < 0:
+            bnd.append((a, b, seg))
+        else:
+            bnd.append((a, m, seg))
+            bnd.append((m, b, seg))
 
     return Mesh(new_vertices, np.array(new_elems, dtype=np.int64),
                 np.array(bnd, dtype=np.int64).reshape(-1, 3),
@@ -300,8 +311,7 @@ def check_conforming(mesh):
     dir_edges, dir_counts = np.unique(raw, axis=0, return_counts=True)
     if (dir_counts > 1).any():
         return False
-    bnd = np.sort(mesh.boundary_edges[:, :2], axis=1) if len(mesh.boundary_edges) \
-        else np.zeros((0, 2), dtype=np.int64)
+    bnd = np.sort(mesh.boundary_edges[:, :2], axis=1)
     bnd_set = {tuple(r) for r in bnd}
     if len(bnd_set) != len(bnd):
         return False

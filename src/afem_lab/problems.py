@@ -74,39 +74,21 @@ def _kellogg_polar(pts):
     return r, phi
 
 
-def _kellogg_mu(phi):
+def _kellogg_mu(phi, derivative=False):
+    """mu(phi), or mu'(phi) with ``derivative``; one branch per quadrant."""
     a, b, d = KELLOGG_EXP, KELLOGG_BETA, KELLOGG_DELTA
-    branches = [
-        (phi < np.pi / 2,
-         np.cos((np.pi / 2 - b) * a) * np.cos((phi - np.pi / 2 + d) * a)),
-        ((np.pi / 2 <= phi) & (phi < np.pi),
-         np.cos(d * a) * np.cos((phi - np.pi + b) * a)),
-        ((np.pi <= phi) & (phi < 3 * np.pi / 2),
-         np.cos(b * a) * np.cos((phi - np.pi - d) * a)),
-        (3 * np.pi / 2 <= phi,
-         np.cos((np.pi / 2 - d) * a) * np.cos((phi - 3 * np.pi / 2 - b) * a)),
-    ]
+    # per quadrant: its upper angle, amplitude, and the phase phi - c + s
+    branches = [(np.pi / 2, np.cos((np.pi / 2 - b) * a), np.pi / 2, d),
+                (np.pi, np.cos(d * a), np.pi, b),
+                (3 * np.pi / 2, np.cos(b * a), np.pi, -d),
+                (np.inf, np.cos((np.pi / 2 - d) * a), 3 * np.pi / 2, -b)]
     out = np.zeros_like(phi)
-    for mask, val in branches:
-        out = np.where(mask, val, out)
-    return out
-
-
-def _kellogg_mu_prime(phi):
-    a, b, d = KELLOGG_EXP, KELLOGG_BETA, KELLOGG_DELTA
-    branches = [
-        (phi < np.pi / 2,
-         -a * np.cos((np.pi / 2 - b) * a) * np.sin((phi - np.pi / 2 + d) * a)),
-        ((np.pi / 2 <= phi) & (phi < np.pi),
-         -a * np.cos(d * a) * np.sin((phi - np.pi + b) * a)),
-        ((np.pi <= phi) & (phi < 3 * np.pi / 2),
-         -a * np.cos(b * a) * np.sin((phi - np.pi - d) * a)),
-        (3 * np.pi / 2 <= phi,
-         -a * np.cos((np.pi / 2 - d) * a) * np.sin((phi - 3 * np.pi / 2 - b) * a)),
-    ]
-    out = np.zeros_like(phi)
-    for mask, val in branches:
-        out = np.where(mask, val, out)
+    lower = -np.inf
+    for upper, amp, c, s in branches:
+        phase = (phi - c + s) * a
+        val = -a * amp * np.sin(phase) if derivative else amp * np.cos(phase)
+        out = np.where((lower <= phi) & (phi < upper), val, out)
+        lower = upper
     return out
 
 
@@ -121,7 +103,7 @@ def kellogg_exact_grad(pts):
     r, phi = _kellogg_polar(pts)
     rs = np.where(r > 0, r, 1.0)
     radial = KELLOGG_EXP * rs ** (KELLOGG_EXP - 1) * _kellogg_mu(phi)
-    angular = rs ** (KELLOGG_EXP - 1) * _kellogg_mu_prime(phi)
+    angular = rs ** (KELLOGG_EXP - 1) * _kellogg_mu(phi, derivative=True)
     c, s = np.cos(phi), np.sin(phi)
     gx = radial * c - angular * s
     gy = radial * s + angular * c

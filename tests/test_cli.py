@@ -117,3 +117,45 @@ def test_bad_config_line_is_usage_error(tmp_path, line):
     proc = run_cli(["run", "--problem", "kellogg", "--config", str(cfg)])
     assert proc.returncode == 2
     assert "bad.cfg:2" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--theta", "1.5"],
+    ["run", "--theta", "0"],
+    ["run", "--theta", "nan"],
+    ["run", "--lambda", "0"],
+    ["run", "--lambda-sym", "-0.1"],
+    ["run", "--lambda-alg", "-1"],
+    ["run", "--delta", "0"],
+    ["run", "--p", "0"],
+    ["run", "--max-dofs", "-5"],
+    ["run", "--eta-tol", "0"],
+    ["sweep", "--thetas", "0.5,x"],
+    ["sweep", "--thetas", "0.5,1.2"],
+    ["sweep", "--lambdas", "0.1,0"],
+    ["sweep", "--jobs", "0"],
+])
+def test_out_of_range_flag_is_usage_error(monkeypatch, capsys, args):
+    # a run would fail the test: the value must be refused while parsing
+    monkeypatch.setattr("afem_lab.cli.execute_run", None)
+    with pytest.raises(SystemExit) as exc:
+        main([args[0], "--problem", "kellogg"] + args[1:])
+    assert exc.value.code == 2
+    assert f"argument {args[1]}" in capsys.readouterr().err
+
+
+def test_out_of_range_config_value_is_usage_error(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theta=1.5\n")
+    proc = run_cli(["run", "--problem", "kellogg", "--config", str(cfg)])
+    assert proc.returncode == 2
+    assert "argument --theta" in proc.stderr
+
+
+def test_bad_thread_cap_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("AFEM_LAB_THREADS", "two")
+    monkeypatch.setattr("afem_lab.cli.execute_run", None)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--problem", "kellogg"])
+    assert exc.value.code == 2
+    assert "AFEM_LAB_THREADS" in capsys.readouterr().err

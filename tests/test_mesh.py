@@ -162,6 +162,49 @@ def test_dump_load_roundtrip(square2):
     assert check_conforming(back)
 
 
+# one triangle: header, counts, three vertices (lines 3-5), the element
+# (line 6) and one boundary edge (line 7)
+TRIANGLE = "afem-mesh v1\n3 1\n0 0\n1 0\n0 1\n0 1 2 1 0\n0 1 0\n"
+
+
+def test_load_rotates_to_the_stored_reference_edge():
+    assert Mesh.load(TRIANGLE).elements.tolist() == [[1, 2, 0]]
+
+
+def test_load_rejects_reference_edge_out_of_range():
+    with pytest.raises(ValueError, match="line 6: ref_edge 5"):
+        Mesh.load(TRIANGLE.replace("0 1 2 1 0", "0 1 2 5 0"))
+
+
+def test_load_rejects_element_vertex_out_of_range():
+    with pytest.raises(ValueError, match=r"line 6: vertex index outside"):
+        Mesh.load(TRIANGLE.replace("0 1 2 1 0", "0 1 7 1 0"))
+
+
+def test_load_rejects_boundary_vertex_out_of_range():
+    with pytest.raises(ValueError, match=r"line 7: vertex index outside"):
+        Mesh.load(TRIANGLE.replace("0 1 0\n", "0 -1 0\n"))
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("3 1\n", "3 1 2\n", 2),
+    ("1 0\n0 1\n", "1 0 3\n0 1\n", 4),
+    ("0 1 2 1 0", "0 1 2 1", 6),
+    ("0 1 2 1 0", "0 1 x 1 0", 6),
+    ("0 1 0\n", "0 1\n", 7),
+], ids=["counts", "vertex", "element-short", "element-not-int", "boundary"])
+def test_load_rejects_wrong_field_count(old, new, line):
+    with pytest.raises(ValueError, match=f"line {line}: expected"):
+        Mesh.load(TRIANGLE.replace(old, new))
+
+
+@pytest.mark.parametrize("keep, line", [(1, 2), (4, 5), (5, 6)])
+def test_load_rejects_file_ending_before_header_counts(keep, line):
+    text = "".join(TRIANGLE.splitlines(keepends=True)[:keep])
+    with pytest.raises(ValueError, match=f"line {line}: the file ends"):
+        Mesh.load(text)
+
+
 def _edge_tables_by_rows(mesh):
     """Edge tables from ``np.unique(axis=0)`` on the vertex pairs (oracle)."""
     e = mesh.elements
