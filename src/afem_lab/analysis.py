@@ -261,15 +261,15 @@ def rates_equals_complexity(history, s):
     return rates_complexity_bounds(a, t, s)
 
 
-def fit_rate_loglog(x, y, window=0.5):
-    """Least-squares slope of log y vs log x over the trailing window."""
+def fit_rate_loglog(x, y):
+    """Least-squares slope of log y vs log x over the trailing half."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) != len(y) or len(x) < 3:
         raise ValueError("need at least 3 points")
     if (x <= 0).any() or (y <= 0).any():
         raise ValueError("log-log fit needs positive data")
-    k = max(3, int(math.ceil(window * len(x))))
+    k = max(3, int(math.ceil(0.5 * len(x))))
     return float(np.polyfit(np.log(x[-k:]), np.log(y[-k:]), 1)[0])
 
 
@@ -277,7 +277,7 @@ def fit_rate_loglog(x, y, window=0.5):
 # axiom verification on stored run artifacts
 
 
-def verify_axioms(history, prob, rng=None, a4_margin=None):
+def verify_axioms(history, prob, rng=None):
     """Empirical axiom report for a run executed with store_artifacts=True.
 
     A2 (reduction with q_red = 2^(-1/4)) is a hard pass/fail; stability,
@@ -365,11 +365,10 @@ def verify_axioms(history, prob, rng=None, a4_margin=None):
         if denom > 0:
             a4 = max(a4, float(partial.max()) / denom)
     report["a4_const"] = a4
-    if a4_margin is None:
-        if prob.is_nonlinear:
-            a4_margin = 1.1 * prob.L / prob.alpha
-        else:
-            a4_margin = 1.05 if prob.is_symmetric else None
+    if prob.is_nonlinear:
+        a4_margin = 1.1 * prob.L / prob.alpha
+    else:
+        a4_margin = 1.05 if prob.is_symmetric else None
     report["a4_bound"] = a4_margin
     if a4_margin is not None:
         report["a4_pass"] = a4 <= a4_margin

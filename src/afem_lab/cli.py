@@ -67,7 +67,6 @@ def _add_common(p):
                         "for the nonlinear problem)")
     p.add_argument("--lambda-sym", type=_positive, default=0.7)
     p.add_argument("--lambda-alg", type=_nonnegative, default=0.7)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", type=str, default=None,
                    help="key=value file; flags override it")
 

@@ -20,7 +20,6 @@ import numpy as np
 from numpy.polynomial.legendre import legval
 
 from .fem import _diffusion_at
-from .mesh import _edge_lookup
 from .quadrature import edge_rule, triangle_rule
 
 __all__ = ["Indicators", "compute_indicators", "estimator_total", "Q_RED"]
@@ -144,8 +143,7 @@ def _edge_geometry(space, nq):
     normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
     phys = pa[:, None, :] + t[None, :, None] * d[:, None, :]
     bnd_dirichlet = np.zeros(len(edges), dtype=bool)
-    und = np.sort(mesh.boundary_edges[:, :2], axis=1)
-    bnd_dirichlet[_edge_lookup(edges, und)] = True
+    bnd_dirichlet[mesh.edge_ids(mesh.boundary_edges[:, :2])] = True
     geom = dict(edges=edges, owners=edge_elems, t=t, w=w, lengths=lengths,
                 normals=normals, phys=phys, dirichlet=bnd_dirichlet)
     space._cache[key] = geom

@@ -82,12 +82,13 @@ def outer_stop(increment_norm, eta, lambda_sym):
     return increment_norm <= lambda_sym * eta
 
 
-def check_lambda_constraint(cfg, q_alg, q_theta, C_stab_assumed=1.0):
+def check_lambda_constraint(cfg, q_alg, q_theta):
     """(q_sym, ok): inexact-iteration contraction and parameter feasibility.
 
     q_sym = (q_sym* + t) / (1 - t) with t = 2 q_alg lambda_alg / (1 - q_alg);
     feasibility additionally requires
-    lambda_alg * lambda_sym < (1-q_alg)(1-q_sym*)(1-q_theta)/(8 q_alg C_stab).
+    lambda_alg * lambda_sym < (1-q_alg)(1-q_sym*)(1-q_theta)/(8 q_alg C_stab),
+    taken with C_stab = 1.
     Advisory: runs proceed with a warning when infeasible.
     """
     if cfg.q_sym_star is None:
@@ -104,6 +105,6 @@ def check_lambda_constraint(cfg, q_alg, q_theta, C_stab_assumed=1.0):
     ok = q_sym < 1.0
     if q_alg > 0.0:
         bound = ((1.0 - q_alg) * (1.0 - qss) * (1.0 - q_theta)
-                 / (8.0 * q_alg * C_stab_assumed))
+                 / (8.0 * q_alg))
         ok = ok and (cfg.lambda_alg * cfg.lambda_sym < bound)
     return q_sym, ok

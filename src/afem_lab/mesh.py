@@ -11,7 +11,11 @@ edge and produces the children ``(v2, v0, m)`` and ``(v1, v2, m)``, so that
 Refinement returns the coarsest conforming NVB refinement in which all
 marked elements were bisected at least once.  Closure is a fixed-point
 iteration over nonconforming edges: whenever any edge of an element is
-scheduled for bisection, its reference edge is scheduled as well.
+scheduled for bisection, its reference edge is scheduled as well.  Two
+rounds of one bisection then split the scheduled edges, the reference edges
+first.  Children keep their parents' order, ``(v2, v0, m)`` first; a split
+boundary edge ``(a, b)`` becomes ``(a, m)``, ``(m, b)``.  An undirected edge
+is named by one int64 key, ``min * n_vertices + max`` (``_edge_keys``).
 
 Plain-text dump format (``afem-mesh v1``)::
 
@@ -36,7 +40,7 @@ class Mesh:
     """Conforming 2D triangulation with per-element reference edge."""
 
     def __init__(self, vertices, elements, boundary_edges, generation=None,
-                 parent_mesh=None, parent_elements=None, _skip_checks=False):
+                 parent_mesh=None, parent_elements=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.elements = np.ascontiguousarray(elements, dtype=np.int64)
         boundary_edges = np.asarray(boundary_edges, dtype=np.int64)
@@ -49,13 +53,17 @@ class Mesh:
         self.parent_mesh = parent_mesh
         self.parent_elements = (None if parent_elements is None
                                 else np.asarray(parent_elements, dtype=np.int64))
-        if not _skip_checks:
-            if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
-                raise ValueError("vertices must be an (n, 2) array")
-            if self.elements.ndim != 2 or self.elements.shape[1] != 3:
-                raise ValueError("elements must be an (n, 3) array")
-            if len(self.generation) != len(self.elements):
-                raise ValueError("generation length mismatch")
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
+            raise ValueError("vertices must be an (n, 2) array")
+        if self.elements.ndim != 2 or self.elements.shape[1] != 3:
+            raise ValueError("elements must be an (n, 3) array")
+        if len(self.generation) != len(self.elements):
+            raise ValueError("generation length mismatch")
+        for name, ids in (("element", self.elements),
+                          ("boundary edge", self.boundary_edges[:, :2])):
+            if ids.size and (ids.min() < 0 or ids.max() >= self.n_vertices):
+                raise ValueError(f"{name} vertex index outside "
+                                 f"[0, {self.n_vertices})")
         for a in (self.vertices, self.elements, self.boundary_edges,
                   self.generation):
             a.setflags(write=False)
@@ -103,11 +111,9 @@ class Mesh:
         if self._edge_cache is not None:
             return self._edge_cache
         e = self.elements
-        raw = np.concatenate([e[:, [0, 1]], e[:, [1, 2]], e[:, [2, 0]]])
-        und = np.sort(raw, axis=1)
-        # int64 keys sort in the lexicographic order of the vertex pairs
         nv = self.n_vertices
-        keys, inv = np.unique(und[:, 0] * nv + und[:, 1], return_inverse=True)
+        keys, inv = np.unique(_edge_keys(_directed_edges(e), nv),
+                              return_inverse=True)
         edges = np.column_stack(np.divmod(keys, nv))
         elem_edges = inv.reshape(3, -1).T.copy()
         edge_elems = np.full((len(edges), 2), -1, dtype=np.int64)
@@ -122,6 +128,21 @@ class Mesh:
         edge_elems[eid_sorted[second], 1] = own_sorted[second]
         self._edge_cache = (edges, elem_edges, edge_elems)
         return self._edge_cache
+
+    def edge_ids(self, pairs):
+        """Rows of ``edge_tables()[0]`` for an (n, 2) array of vertex pairs
+        in either order; ValueError for a pair that is not an edge."""
+        pairs = np.asarray(pairs, dtype=np.int64)
+        nv = self.n_vertices
+        # a vertex out of range would alias another edge's key
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= nv):
+            raise ValueError("vertex index outside the mesh")
+        keys = _edge_keys(self.edge_tables()[0], nv)
+        queries = _edge_keys(pairs, nv)
+        pos = np.searchsorted(keys, queries)
+        if (pos == len(keys)).any() or (keys[pos] != queries).any():
+            raise ValueError("edge not found in mesh")
+        return pos
 
     def release_edge_tables(self):
         """Drop the cached edge tables; ``edge_tables`` rebuilds them."""
@@ -190,7 +211,7 @@ def refine(mesh, marked):
     Returns a new Mesh with parent links; ``marked`` may be any iterable of
     element indices.  An empty ``marked`` returns ``mesh`` unchanged.
     """
-    marked = np.asarray(sorted(set(int(m) for m in marked)), dtype=np.int64)
+    marked = np.unique(np.fromiter(marked, np.int64))
     if marked.size == 0:
         return mesh
     if marked.min() < 0 or marked.max() >= mesh.n_elements:
@@ -215,65 +236,56 @@ def refine(mesh, marked):
                        + mesh.vertices[edges[new_edge_ids, 1]])
     new_vertices = np.vstack([mesh.vertices, midpoints])
 
-    elems = mesh.elements
-    gen = mesh.generation
-    em = marked_edge[elem_edges]  # (ne, 3) which local edges split
-    new_elems, new_gen, parent = [], [], []
+    # two rounds of one bisection; the children of round one bisect on the
+    # parent's local edges 2 and 1, which closure splits only if edge 0 splits
+    mid = midpoint_of[elem_edges]
+    elems, gen, parent = _bisect(mesh.elements, mesh.generation,
+                                 np.arange(mesh.n_elements), mid[:, 0])
+    mid = _in_pairs(mid[:, 2], mid[:, 1], mid[:, 0] >= 0)
+    elems, gen, parent = _bisect(elems, gen, parent, mid)
 
-    def emit(tri, g, p):
-        new_elems.append(tri)
-        new_gen.append(g)
-        parent.append(p)
+    # split boundary edges whose midpoint was created: (a, b) -> (a, m), (m, b)
+    bnd = mesh.boundary_edges
+    m = midpoint_of[mesh.edge_ids(bnd[:, :2])]
+    split = m >= 0
+    a, b, seg = bnd.T
+    first = np.where(split[:, None], np.column_stack([a, m, seg]), bnd)
+    new_bnd = _in_pairs(first, np.column_stack([m, b, seg]), split)
 
-    for i in range(mesh.n_elements):
-        v0, v1, v2 = elems[i]
-        if not em[i, 0]:
-            emit((v0, v1, v2), gen[i], i)
-            continue
-        m0 = midpoint_of[elem_edges[i, 0]]
-        g1 = gen[i] + 1
-        # first bisection: children (v2, v0, m0) and (v1, v2, m0)
-        if em[i, 2]:
-            m2 = midpoint_of[elem_edges[i, 2]]
-            emit((m0, v2, m2), g1 + 1, i)
-            emit((v0, m0, m2), g1 + 1, i)
-        else:
-            emit((v2, v0, m0), g1, i)
-        if em[i, 1]:
-            m1 = midpoint_of[elem_edges[i, 1]]
-            emit((m0, v1, m1), g1 + 1, i)
-            emit((v2, m0, m1), g1 + 1, i)
-        else:
-            emit((v1, v2, m0), g1, i)
-
-    # bisect boundary edges whose midpoint was created
-    bnd = []
-    und = np.sort(mesh.boundary_edges[:, :2], axis=1)
-    for (a, b, seg), eid in zip(mesh.boundary_edges, _edge_lookup(edges, und)):
-        m = midpoint_of[eid]
-        if m < 0:
-            bnd.append((a, b, seg))
-        else:
-            bnd.append((a, m, seg))
-            bnd.append((m, b, seg))
-
-    return Mesh(new_vertices, np.array(new_elems, dtype=np.int64),
-                np.array(bnd, dtype=np.int64).reshape(-1, 3),
-                generation=np.array(new_gen, dtype=np.int64),
-                parent_mesh=mesh,
-                parent_elements=np.array(parent, dtype=np.int64))
+    return Mesh(new_vertices, elems, new_bnd, generation=gen,
+                parent_mesh=mesh, parent_elements=parent)
 
 
-def _edge_lookup(sorted_edges, queries):
-    """Rows of ``queries`` located in the lexicographically sorted edge list
-    of ``Mesh.edge_tables``; its int64 keys are therefore already sorted."""
-    base = sorted_edges.max() + 1
-    keys = sorted_edges[:, 0] * base + sorted_edges[:, 1]
-    pos = np.searchsorted(keys, queries[:, 0] * base + queries[:, 1])
-    idx = np.clip(pos, 0, len(keys) - 1)
-    if not np.array_equal(sorted_edges[idx], queries):
-        raise ValueError("edge not found in mesh")
-    return idx
+def _bisect(elems, gen, parent, mid):
+    """One round of NVB: row ``(v0, v1, v2)`` with ``mid >= 0`` becomes
+    ``(v2, v0, mid)`` and ``(v1, v2, mid)``; the others stay.  Returns the
+    new rows with their generation and parent."""
+    split = mid >= 0
+    v0, v1, v2 = elems.T
+    first = np.where(split[:, None], np.column_stack([v2, v0, mid]), elems)
+    n_kids = 1 + split
+    return (_in_pairs(first, np.column_stack([v1, v2, mid]), split),
+            np.repeat(gen + split, n_kids), np.repeat(parent, n_kids))
+
+
+def _in_pairs(first, second, keep_second):
+    """Rows ``first[i]`` and, where ``keep_second[i]``, ``second[i]``, in the
+    order i = 0, 1, ...; ``first`` and ``second`` have the same shape."""
+    keep = np.column_stack([np.ones_like(keep_second), keep_second])
+    return np.stack([first, second], axis=1)[keep]
+
+
+def _directed_edges(elements):
+    """Local edges 0, 1, 2 = (v0, v1), (v1, v2), (v2, v0) of all elements,
+    stacked edge by edge: row k * n_elements + i is edge k of element i."""
+    e = elements
+    return np.concatenate([e[:, [0, 1]], e[:, [1, 2]], e[:, [2, 0]]])
+
+
+def _edge_keys(pairs, n_vertices):
+    """The int64 key ``min * n_vertices + max`` of each undirected vertex
+    pair; both vertices must lie in [0, n_vertices)."""
+    return pairs.min(axis=1) * n_vertices + pairs.max(axis=1)
 
 
 def uniform_refine(mesh):
@@ -290,11 +302,14 @@ def check_conforming(mesh):
     """True iff the mesh invariants hold.
 
     Checks positive orientation, distinct vertices per element, and edge
-    conformity: every edge is shared by exactly two elements or is listed as
-    a boundary edge of exactly one element (this catches hanging vertices).
+    conformity: every edge is shared by exactly two elements, once in each
+    direction, or is listed as a boundary edge of exactly one element (this
+    catches hanging vertices).
     """
-    e = mesh.elements
-    if e.size and (e.min() < 0 or e.max() >= mesh.n_vertices):
+    e, nv = mesh.elements, mesh.n_vertices
+    bnd = mesh.boundary_edges[:, :2]
+    ids = np.concatenate([e.ravel(), bnd.ravel()])
+    if ids.size and (ids.min() < 0 or ids.max() >= nv):
         return False
     if (e[:, 0] == e[:, 1]).any() or (e[:, 1] == e[:, 2]).any() \
             or (e[:, 0] == e[:, 2]).any():
@@ -302,27 +317,15 @@ def check_conforming(mesh):
     if (mesh.signed_areas() <= 0).any():
         return False
 
-    raw = np.concatenate([e[:, [0, 1]], e[:, [1, 2]], e[:, [2, 0]]])
-    und = np.sort(raw, axis=1)
-    edges, counts = np.unique(und, axis=0, return_counts=True)
-    if (counts > 2).any():
+    raw = _directed_edges(e)
+    directed = np.unique(2 * _edge_keys(raw, nv) + (raw[:, 0] < raw[:, 1]))
+    # no directed edge twice; this also keeps every edge to two elements,
+    # because a third one repeats one of the two directions
+    if len(directed) < len(raw):
         return False
-    # interior edges must also appear once in each orientation
-    dir_edges, dir_counts = np.unique(raw, axis=0, return_counts=True)
-    if (dir_counts > 1).any():
-        return False
-    bnd = np.sort(mesh.boundary_edges[:, :2], axis=1)
-    bnd_set = {tuple(r) for r in bnd}
-    if len(bnd_set) != len(bnd):
-        return False
-    for row, cnt in zip(edges, counts):
-        if cnt == 1 and tuple(row) not in bnd_set:
-            return False
-        if cnt == 2 and tuple(row) in bnd_set:
-            return False
-    # every listed boundary edge must be an element edge
-    edge_set = {tuple(r) for r in edges}
-    return all(t in edge_set for t in bnd_set)
+    keys, counts = np.unique(directed // 2, return_counts=True)
+    # the boundary edges are exactly the edges of one element, each once
+    return np.array_equal(np.sort(_edge_keys(bnd, nv)), keys[counts == 1])
 
 
 def ancestor_map(fine, coarse):

@@ -53,13 +53,11 @@ def _criss_cross(squares, extra=()):
         elements.append([v(*tri[0]), v(*tri[1]), v(*tri[2])])
     elements = np.array(elements, dtype=np.int64)
 
-    # boundary = edges used exactly once, one Dirichlet segment (id 0)
-    raw = np.concatenate([elements[:, [0, 1]], elements[:, [1, 2]],
-                          elements[:, [2, 0]]])
-    und = np.sort(raw, axis=1)
-    edges, counts = np.unique(und, axis=0, return_counts=True)
-    bnd = [(a, b, 0) for (a, b), c in zip(edges, counts) if c == 1]
-    return Mesh(np.array(verts), elements, np.array(bnd, dtype=np.int64))
+    # boundary = edges of one element, one Dirichlet segment (id 0)
+    edges, _, owners = Mesh(verts, elements, []).edge_tables()
+    bnd = edges[owners[:, 1] < 0]
+    return Mesh(verts, elements,
+                np.column_stack([bnd, np.zeros(len(bnd), np.int64)]))
 
 
 # ---------------------------------------------------------------------------

@@ -143,16 +143,15 @@ def _new_state(kind, prob, space, coarser=None):
     return SolverState(kind, prob, space, [_Level(A)], omega=omega)
 
 
-def _richardson_damping(A, iters=50, seed=0):
+def _richardson_damping(A):
     if A.shape[0] == 0:
         return 1.0
     d = A.diagonal()
     dinv_sqrt = 1.0 / np.sqrt(d)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(A.shape[0])
+    v = np.random.default_rng(0).standard_normal(A.shape[0])
     v /= np.linalg.norm(v)
     lam = 1.0
-    for _ in range(iters):
+    for _ in range(50):
         w = dinv_sqrt * (A @ (dinv_sqrt * v))
         lam = float(v @ w)
         nw = np.linalg.norm(w)

@@ -159,3 +159,13 @@ def test_bad_thread_cap_is_usage_error(monkeypatch, capsys):
         main(["sweep", "--problem", "kellogg"])
     assert exc.value.code == 2
     assert "AFEM_LAB_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_seed_is_a_verify_flag_only(monkeypatch, capsys, command):
+    # run and sweep are deterministic; only verify draws random instances
+    monkeypatch.setattr("afem_lab.cli.execute_run", None)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--problem", "kellogg", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err

@@ -77,6 +77,128 @@ def test_check_conforming_detects_negative_orientation(square2):
     assert not check_conforming(bad)
 
 
+@pytest.mark.parametrize("row", [[1, 0, 0], [1, 3, 0], [2, 0, 0]],
+                         ids=["listed-twice", "not-an-edge", "interior"])
+def test_check_conforming_rejects_bad_boundary_edge(square2, row):
+    assert check_conforming(square2)
+    bad = Mesh(square2.vertices, square2.elements,
+               np.vstack([square2.boundary_edges, [row]]))
+    assert not check_conforming(bad)
+
+
+def test_check_conforming_rejects_directed_edge_used_twice():
+    # (a, b, c) and (a, b, d) both run a -> b and overlap; the edge counts and
+    # the boundary alone would pass
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
+    a, b, c, d = range(4)
+    elements = np.array([[a, b, c], [a, b, d]])
+    boundary = np.array([[b, c, 0], [c, a, 0], [b, d, 0], [d, a, 0]])
+    assert not check_conforming(Mesh(verts, elements, boundary))
+
+
+def test_check_conforming_rejects_edge_in_three_elements():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
+                      [0.5, 2.0]])
+    a, b, c, d, e = range(5)
+    elements = np.array([[a, b, c], [b, a, d], [a, b, e]])
+    boundary = np.array([[b, c, 0], [c, a, 0], [a, d, 0], [d, b, 0],
+                         [b, e, 0], [e, a, 0]])
+    assert not check_conforming(Mesh(verts, elements, boundary))
+
+
+def test_mesh_rejects_element_vertex_out_of_range():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"element vertex index outside"):
+        Mesh(verts, [[0, 1, 7]], [])
+
+
+def test_mesh_rejects_boundary_vertex_out_of_range():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"boundary edge vertex index"):
+        Mesh(verts, [[0, 1, 2]], [[0, -1, 0]])
+
+
+def _refine_by_loop(mesh, marked):
+    """NVB refinement element by element (oracle): the same closure, then
+    each element emits its children in turn."""
+    edges, elem_edges, _ = mesh.edge_tables()
+    marked_edge = np.zeros(len(edges), dtype=bool)
+    marked_edge[elem_edges[np.asarray(sorted(set(marked))), 0]] = True
+    while True:
+        need = (marked_edge[elem_edges].any(axis=1)
+                & ~marked_edge[elem_edges[:, 0]])
+        if not need.any():
+            break
+        marked_edge[elem_edges[need, 0]] = True
+    new_edge_ids = np.nonzero(marked_edge)[0]
+    midpoint_of = np.full(len(edges), -1, dtype=np.int64)
+    midpoint_of[new_edge_ids] = mesh.n_vertices + np.arange(len(new_edge_ids))
+    midpoints = 0.5 * (mesh.vertices[edges[new_edge_ids, 0]]
+                       + mesh.vertices[edges[new_edge_ids, 1]])
+
+    elems, gen = mesh.elements, mesh.generation
+    em = marked_edge[elem_edges]
+    new_elems, new_gen, parent = [], [], []
+
+    def emit(tri, g, p):
+        new_elems.append(tri)
+        new_gen.append(g)
+        parent.append(p)
+
+    for i in range(mesh.n_elements):
+        v0, v1, v2 = elems[i]
+        if not em[i, 0]:
+            emit((v0, v1, v2), gen[i], i)
+            continue
+        m0 = midpoint_of[elem_edges[i, 0]]
+        g1 = gen[i] + 1
+        if em[i, 2]:
+            m2 = midpoint_of[elem_edges[i, 2]]
+            emit((m0, v2, m2), g1 + 1, i)
+            emit((v0, m0, m2), g1 + 1, i)
+        else:
+            emit((v2, v0, m0), g1, i)
+        if em[i, 1]:
+            m1 = midpoint_of[elem_edges[i, 1]]
+            emit((m0, v1, m1), g1 + 1, i)
+            emit((v2, m0, m1), g1 + 1, i)
+        else:
+            emit((v1, v2, m0), g1, i)
+
+    edge_id = {tuple(r): k for k, r in enumerate(edges.tolist())}
+    bnd = []
+    for a, b, seg in mesh.boundary_edges.tolist():
+        m = midpoint_of[edge_id[min(a, b), max(a, b)]]
+        if m < 0:
+            bnd.append((a, b, seg))
+        else:
+            bnd.append((a, m, seg))
+            bnd.append((m, b, seg))
+    return (np.vstack([mesh.vertices, midpoints]),
+            np.array(new_elems, dtype=np.int64),
+            np.array(bnd, dtype=np.int64).reshape(-1, 3),
+            np.array(new_gen, dtype=np.int64),
+            np.array(parent, dtype=np.int64))
+
+
+@pytest.mark.parametrize("name", ["square2", "kellogg", "lshape-convection",
+                                  "zshape-nonlinear"])
+def test_refine_matches_loop_reference(square2, name):
+    from afem_lab.problems import by_name
+    mesh = square2 if name == "square2" else by_name(name)[1]
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        k = rng.integers(1, mesh.n_elements + 1)
+        marked = rng.choice(mesh.n_elements, size=k, replace=False)
+        expected = _refine_by_loop(mesh, marked)
+        mesh = refine(mesh, marked)
+        got = (mesh.vertices, mesh.elements, mesh.boundary_edges,
+               mesh.generation, mesh.parent_elements)
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype
+            assert np.array_equal(g, e)
+
+
 def test_refine_output_conforming_on_deep_random_refinements(square2):
     rng = np.random.default_rng(3)
     mesh = square2
@@ -218,7 +340,6 @@ def _edge_tables_by_rows(mesh):
 
 
 def test_edge_tables_match_row_unique_on_random_nvb_meshes(square2):
-    from afem_lab.mesh import _edge_lookup
     rng = np.random.default_rng(3)
     mesh = square2
     for _ in range(12):
@@ -230,6 +351,11 @@ def test_edge_tables_match_row_unique_on_random_nvb_meshes(square2):
         assert np.array_equal(elem_edges, ref_elem_edges)
         assert np.array_equal(edge_elems, ref_edge_elems)
         pick = rng.permutation(len(edges))[:20]
-        assert np.array_equal(_edge_lookup(edges, edges[pick]), pick)
-    with pytest.raises(ValueError):
-        _edge_lookup(edges, np.array([[0, mesh.n_vertices]]))
+        assert np.array_equal(mesh.edge_ids(edges[pick]), pick)
+        assert np.array_equal(mesh.edge_ids(edges[pick, ::-1]), pick)
+    nv = mesh.n_vertices
+    a, b = edges[-1]
+    # (0, a * nv + b) would share the key of the edge (a, b)
+    for pair in ([0, nv], [0, a * nv + b], [-1, 0]):
+        with pytest.raises(ValueError):
+            mesh.edge_ids(np.array([pair]))
