@@ -22,7 +22,9 @@ and further iterations would only duplicate it.
 
 Timing: solve and estimate are timed per step; mark and refine (building the
 next level's space and carrying the iterate over included) land on a level's
-last record.  Solver setup, extension and certification are not timed.
+last record, and so do the setup (``t_setup``: ``extend_solver``) and the
+certification (``t_certify``) of the next level's solver.  The initial
+level's ``setup_solver`` and certification land on the first record.
 """
 
 import itertools
@@ -47,7 +49,10 @@ __all__ = ["History", "LedgerError", "run_exact", "run_uniform", "run_single",
            "run_nested", "weighted_cost_table", "CSV_HEADER"]
 
 CSV_HEADER = ("ell,k,j,n_elem,n_dof,eta,increment,stop_outer,stop_inner,"
-              "t_solve,t_estimate,t_mark,t_refine,cum_cost")
+              "t_solve,t_estimate,t_mark,t_refine,cum_cost,t_setup,t_certify")
+
+TIME_COLUMNS = ("t_solve", "t_estimate", "t_mark", "t_refine", "t_setup",
+                "t_certify")
 
 MG_CEILING = 0.9
 
@@ -78,7 +83,7 @@ class History:
             stop_outer=bool(stop_outer), stop_inner=bool(stop_inner),
             t_solve=float(t_solve), t_estimate=float(t_estimate),
             t_mark=float(t_mark), t_refine=float(t_refine),
-            cum_cost=self.cumulative_cost))
+            cum_cost=self.cumulative_cost, t_setup=0.0, t_certify=0.0))
 
     def __len__(self):
         return len(self.records)
@@ -92,8 +97,7 @@ class History:
         return np.array(vals)
 
     def cumulative_times(self):
-        t = self.column("t_solve") + self.column("t_estimate") \
-            + self.column("t_mark") + self.column("t_refine")
+        t = sum(self.column(name) for name in TIME_COLUMNS)
         return np.cumsum(t)
 
     def level_summary(self):
@@ -127,6 +131,7 @@ class History:
                 f"{r['t_solve']:.6e}", f"{r['t_estimate']:.6e}",
                 f"{r['t_mark']:.6e}", f"{r['t_refine']:.6e}",
                 str(r["cum_cost"]),
+                f"{r['t_setup']:.6e}", f"{r['t_certify']:.6e}",
             ]
             fileobj.write(",".join(fields) + "\n")
 
@@ -190,15 +195,20 @@ def _adapt(history, prob, mesh, p, theta, solve_level, max_dofs, eta_tol,
     """
     space = Space(mesh, p)
     state = u = None
+    initial = dict(t_setup=0.0, t_certify=0.0)  # charged to the first record
     if solver_kind is not None:
-        state = setup_solver(solver_kind, space, prob)
-        _certify(history, state, cfg, theta)
+        state, initial["t_setup"] = _timed(setup_solver, solver_kind, space,
+                                           prob)
+        _, initial["t_certify"] = _timed(_certify, history, state, cfg, theta)
         u = dirichlet_values(space, prob)
         history.meta["eta_initial"] = compute_indicators(space, u, prob).total
     artifacts = []
     for ell in itertools.count():
         art = dict(space=space)
         u, ind = solve_level(ell, space, state, u, art)
+        if ell == 0:
+            for name, t in initial.items():
+                history.records[0][name] += t
         eta = ind.total
         history.meta.setdefault("eta_initial", eta)
         if store_artifacts:
@@ -224,18 +234,28 @@ def _adapt(history, prob, mesh, p, theta, solve_level, max_dofs, eta_tol,
             u[new_space.dirichlet_mask] = dirichlet_values(
                 new_space, prob)[new_space.dirichlet_mask]
         t_refine = time.perf_counter() - t0
-        history.records[-1]["t_mark"] += t_mark
-        history.records[-1]["t_refine"] += t_refine
+        last = history.records[-1]
+        last["t_mark"] += t_mark
+        last["t_refine"] += t_refine
         # the superseded mesh stays alive through the refinement chain, but
         # nothing consults its edge tables again
         space.mesh.release_edge_tables()
         if state is not None:
-            state = extend_solver(state, new_space)
-            _certify(history, state, cfg, theta)
+            state, t_setup = _timed(extend_solver, state, new_space)
+            _, t_certify = _timed(_certify, history, state, cfg, theta)
+            last["t_setup"] += t_setup
+            last["t_certify"] += t_certify
         space = new_space
     if store_artifacts:
         history.meta["artifacts"] = artifacts
     return history
+
+
+def _timed(fn, *args):
+    """``fn(*args)`` and the time it took."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - t0
 
 
 def _steps(max_inner, loop):
@@ -257,9 +277,7 @@ def _solver_step(state, rhs, space, u):
 
 def _estimate(space, u, prob):
     """Indicators of ``u`` and the time they took."""
-    t0 = time.perf_counter()
-    ind = compute_indicators(space, u, prob)
-    return ind, time.perf_counter() - t0
+    return _timed(compute_indicators, space, u, prob)
 
 
 def _certify(history, state, cfg, theta):
@@ -282,7 +300,7 @@ def _certify(history, state, cfg, theta):
                f"premise (q_sym = {q_sym:.3f})")
         if cfg.strict:
             raise ValueError(msg)
-        warnings.warn(msg, stacklevel=4)
+        warnings.warn(msg, stacklevel=5)
 
 
 # ---------------------------------------------------------------------------

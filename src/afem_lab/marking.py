@@ -10,7 +10,8 @@ class Converged(Exception):
 
 
 def doerfler_mark(ind, theta):
-    """Smallest element set M with theta * eta_total^2 <= eta(M)^2.
+    """Smallest element set M with theta * eta_total^2 <= eta(M)^2, as a
+    sorted int64 array of element indices.
 
     Sorting the squared indicators in descending order and taking the
     shortest sufficient prefix realizes the minimal cardinality (C_mark = 1);
@@ -26,4 +27,4 @@ def doerfler_mark(ind, theta):
     order = np.argsort(-eta2, kind="stable")
     csum = np.cumsum(eta2[order])
     k = int(np.searchsorted(csum, theta * total2 * (1.0 - 1e-12))) + 1
-    return set(order[:k].tolist())
+    return np.sort(order[:k]).astype(np.int64, copy=False)

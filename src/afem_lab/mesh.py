@@ -211,7 +211,9 @@ def refine(mesh, marked):
     Returns a new Mesh with parent links; ``marked`` may be any iterable of
     element indices.  An empty ``marked`` returns ``mesh`` unchanged.
     """
-    marked = np.unique(np.fromiter(marked, np.int64))
+    if not isinstance(marked, np.ndarray):
+        marked = np.fromiter(marked, np.int64)
+    marked = np.unique(marked.astype(np.int64, copy=False))
     if marked.size == 0:
         return mesh
     if marked.min() < 0 or marked.max() >= mesh.n_elements:

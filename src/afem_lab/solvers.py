@@ -16,15 +16,31 @@ Three kinds:
   squaring it buys the needed margin at the same cost per unit of progress.
 
 All vectors are reduced (free DOFs only); the energy norm of a reduced error
-vector e is (e' A e)^(1/2) with A the reduced SPD matrix.  A state holds
-the space of its finest level only.  ``extend_solver`` never modifies the
-state it is given: it returns a new state for the next refinement level that
-shares the coarser levels.  The one field set after construction is
-``certified_q``, written by ``certify_contraction``.
+vector e is (e' A e)^(1/2) with A the reduced SPD matrix.  Every sparse
+product of a solver step goes through ``_matvec``, which calls the compiled
+CSR kernel that ``M @ x`` ends in without scipy's per-call dispatch, so the
+operators of a ``_Level`` must be CSR.
+
+Certification measures the norm of the error propagator E (a step with
+right-hand side 0), which is self-adjoint in the energy product, by at most
+8 Lanczos steps in that product with full reorthogonalization.  The
+certified factor is ``SAFETY`` times the largest of every measured ratio
+|||E v||| / |||v||| and the Ritz values of largest modulus at both ends of
+the spectrum; each is a lower bound of |||E|||.  The first trial on a level
+starts from the prolongated dominant Ritz vector of the level below, plus a
+small random part so that it cannot miss a new mode.
+
+A state holds the space of its finest level only.  ``extend_solver`` never
+modifies the state it is given: it returns a new state for the next
+refinement level that shares the coarser levels.  Two fields are set after
+construction, both by ``certify_contraction``: ``SolverState.certified_q``
+and ``_Level.ritz``, the dominant Ritz vector of the finest level, from
+which the next level's certification starts.
 """
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu
 
 from .fem import SolverError, assemble_a, prolongation_matrix, solve_direct
@@ -44,6 +60,9 @@ class _Level:
     """Per-level data: reduced SPD matrix, smoother factors, prolongation."""
 
     def __init__(self, matrix, prol=None, smooth_dofs=None):
+        for op in (matrix, prol):
+            if op is not None and not (sp.issparse(op) and op.format == "csr"):
+                raise TypeError("solver levels need CSR operators")
         self.matrix = matrix
         self.prol = prol          # reduced prolongation from previous level
         self.smooth_dofs = smooth_dofs
@@ -55,6 +74,7 @@ class _Level:
             self.upper = splu(sp.triu(sub).tocsc(), permc_spec="NATURAL")
             self.cols = matrix[:, smooth_dofs].tocsr()
         self._lu = None
+        self.ritz = None          # dominant Ritz vector, set by certification
 
     @property
     def lu(self):
@@ -82,7 +102,7 @@ class SolverState:
         return self.levels[-1].matrix
 
     def energy_norm(self, e):
-        return float(np.sqrt(max(e @ (self.matrix @ e), 0.0)))
+        return float(np.sqrt(max(e @ _matvec(self.matrix, e), 0.0)))
 
 
 def _check_spd(matrix):
@@ -164,6 +184,21 @@ def _richardson_damping(A):
 SMOOTH_SWEEPS = 2
 CYCLES_PER_STEP = 2
 SAFETY = 1.05  # certified factor = worst measured energy ratio * SAFETY
+LANCZOS_STEPS = 8
+FLOOR = 1e-8   # a Lanczos residual this small spans an invariant subspace
+WARM_NOISE = 0.1  # weight of the random part of a warm start
+
+
+def _matvec(M, x):
+    """``M @ x`` for a CSR matrix and a float vector, bit for bit: the same
+    compiled kernel, without scipy's per-call dispatch."""
+    n_row, n_col = M.shape
+    if x.shape != (n_col,):
+        # the kernel does not check: it would read past the end of x
+        raise ValueError(f"dimension mismatch: {M.shape} @ {x.shape}")
+    y = np.zeros(n_row)
+    _sparsetools.csr_matvec(n_row, n_col, M.indptr, M.indices, M.data, x, y)
+    return y
 
 
 def solver_step(state, rhs, iterate):
@@ -174,13 +209,14 @@ def solver_step(state, rhs, iterate):
         return solve_direct(state.matrix, rhs)
     if state.kind == "damped_richardson":
         A = state.matrix
-        return x + state.omega * (rhs - A @ x) / A.diagonal()
+        return x + state.omega * (rhs - _matvec(A, x)) / A.diagonal()
     levels = state.levels
     if len(levels) == 1:
         return levels[0].lu.solve(rhs)
     x = x.copy()
     for _ in range(CYCLES_PER_STEP):
-        x = _vcycle(levels, len(levels) - 1, x, rhs - state.matrix @ x)
+        x = _vcycle(levels, len(levels) - 1, x,
+                    rhs - _matvec(state.matrix, x))
     return x
 
 
@@ -197,27 +233,30 @@ def _vcycle(levels, j, x, r):
         for _ in range(SMOOTH_SWEEPS):
             dx = lvl.lower.solve(r[S])
             x[S] += dx
-            r -= lvl.cols @ dx
+            r -= _matvec(lvl.cols, dx)
     e = _vcycle(levels, j - 1, np.zeros(levels[j - 1].matrix.shape[0]),
-                lvl.prol_t @ r)
-    corr = lvl.prol @ e
+                _matvec(lvl.prol_t, r))
+    corr = _matvec(lvl.prol, e)
     x += corr
-    r -= lvl.matrix @ corr
+    r -= _matvec(lvl.matrix, corr)
     if lvl.upper is not None:
         for _ in range(SMOOTH_SWEEPS):
             dx = lvl.upper.solve(r[S])
             x[S] += dx
-            r -= lvl.cols @ dx
+            r -= _matvec(lvl.cols, dx)
     return x
 
 
 def certify_contraction(state, trials=1, ceiling=None):
     """Measured per-step energy contraction factor with a safety margin.
 
-    A step is affine, so any error evolves as e <- solver_step(state, 0, e)
-    whatever the right-hand side; no reference solution is needed.  Steps
-    ``trials`` random errors and returns max ratio * SAFETY, clamped below 1.
-    Raises NonContractiveError if any ratio reaches 1 (or exceeds ``ceiling``).
+    A step is affine, so any error evolves as e <- E e = solver_step(state,
+    0, e) whatever the right-hand side; no reference solution is needed.
+    Each of ``trials`` Lanczos runs on E (see the module docstring) yields
+    lower bounds of |||E|||; returns the largest times SAFETY, clamped below
+    1.  The first trial starts warm from the level below when that level
+    was certified; later trials start from random draws.  Raises
+    NonContractiveError if a bound reaches 1 (or q exceeds ``ceiling``).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -226,33 +265,20 @@ def certify_contraction(state, trials=1, ceiling=None):
         state.certified_q = 0.0
         return 0.0
     rng = np.random.default_rng(0)
-    zero = np.zeros(n)
-    worst = 0.0
-    for _ in range(trials):
-        # a trial starts from the second of two standard normal draws; the
-        # recorded certificates were measured from these starts
-        e = rng.standard_normal((2, n))[1]
-        err = state.energy_norm(e)
-        floor = 1e-8 * err
-        # the error propagator is symmetric in the energy inner product, so
-        # per-step ratios increase towards its norm; iterate until the
-        # ratio plateaus or the error nears roundoff
-        prev_ratio = None
-        for it in range(8):
-            e = solver_step(state, zero, e)
-            err_new = state.energy_norm(e)
-            ratio = err_new / err if err > 0 else 0.0
-            worst = max(worst, ratio)
-            if ratio >= 1.0:
-                raise NonContractiveError(
-                    f"{state.kind}: energy-error ratio {ratio:.4f} >= 1")
-            err = err_new
-            if err <= floor:
-                break
-            if it >= 2 and prev_ratio is not None \
-                    and abs(ratio - prev_ratio) <= 0.01 * ratio:
-                break
-            prev_ratio = ratio
+    warm = _warm_start(state)
+    worst, dominant = 0.0, None
+    for trial in range(trials):
+        # the second of two standard normal draws, as recorded certificates
+        # were measured from these starts
+        v = rng.standard_normal((2, n))[1]
+        v /= state.energy_norm(v)
+        if trial == 0 and warm is not None:
+            v = warm + WARM_NOISE * v
+            v /= state.energy_norm(v)
+        bound, theta, ritz = _lanczos(state, v)
+        worst = max(worst, bound)
+        if dominant is None or theta > dominant:
+            dominant, state.levels[-1].ritz = theta, ritz
     q = min(worst * SAFETY, 1.0 - 1e-9)
     if ceiling is not None and q > ceiling:
         raise NonContractiveError(
@@ -260,3 +286,59 @@ def certify_contraction(state, trials=1, ceiling=None):
             f"ceiling {ceiling}")
     state.certified_q = q
     return q
+
+
+def _warm_start(state):
+    """The prolongated dominant Ritz vector of the level below, normalized
+    in energy; None when that level was not certified."""
+    levels = state.levels
+    if len(levels) < 2 or levels[-2].ritz is None:
+        return None
+    v = _matvec(levels[-1].prol, levels[-2].ritz)
+    return v / state.energy_norm(v)
+
+
+def _lanczos(state, v):
+    """Lanczos on E in the energy product from the energy-normalized ``v``.
+
+    Returns the largest measured ratio |||E v_i||| or Ritz-value modulus,
+    that largest Ritz modulus and its Ritz vector.  Stops when the largest
+    Ritz modulus moves by at most 1% relative after at least two steps, when
+    the energy norm of the next Lanczos residual falls to ``FLOOR`` (an
+    invariant subspace), or after ``LANCZOS_STEPS`` steps.
+    """
+    A = state.matrix
+    zero = np.zeros(len(v))
+    # Lanczos vectors and their images under A, one per row
+    V = np.empty((LANCZOS_STEPS, len(v)))
+    AV = np.empty_like(V)
+    V[0], AV[0] = v, _matvec(A, v)
+    alpha, beta = [], []
+    worst = top = 0.0
+    for k in range(LANCZOS_STEPS):
+        w = solver_step(state, zero, V[k])
+        Aw = _matvec(A, w)
+        ratio = float(np.sqrt(max(w @ Aw, 0.0)))
+        # full reorthogonalization in the energy product, done twice
+        coef = np.zeros(k + 1)
+        for _ in range(2):
+            c = AV[:k + 1] @ w
+            w -= c @ V[:k + 1]
+            Aw -= c @ AV[:k + 1]
+            coef += c
+        alpha.append(coef[-1])
+        T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+        theta, S = np.linalg.eigh(T)
+        prev, i = top, int(np.argmax(np.abs(theta)))
+        top = abs(theta[i])
+        worst = max(worst, ratio, top)
+        if worst >= 1.0:
+            raise NonContractiveError(
+                f"{state.kind}: energy-error ratio {worst:.4f} >= 1")
+        b = float(np.sqrt(max(w @ Aw, 0.0)))
+        if b <= FLOOR or k + 1 == LANCZOS_STEPS \
+                or (k >= 1 and abs(top - prev) <= 0.01 * top):
+            break
+        V[k + 1], AV[k + 1] = w / b, Aw / b
+        beta.append(b)
+    return worst, top, S[:, i] @ V[:k + 1]

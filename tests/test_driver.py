@@ -199,15 +199,34 @@ def test_csv_schema(square2, tmp_path):
     assert lines[0] == CSV_HEADER
     assert lines[0] == ("ell,k,j,n_elem,n_dof,eta,increment,stop_outer,"
                         "stop_inner,t_solve,t_estimate,t_mark,t_refine,"
-                        "cum_cost")
+                        "cum_cost,t_setup,t_certify")
     first = lines[1].split(",")
     assert first[2] == ""  # j blank for the single-solver run
-    assert len(first) == 14
+    assert len(first) == 16
     hist_e = run_exact(prob, mesh, theta=0.5, p=1, max_dofs=100)
     buf = io.StringIO()
     hist_e.to_csv(buf)
     row = buf.getvalue().splitlines()[1].split(",")
     assert row[1] == "" and row[2] == ""  # k and j blank for run_exact
+
+
+def test_setup_and_certification_land_where_refinement_does():
+    prob, mesh = kellogg()
+    hist = run_single(prob, mesh, theta=0.5, lam=0.1, p=1,
+                      solver_kind="local_multigrid", max_dofs=300)
+    last = {rec["ell"]: r for r, rec in enumerate(hist.records)}
+    charged = {0} | {r for ell, r in last.items() if ell < max(last)}
+    assert len(charged) >= 3
+    for r, rec in enumerate(hist.records):
+        assert (rec["t_setup"] > 0) == (rec["t_certify"] > 0) \
+            == (r in charged), r
+    times = sum(hist.column(name) for name in (
+        "t_solve", "t_estimate", "t_mark", "t_refine", "t_setup",
+        "t_certify"))
+    assert np.allclose(hist.cumulative_times(), np.cumsum(times))
+    exact = run_exact(prob, mesh, theta=0.5, p=1, max_dofs=300)
+    assert not exact.column("t_setup").any()
+    assert not exact.column("t_certify").any()
 
 
 def test_inexact_zarantonello_contraction_lemma():

@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,22 +21,23 @@ def brute_force_min_cardinality(eta2, theta):
 
 def test_example_4321():
     marked = doerfler_mark(Indicators([4.0, 3.0, 2.0, 1.0]), 0.5)
-    assert marked == {0, 1}
+    assert np.array_equal(marked, [0, 1])
     assert brute_force_min_cardinality([4.0, 3.0, 2.0, 1.0], 0.5) == 2
 
 
 def test_zero_slack_example():
     # a subset meeting the threshold exactly qualifies
-    assert doerfler_mark(Indicators([2.0, 1.0, 1.0]), 0.5) == {0}
+    assert np.array_equal(doerfler_mark(Indicators([2.0, 1.0, 1.0]), 0.5),
+                          [0])
 
 
 def test_theta_one_marks_all_nonzero():
     marked = doerfler_mark(Indicators([1.0, 0.0, 2.0, 0.0]), 1.0)
-    assert marked == {0, 2}
+    assert np.array_equal(marked, [0, 2])
 
 
 def test_tie_breaks_to_lower_index():
-    assert doerfler_mark(Indicators([5.0, 5.0]), 0.5) == {0}
+    assert np.array_equal(doerfler_mark(Indicators([5.0, 5.0]), 0.5), [0])
 
 
 def test_zero_total_signals_converged():
@@ -63,6 +65,7 @@ def test_minimality_against_brute_force(raw, theta64):
             doerfler_mark(Indicators(eta2), theta)
         return
     marked = doerfler_mark(Indicators(eta2), theta)
+    assert marked.dtype == np.int64 and np.all(np.diff(marked) > 0)
     assert sum(eta2[i] for i in marked) >= theta * total * (1 - 1e-12)
     assert len(marked) == brute_force_min_cardinality(eta2, theta)
 
