@@ -9,8 +9,7 @@ rates-vs-cost analysis.
 
 from .analysis import (RLinearFit, fit_rate_loglog, rates_equals_complexity,
                        rlinear_constants_from_criterion,
-                       tailsum_rlinear_equivalence, threshold_helpers,
-                       verify_axioms)
+                       tailsum_rlinear_equivalence, verify_axioms)
 from .driver import (History, run_exact, run_nested, run_single, run_uniform,
                      weighted_cost_table)
 from .estimator import Indicators, compute_indicators, estimator_total

@@ -31,8 +31,8 @@ from .mesh import uniform_refine
 
 __all__ = ["RLinearFit", "rlinear_constants_from_criterion",
            "tailsum_rlinear_equivalence", "rates_equals_complexity",
-           "fit_rate_loglog", "verify_axioms", "threshold_helpers",
-           "quasi_error_sequence", "CriterionError"]
+           "fit_rate_loglog", "verify_axioms", "quasi_error_sequence",
+           "CriterionError"]
 
 class CriterionError(ValueError):
     """A hypothesis of the summability criterion fails on the given data."""
@@ -422,22 +422,3 @@ def random_criterion_instance(rng):
                  / a[ell] ** 2)
     return a, b, q, C1, max(C2, 1e-12), delta
 
-
-def threshold_helpers(q_alg, C_stab, C_drel, q_sym_star=None,
-                      lambda_alg_star=0.0):
-    """(theta*, lambda*, lambda_sym*) sufficiency-threshold formulas.
-
-    Advisory: the true constants C_stab and C_drel are not computable in
-    general, so callers pass assumed values.
-    """
-    theta_star = 1.0 / (1.0 + C_stab ** 2 * C_drel ** 2)
-    if q_alg > 0:
-        lambda_star = min(1.0, (1.0 - q_alg) / q_alg / C_stab)
-    else:
-        lambda_star = 1.0
-    lambda_sym_star = None
-    if q_sym_star is not None:
-        C_alg = (2.0 * q_alg * lambda_alg_star / (1.0 - q_alg)
-                 + q_sym_star) / (1.0 - q_sym_star)
-        lambda_sym_star = min(1.0, 1.0 / (C_stab * C_alg)) if C_alg > 0 else 1.0
-    return theta_star, lambda_star, lambda_sym_star

@@ -185,6 +185,12 @@ def _summarize(hist):
         lines.append(f"rate_vs_dofs={s_dof:+.4f} rate_vs_cost={s_cost:+.4f}")
     if "q_alg" in hist.meta:
         lines.append(f"q_alg={hist.meta['q_alg']:.4f}")
+    cert = analysis.tailsum_rlinear_equivalence(
+        analysis.quasi_error_sequence(hist))
+    lines.append(f"C_lin={cert.C_lin:.4g} q_lin={cert.q_lin:.4f} "
+                 f"violation={cert.violation_rlinear:.4g}"
+                 + (f" q_sym={hist.meta['q_sym']:.4f}"
+                    if "q_sym" in hist.meta else ""))
     return "\n".join(lines) + "\n"
 
 

@@ -8,6 +8,10 @@ where b(u, v) is the full (possibly nonsymmetric or nonlinear) form.  Its
 fixed point is the Galerkin solution; for monotonicity constants
 0 < alpha <= L and 0 < delta < 2 alpha / L^2 the map contracts in the energy
 norm with factor q_sym* = [1 - delta (2 alpha - delta L^2)]^(1/2).
+
+The nested loop solves each Phi step only inexactly; its outer iterates still
+contract when lambda_alg stays below the bound that
+``check_lambda_constraint`` checks.
 """
 
 import math
@@ -34,15 +38,14 @@ def zarantonello_contraction_bound(alpha, L, delta):
 class ZarantonelloConfig:
     """Damping and stopping parameters of the nested solver loop.
 
-    q_sym_star is derived from (alpha, L, delta) when those are given; the
-    parameter constraint check is advisory unless ``strict`` is set.
+    q_sym_star is derived from (alpha, L, delta) when those are given; it
+    is needed only to check the inexact contraction q_sym < 1.
     """
     delta: float
     lambda_sym: float
     lambda_alg: float
     alpha: float = None
     L: float = None
-    strict: bool = False
     q_sym_star: float = None
 
     def __post_init__(self):
@@ -54,6 +57,8 @@ class ZarantonelloConfig:
                 and self.L is not None:
             self.q_sym_star = zarantonello_contraction_bound(
                 self.alpha, self.L, self.delta)
+        if self.q_sym_star is not None and not 0 <= self.q_sym_star < 1:
+            raise ValueError("q_sym_star must lie in [0, 1)")
 
 
 def zarantonello_rhs(space, prob, delta, u):
@@ -82,29 +87,23 @@ def outer_stop(increment_norm, eta, lambda_sym):
     return increment_norm <= lambda_sym * eta
 
 
-def check_lambda_constraint(cfg, q_alg, q_theta):
-    """(q_sym, ok): inexact-iteration contraction and parameter feasibility.
+def check_lambda_constraint(cfg, q_alg):
+    """(q_sym, q_sym < 1): contraction of the inexact Zarantonello iteration.
 
-    q_sym = (q_sym* + t) / (1 - t) with t = 2 q_alg lambda_alg / (1 - q_alg);
-    feasibility additionally requires
-    lambda_alg * lambda_sym < (1-q_alg)(1-q_sym*)(1-q_theta)/(8 q_alg C_stab),
-    taken with C_stab = 1.
-    Advisory: runs proceed with a warning when infeasible.
+    q_sym = (q_sym* + t) / (1 - t) with t = 2 q_alg lambda_alg / (1 - q_alg)
+    bounds the outer contraction when each Phi step is solved by an
+    algebraic solver with contraction q_alg stopped by ``inner_stop``.
+    q_sym < 1 holds exactly when
+    lambda_alg < lambda_alg* = (1 - q_alg)(1 - q_sym*) / (4 q_alg).
     """
     if cfg.q_sym_star is None:
         raise ValueError("config carries no contraction bound; set alpha/L "
                          "or q_sym_star")
-    qss = cfg.q_sym_star
     if q_alg == 0.0 or cfg.lambda_alg == 0.0:
         t = 0.0
     else:
         t = 2.0 * q_alg * cfg.lambda_alg / (1.0 - q_alg)
     if t >= 1.0:
         return math.inf, False
-    q_sym = (qss + t) / (1.0 - t)
-    ok = q_sym < 1.0
-    if q_alg > 0.0:
-        bound = ((1.0 - q_alg) * (1.0 - qss) * (1.0 - q_theta)
-                 / (8.0 * q_alg))
-        ok = ok and (cfg.lambda_alg * cfg.lambda_sym < bound)
-    return q_sym, ok
+    q_sym = (cfg.q_sym_star + t) / (1.0 - t)
+    return q_sym, q_sym < 1.0

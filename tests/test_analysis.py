@@ -7,8 +7,7 @@ from afem_lab.analysis import (CriterionError, fit_rate_loglog,
                                max_rlinear_violation,
                                rates_complexity_bounds, rates_equals_complexity,
                                rlinear_constants_from_criterion,
-                               tailsum_rlinear_equivalence, threshold_helpers,
-                               verify_axioms)
+                               tailsum_rlinear_equivalence, verify_axioms)
 
 
 def test_criterion_geometric():
@@ -141,16 +140,6 @@ def test_criterion_property_sample():
         assert fit.ok(), (q, C1, C2, delta)
 
 
-def test_threshold_helpers_examples():
-    theta_star, lam_star, lam_sym_star = threshold_helpers(
-        q_alg=0.5, C_stab=1.0, C_drel=1.0)
-    assert theta_star == 0.5
-    assert lam_star == 1.0
-    t2, l2, ls2 = threshold_helpers(q_alg=0.5, C_stab=1.0, C_drel=1.0,
-                                    q_sym_star=0.5, lambda_alg_star=0.0)
-    assert ls2 == 1.0  # C_alg = 1
-
-
 def test_verify_axioms_small_kellogg():
     from afem_lab.driver import run_single
     from afem_lab.problems import kellogg
@@ -167,7 +156,6 @@ def test_verify_axioms_small_kellogg():
     assert report["qm_const"] > 0.0
 
 
-@pytest.mark.filterwarnings("ignore:stopping parameters")
 def test_verify_axioms_nonlinear_a4():
     from afem_lab.driver import run_nested
     from afem_lab.iteration import ZarantonelloConfig

@@ -13,15 +13,31 @@ def run_cli(args):
 
 
 def test_run_writes_csv_and_summary(tmp_path):
-    out = tmp_path / "k.csv"
+    out, summary = tmp_path / "k.csv", tmp_path / "k.txt"
     code = main(["run", "--problem", "kellogg", "--algo", "single",
                  "--p", "1", "--theta", "0.5", "--lambda", "0.1",
                  "--solver", "local-mg", "--max-dofs", "300",
-                 "--out", str(out)])
+                 "--out", str(out), "--summary", str(summary)])
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) > 5
+    # the measured R-linear certificate of the quasi-error, on one line
+    cert = [line for line in summary.read_text().splitlines()
+            if line.startswith("C_lin=")]
+    assert len(cert) == 1
+    fields = dict(item.split("=") for item in cert[0].split())
+    assert set(fields) == {"C_lin", "q_lin", "violation"}
+    assert float(fields["C_lin"]) >= 1.0
+    assert 0.0 < float(fields["q_lin"]) < 1.0
+    assert float(fields["violation"]) <= 1.0
+    # a nested run with a contraction bound adds its q_sym
+    code = main(["run", "--problem", "zshape-nonlinear", "--algo", "nested",
+                 "--theta", "0.3", "--max-dofs", "200", "--summary",
+                 str(summary)])
+    assert code == 0
+    cert = summary.read_text().splitlines()[-1].split()
+    assert cert[0].startswith("C_lin=") and cert[-1].startswith("q_sym=")
 
 
 def test_run_nested_parses_paper_parameters(tmp_path):

@@ -1,4 +1,5 @@
-"""The demos run to completion; 02 and 06 are left out for their run time."""
+"""The demos run to completion without a warning; 02 and 06 are left out
+for their run time."""
 
 import os
 import subprocess
@@ -23,3 +24,4 @@ def test_demo_exits_cleanly(demo):
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

@@ -1,8 +1,10 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
 
+from afem_lab.analysis import quasi_error_sequence, tailsum_rlinear_equivalence
 from afem_lab.driver import (CSV_HEADER, run_exact, run_nested,
                              run_single, run_uniform, weighted_cost_table)
 from afem_lab.fem import (DiscreteFunction, ProblemDef, energy_norm,
@@ -137,31 +139,65 @@ def test_nested_iteration_carries_prolongated_iterate():
         assert np.linalg.norm(diff[fine["space"].free]) <= 1e-12
 
 
-@pytest.mark.filterwarnings("ignore:stopping parameters")
-def test_stop_flags_reproduce_inequalities():
-    prob, mesh = zshape_nonlinear()
-    cfg = ZarantonelloConfig(delta=1.0 / prob.L, lambda_sym=0.7,
-                             lambda_alg=0.7, alpha=prob.alpha, L=prob.L)
-    hist = run_nested(prob, mesh, theta=0.3, cfg=cfg, p=1, max_dofs=400)
-    hist.check_invariants()
+def _zshape_config(prob, lam):
+    return ZarantonelloConfig(delta=1.0 / prob.L, lambda_sym=lam,
+                              lambda_alg=lam, alpha=prob.alpha, L=prob.L)
+
+
+def _assert_stop_flags_reproduce_inequalities(hist, cfg):
+    # a level whose certified q is 0 (the one-level multigrid) solves exactly
     outer = hist.meta["outer_increments"]
-    q = hist.meta["q_alg"]
+    q = hist.meta["q_alg_levels"]
     for rec, oinc in zip(hist.records, outer):
         lhs = rec["increment"]
         stop_in = (lhs <= cfg.lambda_alg * (cfg.lambda_sym * rec["eta"] + oinc)
-                   or q == 0.0)
+                   or q[rec["ell"]] == 0.0)
         assert stop_in == rec["stop_inner"]
         if rec["stop_inner"]:
             assert rec["stop_outer"] == (oinc <= cfg.lambda_sym * rec["eta"])
 
 
-def test_strict_mode_rejects_infeasible_lambdas():
+def test_stop_flags_reproduce_inequalities():
     prob, mesh = zshape_nonlinear()
-    cfg = ZarantonelloConfig(delta=1.0 / prob.L, lambda_sym=0.9,
-                             lambda_alg=0.9, alpha=prob.alpha, L=prob.L,
-                             strict=True)
-    with pytest.raises(ValueError, match="premise"):
-        run_nested(prob, mesh, theta=0.3, cfg=cfg, p=1, max_dofs=2000)
+    cfg = _zshape_config(prob, 0.7)
+    hist = run_nested(prob, mesh, theta=0.3, cfg=cfg, p=1, max_dofs=400)
+    hist.check_invariants()
+    _assert_stop_flags_reproduce_inequalities(hist, cfg)
+
+
+def test_nested_stopping_rules_bind_on_zshape():
+    # lambda_sym = lambda_alg = 0.1 makes both loops run past one step on
+    # some levels; the ledger and the measured R-linear certificate hold
+    prob, mesh = zshape_nonlinear()
+    cfg = _zshape_config(prob, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hist = run_nested(prob, mesh, theta=0.3, cfg=cfg, p=1, eta_tol=0.07)
+    hist.check_invariants()
+    _assert_stop_flags_reproduce_inequalities(hist, cfg)
+    assert max(hist.k_stop.values()) >= 2
+    assert max(hist.j_stop.values()) >= 2
+    assert hist.meta["lambda_constraint_ok"]
+    cert = tailsum_rlinear_equivalence(quasi_error_sequence(hist))
+    assert cert.violation_rlinear <= 1.0
+
+
+def test_lambda_alg_warning_fires_once_when_q_sym_reaches_one():
+    prob, mesh = zshape_nonlinear()
+    with pytest.warns(UserWarning) as caught:
+        hist = run_nested(prob, mesh, theta=0.3, cfg=_zshape_config(prob, 5),
+                          p=1, max_dofs=400)
+    assert len(caught) == 1
+    assert "lambda_alg*" in str(caught[0].message)
+    assert hist.meta["q_sym"] >= 1.0
+    assert not hist.meta["lambda_constraint_ok"]
+    # the classical product bound rejected lambda = 0.7; q_sym < 1 holds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hist = run_nested(prob, mesh, theta=0.3, cfg=_zshape_config(prob, 0.7),
+                          p=1, eta_tol=0.07)
+    assert hist.meta["q_sym"] < 1.0
+    assert hist.meta["lambda_constraint_ok"]
 
 
 def test_nested_symmetric_delta_one_degenerates_to_single(square2):
@@ -240,8 +276,7 @@ def test_inexact_zarantonello_contraction_lemma():
     hist = run_nested(prob, mesh, theta=0.3, cfg=cfg, p=1,
                       solver_kind="local_multigrid", max_dofs=800,
                       store_artifacts=True)
-    q_sym, ok = check_lambda_constraint(cfg, hist.meta["q_alg"],
-                                        q_theta=0.95)
+    q_sym, ok = check_lambda_constraint(cfg, hist.meta["q_alg"])
     assert ok and q_sym < 1.0
     checked = 0
     for art in hist.meta["artifacts"]:

@@ -58,18 +58,28 @@ def test_outer_stop_arithmetic():
 def test_check_lambda_constraint_examples():
     cfg = ZarantonelloConfig(delta=1.0, lambda_sym=0.3, lambda_alg=0.0,
                              q_sym_star=0.8)
-    q_sym, ok = check_lambda_constraint(cfg, q_alg=0.5, q_theta=0.5)
+    q_sym, ok = check_lambda_constraint(cfg, q_alg=0.5)
     assert q_sym == 0.8 and ok
 
-    cfg = ZarantonelloConfig(delta=1.0, lambda_sym=0.3, lambda_alg=0.05,
+    # lambda_alg* = (1 - 0.5)(1 - 0.8) / (4 * 0.5) = 0.05; t = 0.2
+    cfg = ZarantonelloConfig(delta=1.0, lambda_sym=0.3, lambda_alg=0.1,
                              q_sym_star=0.8)
-    q_sym, ok = check_lambda_constraint(cfg, q_alg=0.5, q_theta=0.5)
-    assert np.isclose(q_sym, 1.0) and not ok
+    q_sym, ok = check_lambda_constraint(cfg, q_alg=0.5)
+    assert np.isclose(q_sym, 1.0 / 0.8) and not ok
 
     cfg = ZarantonelloConfig(delta=1.0, lambda_sym=1e-4, lambda_alg=0.05,
                              q_sym_star=0.5)
-    q_sym, ok = check_lambda_constraint(cfg, q_alg=0.5, q_theta=0.5)
+    q_sym, ok = check_lambda_constraint(cfg, q_alg=0.5)
     assert np.isclose(q_sym, 0.6 / 0.9)
+    assert ok
+
+    # q_sym < 1 although lambda_alg * lambda_sym = 0.07 exceeds 0.03125, the
+    # product bound (1 - q_alg)(1 - q_sym*)(1 - q_θ) / (8 q_alg) of the
+    # classical analysis at q_θ = 0.5; only lambda_alg* = 0.125 counts
+    cfg = ZarantonelloConfig(delta=1.0, lambda_sym=0.7, lambda_alg=0.1,
+                             q_sym_star=0.5)
+    q_sym, ok = check_lambda_constraint(cfg, q_alg=0.5)
+    assert np.isclose(q_sym, 0.7 / 0.8)
     assert ok
 
 
@@ -154,3 +164,7 @@ def test_config_validation():
     cfg = ZarantonelloConfig(delta=0.5, lambda_sym=0.1, lambda_alg=0.1,
                              alpha=1.0, L=1.2)
     assert 0.0 < cfg.q_sym_star < 1.0
+    for q_sym_star in (1.0, -0.1):
+        with pytest.raises(ValueError, match="q_sym_star"):
+            ZarantonelloConfig(delta=0.5, lambda_sym=0.1, lambda_alg=0.1,
+                               q_sym_star=q_sym_star)
