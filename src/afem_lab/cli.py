@@ -47,6 +47,7 @@ _theta = _typed(float, lambda v: 0 < v <= 1, "in (0, 1]")
 _positive = _typed(float, lambda v: v > 0, "> 0")
 _nonnegative = _typed(float, lambda v: v >= 0, ">= 0")
 _count = _typed(int, lambda v: v >= 1, ">= 1")
+_count0 = _typed(int, lambda v: v >= 0, ">= 0")
 
 
 def _listed(item):
@@ -98,7 +99,7 @@ def build_parser():
     ver.add_argument("--problem", choices=sorted(PROBLEM_NAMES),
                      default="kellogg")
     ver.add_argument("--max-dofs", type=_positive, default=2000)
-    ver.add_argument("--instances", type=int, default=100,
+    ver.add_argument("--instances", type=_count0, default=100,
                      help="random sequence-lemma instances")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--out", type=str, default=None)

@@ -2,16 +2,18 @@
 
 Per element T (d = 2):
 
-    eta(T, v)^2 = |T| * || -div(A grad v - f_vec) + conv . grad v + c v - f ||_T^2
-                + |T|^(1/2) * || [[ (A grad v - f_vec) . n ]] ||_{dT cap Omega}^2
+    eta(T, v)^2 = |T| * || -div(A grad v) + conv . grad v + c v - f ||_T^2
+                + |T|^(1/2) * || [[ A grad v . n ]] ||_{dT cap Omega}^2
                 + |T|^(1/2) * || (1 - Pi^(p-1)) d u_D / ds ||_{dT cap dOmega}^2
 
-For nonlinear problems the flux A grad v is a(|grad v|^2) grad v.  Interior
+with the scalar diffusion A taken as constant inside each element.  For
+nonlinear problems the flux A grad v is a(|grad v|^2) grad v.  Interior
 edge integrals are computed once per edge and added to both neighbouring
 elements (the boundary-of-T convention double-counts edges by design).  The
 boundary-data oscillation term appears only for inhomogeneous Dirichlet
 data; Pi^(p-1) is the L2 projection onto polynomials of degree p-1 on the
-edge.  The flux load f_vec is treated as element-wise divergence-free.
+edge.  Every gradient is a GEMM of the element coefficients with a
+reference table of the degree, mapped by the inverse Jacobian.
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import legval
 
-from .fem import _diffusion_at
+from .fem import _diffusion_at, contract
 from .quadrature import edge_rule, triangle_rule
 
 __all__ = ["Indicators", "compute_indicators", "estimator_total", "Q_RED"]
@@ -80,11 +82,8 @@ def _flux_coefficient(prob, pts, grads):
     if prob.is_nonlinear:
         t = (grads ** 2).sum(axis=-1)
         return prob.nonlinearity.a(t)[..., None] * grads
-    kind, A = _diffusion_at(prob, pts.reshape(-1, 2))
-    if kind == "scalar":
-        return A.reshape(grads.shape[:-1])[..., None] * grads
-    return np.einsum("...ij,...j->...i", A.reshape(grads.shape[:-1] + (2, 2)),
-                     grads)
+    a = _diffusion_at(prob, pts.reshape(-1, 2))
+    return a.reshape(grads.shape[:-1])[..., None] * grads
 
 
 def _volume_terms(space, coeffs, prob):
@@ -104,17 +103,7 @@ def _volume_terms(space, coeffs, prob):
                        h[..., 1] * g[..., 0] + h[..., 2] * g[..., 1]], axis=-1)
         div_flux = 2.0 * nl.da(t) * (Hg * g).sum(axis=-1) + nl.a(t) * lap
     else:
-        kind, A = _diffusion_at(prob, flat)
-        if kind == "scalar":
-            div_flux = A.reshape(lap.shape) * lap
-        else:
-            Am = A.reshape(lap.shape + (2, 2))
-            div_flux = (Am[..., 0, 0] * h[..., 0]
-                        + (Am[..., 0, 1] + Am[..., 1, 0]) * h[..., 1]
-                        + Am[..., 1, 1] * h[..., 2])
-        if prob.diffusion_div is not None:
-            dA = np.asarray(prob.diffusion_div(flat)).reshape(g.shape)
-            div_flux = div_flux + (dA * g).sum(axis=-1)
+        div_flux = _diffusion_at(prob, flat).reshape(lap.shape) * lap
 
     R = -div_flux
     if not prob.is_nonlinear and prob.convection is not None:
@@ -126,8 +115,7 @@ def _volume_terms(space, coeffs, prob):
     if prob.load is not None:
         R = R - np.asarray(prob.load(flat)).reshape(lap.shape)
 
-    wdet = w[None, :] * space.det[:, None]
-    return areas * (R ** 2 * wdet).sum(axis=1)
+    return areas * (R ** 2 * space.wdet(w)).sum(axis=1)
 
 
 def _edge_geometry(space, nq):
@@ -135,7 +123,14 @@ def _edge_geometry(space, nq):
     if key in space._cache:
         return space._cache[key]
     mesh = space.mesh
-    edges, _, edge_elems = mesh.edge_tables()
+    edges, elem_edges, edge_elems = mesh.edge_tables()
+    # pair[edge, side]: 2 k + s for the owner's local edge k, with s = 1 when
+    # the owner runs along it against the edge's orientation
+    elem, k = np.divmod(np.arange(3 * mesh.n_elements), 3)
+    eid = elem_edges.ravel()
+    pair = np.full((len(edges), 2), -1)
+    pair[eid, (edge_elems[eid, 0] != elem).astype(int)] = \
+        2 * k + (mesh.elements[elem, k] != edges[eid, 0])
     t, w = edge_rule(nq)
     pa = mesh.vertices[edges[:, 0]]
     d = mesh.vertices[edges[:, 1]] - pa
@@ -144,8 +139,9 @@ def _edge_geometry(space, nq):
     phys = pa[:, None, :] + t[None, :, None] * d[:, None, :]
     bnd_dirichlet = np.zeros(len(edges), dtype=bool)
     bnd_dirichlet[mesh.edge_ids(mesh.boundary_edges[:, :2])] = True
-    geom = dict(edges=edges, owners=edge_elems, t=t, w=w, lengths=lengths,
-                normals=normals, phys=phys, dirichlet=bnd_dirichlet)
+    geom = dict(edges=edges, owners=edge_elems, pair=pair, t=t, w=w,
+                lengths=lengths, normals=normals, phys=phys,
+                dirichlet=bnd_dirichlet)
     space._cache[key] = geom
     return geom
 
@@ -153,27 +149,20 @@ def _edge_geometry(space, nq):
 def _side_flux(space, coeffs, prob, geom, side, edge_ids):
     """Flux from one adjacent element at the edge quadrature points."""
     e = geom["owners"][edge_ids, side]
+    pair = geom["pair"][edge_ids, side]
     phys = geom["phys"][edge_ids]
     centroid = space.origin[e] + (space.jac[e, :, 0] + space.jac[e, :, 1]) / 3.0
     pulled = phys + _PULL * (centroid[:, None, :] - phys)
-    if space.degree == 1:
-        ref0 = space.ref.nodes[:1]
-        g = space.function_gradients(coeffs, ref0)[e][:, 0, :]
-        grads = np.broadcast_to(g[:, None, :], phys.shape)
-    else:
-        # reference gradients at the mapped points, contracted with the
-        # element coefficients before the map to physical coordinates
-        inv = space.inv_jac[e]
-        loc = (phys - space.origin[e][:, None, :]) @ inv.transpose(0, 2, 1)
-        dN = space.ref.grad(loc.reshape(-1, 2)).reshape(
-            loc.shape[0], loc.shape[1], -1, 2)
-        c = coeffs[space.elem_dofs[e]]
-        grads = (c[:, None, None, :] @ dN)[:, :, 0, :] @ inv
-    flux = _flux_coefficient(prob, pulled, grads)
-    if prob.flux_load is not None:
-        flux = flux - np.asarray(prob.flux_load(
-            pulled.reshape(-1, 2))).reshape(flux.shape)
-    return flux
+    # one GEMM per (local edge, direction) table over the edges that use it;
+    # gathering all six tables for every edge costs more memory
+    tables = space.ref.table("edge_grad", geom["t"])
+    grads = np.empty(phys.shape)
+    for k, table in enumerate(tables):
+        sel = np.nonzero(pair == k)[0]
+        es = e[sel]
+        grads[sel] = contract(coeffs[space.elem_dofs[es]], table) \
+            @ space.inv_jac[es]
+    return _flux_coefficient(prob, pulled, grads)
 
 
 def _edge_terms(space, coeffs, prob, eta2):

@@ -5,7 +5,7 @@ The bilinear forms are
     a(u, v) = <A grad u, grad v>                      (symmetric part / energy)
     b(u, v) = a(u, v) + <conv . grad u + c u, v>      (full linear form)
 
-and the load is F(v) = <f, v> + <f_vec, grad v>.  Dirichlet conditions are
+and the load is F(v) = <f, v>.  Dirichlet conditions are
 imposed by elimination with a lift: boundary degrees of freedom carry the
 nodal interpolation of the boundary data, and reduced systems act on the
 free degrees of freedom only.  The energy norm |||v||| = a(v, v)^(1/2) is
@@ -92,6 +92,7 @@ class _RefElem:
         self.n_local = len(nodes)
         V = self._table(self.nodes, 0, 0)
         self.coeffs = np.linalg.inv(V)  # phi_j = sum_k coeffs[k, j] x^a y^b
+        self._tables = {}
 
     def _table(self, pts, dx, dy):
         """The (dx, dy) partial derivative of each monomial x^a y^b at pts,
@@ -117,6 +118,47 @@ class _RefElem:
         """Second derivatives at pts, shape (npts, n_local, 3): xx, xy, yy."""
         return self._derivatives(pts, [(2, 0), (1, 1), (0, 2)])
 
+    def table(self, kind, pts):
+        """The table of the method named ``kind`` at the points, built once
+        per points and kept: "eval" (nq, nl), "grad" (nq, nl, 2), "hess"
+        (nq, nl, 3), a pair table, or "edge_grad" at edge parameters."""
+        pts = np.asarray(pts, dtype=float)
+        key = (kind, pts.shape, pts.tobytes())
+        if key not in self._tables:
+            self._tables[key] = getattr(self, kind)(pts)
+        return self._tables[key]
+
+    # pair tables: products of two basis tables, one column per (l, m) pair,
+    # so that an element matrix is one GEMM of per-point weights with them
+
+    def stiffness(self, pts):
+        """dN_li dN_mj, shape (nq * 4, nl * nl); rows (q, i, j)."""
+        dN = self.table("grad", pts)
+        return np.einsum("qli,qmj->qijlm", dN, dN).reshape(
+            -1, self.n_local ** 2)
+
+    def convection(self, pts):
+        """N_m dN_li, shape (nq * 2, nl * nl); rows (q, i), columns (m, l)."""
+        N, dN = self.table("eval", pts), self.table("grad", pts)
+        return np.einsum("qm,qli->qiml", N, dN).reshape(-1, self.n_local ** 2)
+
+    def mass(self, pts):
+        """N_m N_l, shape (nq, nl * nl)."""
+        N = self.table("eval", pts)
+        return np.einsum("qm,ql->qml", N, N).reshape(len(N), -1)
+
+    def edge_grad(self, t):
+        """Gradients at the points t of each edge in each direction, shape
+        (6, nq, nl, 2); entry 2 k + s runs along local edge k from vertex k
+        to k + 1 (s = 0) or back (s = 1)."""
+        v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        out = []
+        for k in range(3):
+            a, b = v[k], v[(k + 1) % 3]
+            out += [self.grad(a + t[:, None] * (b - a)),
+                    self.grad(b + t[:, None] * (a - b))]
+        return np.stack(out)
+
 
 # ---------------------------------------------------------------------------
 # problem definition
@@ -126,26 +168,23 @@ class _RefElem:
 class Nonlinearity:
     """Scalar nonlinearity A(grad u) = a(|grad u|^2) grad u."""
     a: callable
-    da: callable                 # derivative a'(t)
-    integral: callable = None    # optional antiderivative of a, for energies
+    da: callable         # derivative a'(t)
+    integral: callable   # antiderivative of a, for energies
 
 
 @dataclass
 class ProblemDef:
     """Coefficients of the PDE; all callables act on (n, 2) point arrays.
 
-    diffusion may return scalars (n,) for isotropic a(x) I or tensors
-    (n, 2, 2); None means the identity.  diffusion_div, if given, returns the
-    row-wise divergence of the diffusion tensor (needed in the residual
-    estimator only when the diffusion varies inside elements).
+    diffusion returns the scalar coefficient a(x), shape (n,), of the
+    isotropic diffusion a(x) I; None means 1.  The residual estimator takes
+    it as constant inside each element.
     """
     diffusion: callable = None
     convection: callable = None
     reaction: callable = None
     load: callable = None
-    flux_load: callable = None
     dirichlet: callable = None
-    diffusion_div: callable = None
     nonlinearity: Nonlinearity = None
     alpha: float = None
     L: float = None
@@ -163,13 +202,10 @@ class ProblemDef:
 
 
 def _diffusion_at(prob, pts):
-    """('scalar', (n,)) or ('matrix', (n,2,2)) evaluation of the diffusion."""
+    """The scalar diffusion coefficient at points, shape (n,)."""
     if prob.diffusion is None:
-        return "scalar", np.ones(len(pts))
-    val = np.asarray(prob.diffusion(pts), dtype=float)
-    if val.ndim == 1:
-        return "scalar", val
-    return "matrix", val
+        return np.ones(len(pts))
+    return np.asarray(prob.diffusion(pts), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -252,49 +288,23 @@ class Space:
         return self.origin[:, None, :] \
             + np.asarray(ref_pts) @ self.jac.transpose(0, 2, 1)
 
-    def basis_tables(self, ref_pts):
-        """(N, grad_phys) for reference points on every element.
-
-        N is (nq, nl); the physical gradients are (ne, nq, nl, 2).  Only the
-        assembly of forms reads them: the field evaluations below contract
-        the coefficients with the reference tables first and never build
-        per-element basis tables.
-        """
-        key = ("bt", ref_pts.tobytes())
-        if key not in self._cache:
-            dN = self._ref_table("grad", ref_pts)
-            self._cache[key] = (self._ref_table("eval", ref_pts),
-                                dN[None] @ self.inv_jac[:, None])
-        return self._cache[key]
-
-    def _ref_table(self, kind, ref_pts):
-        """Reference basis table ``kind`` at ref_pts: "eval" (nq, nl),
-        "grad" (nq, nl, 2) or "hess" (nq, nl, 3)."""
-        key = (kind, ref_pts.tobytes())
-        if key not in self._cache:
-            self._cache[key] = getattr(self.ref, kind)(ref_pts)
-        return self._cache[key]
-
-    def _contract(self, coeffs, table):
-        """Element coefficients times a reference table (nq, nl, c) in one
-        GEMM; shape (ne, nq, c)."""
-        nq, nl, c = table.shape
-        flat = table.transpose(1, 0, 2).reshape(nl, nq * c)
-        return (coeffs[self.elem_dofs] @ flat).reshape(-1, nq, c)
+    def wdet(self, w):
+        """Quadrature weights times |det J| per element, shape (ne, nq)."""
+        return w[None, :] * self.det[:, None]
 
     def function_values(self, coeffs, ref_pts):
-        return coeffs[self.elem_dofs] @ self._ref_table("eval", ref_pts).T
+        return coeffs[self.elem_dofs] @ self.ref.table("eval", ref_pts).T
 
     def function_gradients(self, coeffs, ref_pts):
-        return self._contract(coeffs, self._ref_table("grad", ref_pts)) \
-            @ self.inv_jac
+        return contract(coeffs[self.elem_dofs],
+                        self.ref.table("grad", ref_pts)) @ self.inv_jac
 
     def function_hessians(self, coeffs, ref_pts):
         """Physical Hessians (ne, nq, 3) as xx, xy, yy: K^T H K at each
         point, with H the reference Hessian and K the inverse Jacobian."""
         if self.degree == 1:
             return np.zeros((self.mesh.n_elements, len(ref_pts), 3))
-        h = self._contract(coeffs, self._ref_table("hess", ref_pts))
+        h = contract(coeffs[self.elem_dofs], self.ref.table("hess", ref_pts))
         hxx, hxy, hyy = h[..., 0], h[..., 1], h[..., 2]
         K = self.inv_jac[:, None]
         k00, k01 = K[..., 0, 0], K[..., 0, 1]
@@ -304,6 +314,14 @@ class Space:
             k00 * k01 * hxx + (k00 * k11 + k10 * k01) * hxy + k10 * k11 * hyy,
             k01 * k01 * hxx + 2.0 * k01 * k11 * hxy + k11 * k11 * hyy,
         ], axis=-1)
+
+
+def contract(local, table):
+    """Element coefficients (ne, nl) times a reference table (nq, nl, c) in
+    one GEMM; shape (ne, nq, c)."""
+    nq, nl, c = table.shape
+    flat = table.transpose(1, 0, 2).reshape(nl, nq * c)
+    return (local @ flat).reshape(-1, nq, c)
 
 
 @dataclass
@@ -371,17 +389,16 @@ def assemble_a(space, prob, reduced=True):
 
 
 def _local_stiffness(space, prob):
+    """Element matrices as one GEMM: the per-point metric
+    w det a K K^T, (ne, nq * 4), times the reference pair table."""
     pts, w = triangle_rule(2 * space.degree)
-    _, grad = space.basis_tables(pts)
-    kind, A = _diffusion_at(prob, space.physical_points(pts).reshape(-1, 2))
-    if kind == "scalar":
-        A = A.reshape(space.mesh.n_elements, -1)
-        flux = grad * A[:, :, None, None]
-    else:
-        A = A.reshape(space.mesh.n_elements, -1, 2, 2)
-        flux = np.einsum("eqij,eqlj->eqli", A, grad)
-    wdet = w[None, :] * space.det[:, None]
-    local = np.einsum("eqli,eqmi,eq->elm", flux, grad, wdet)
+    a = _diffusion_at(prob, space.physical_points(pts).reshape(-1, 2))
+    K = space.inv_jac
+    metric = (space.wdet(w) * a.reshape(len(K), -1))[:, :, None, None] \
+        * (K @ K.transpose(0, 2, 1))[:, None]
+    nl = space.ref.n_local
+    local = (metric.reshape(len(K), -1)
+             @ space.ref.table("stiffness", pts)).reshape(-1, nl, nl)
     return 0.5 * (local + local.transpose(0, 2, 1))
 
 
@@ -407,40 +424,33 @@ def assemble_b(space, prob, reduced=True):
 
 
 def _local_lower_order(space, prob):
-    """Element matrices of <conv . grad u + c u, v>."""
+    """Element matrices of <conv . grad u + c u, v>: GEMMs of per-point
+    weights with the reference pair tables; the convection is pulled back
+    to the reference element by K^T."""
     pts, w = triangle_rule(2 * space.degree)
-    N, grad = space.basis_tables(pts)
     phys = space.physical_points(pts).reshape(-1, 2)
-    ne = space.mesh.n_elements
-    wdet = w[None, :] * space.det[:, None]
-    local = np.zeros((ne, space.ref.n_local, space.ref.n_local))
+    ne, nl = space.mesh.n_elements, space.ref.n_local
+    wdet = space.wdet(w)
+    local = np.zeros((ne, nl * nl))
     if prob.convection is not None:
         bvec = np.asarray(prob.convection(phys)).reshape(ne, -1, 2)
-        bgrad = np.einsum("eqi,eqli->eql", bvec, grad)
-        local += np.einsum("eql,qm,eq->eml", bgrad, N, wdet)
+        bref = (bvec @ space.inv_jac.transpose(0, 2, 1)) * wdet[:, :, None]
+        local += bref.reshape(ne, -1) @ space.ref.table("convection", pts)
     if prob.reaction is not None:
         c = np.asarray(prob.reaction(phys)).reshape(ne, -1)
-        local += np.einsum("eq,ql,qm,eq->eml", c, N, N, wdet)
-    return local
+        local += (c * wdet) @ space.ref.table("mass", pts)
+    return local.reshape(ne, nl, nl)
 
 
 def load_vector(space, prob):
-    """Full load functional F_i = <f, phi_i> + <f_vec, grad phi_i>."""
+    """Full load functional F_i = <f, phi_i>."""
     F = np.zeros(space.n_dofs)
-    if prob.load is None and prob.flux_load is None:
+    if prob.load is None:
         return F
     pts, w = triangle_rule(2 * space.degree)
-    N, grad = space.basis_tables(pts)
     phys = space.physical_points(pts).reshape(-1, 2)
-    ne = space.mesh.n_elements
-    wdet = w[None, :] * space.det[:, None]
-    local = np.zeros((ne, space.ref.n_local))
-    if prob.load is not None:
-        f = np.asarray(prob.load(phys)).reshape(ne, -1)
-        local += np.einsum("eq,ql,eq->el", f, N, wdet)
-    if prob.flux_load is not None:
-        fv = np.asarray(prob.flux_load(phys)).reshape(ne, -1, 2)
-        local += np.einsum("eqi,eqli,eq->el", fv, grad, wdet)
+    f = np.asarray(prob.load(phys)).reshape(space.mesh.n_elements, -1)
+    local = (f * space.wdet(w)) @ space.ref.table("eval", pts)
     np.add.at(F, space.elem_dofs.ravel(), local.ravel())
     return F
 
@@ -471,17 +481,19 @@ def nonlinear_form(space, prob, coeffs):
     if nl is None:
         raise UnsupportedFormError("problem has no nonlinearity")
     pts, w = triangle_rule(2 * space.degree + 4)
-    N, grad_tab = space.basis_tables(pts)
     g = space.function_gradients(coeffs, pts)
     t = (g ** 2).sum(axis=2)
     flux = nl.a(t)[:, :, None] * g
-    wdet = w[None, :] * space.det[:, None]
+    wdet = space.wdet(w)
+    # physical basis gradients (ne, nq, nl, 2), a temporary of this call
+    grad_tab = space.ref.table("grad", pts)[None] @ space.inv_jac[:, None]
     local = np.einsum("eqi,eqli,eq->el", flux, grad_tab, wdet)
     if prob.reaction is not None:
         phys = space.physical_points(pts).reshape(-1, 2)
         c = np.asarray(prob.reaction(phys)).reshape(space.mesh.n_elements, -1)
         u = space.function_values(coeffs, pts)
-        local += np.einsum("eq,ql,eq->el", c * u, N, wdet)
+        local += np.einsum("eq,ql,eq->el", c * u,
+                           space.ref.table("eval", pts), wdet)
     out = np.zeros(space.n_dofs)
     np.add.at(out, space.elem_dofs.ravel(), local.ravel())
     return out
@@ -492,14 +504,8 @@ def nonlinear_energy(space, prob, coeffs):
     nl = prob.nonlinearity
     pts, w = triangle_rule(2 * space.degree + 4)
     g = space.function_gradients(coeffs, pts)
-    t = (g ** 2).sum(axis=2)
-    if nl.integral is not None:
-        dens = nl.integral(t)
-    else:
-        from scipy.integrate import quad
-        dens = np.vectorize(lambda s: quad(nl.a, 0.0, s, limit=200)[0])(t)
-    wdet = w[None, :] * space.det[:, None]
-    E = 0.5 * (dens * wdet).sum()
+    wdet = space.wdet(w)
+    E = 0.5 * (nl.integral((g ** 2).sum(axis=2)) * wdet).sum()
     if prob.reaction is not None:
         phys = space.physical_points(pts).reshape(-1, 2)
         c = np.asarray(prob.reaction(phys)).reshape(space.mesh.n_elements, -1)
@@ -652,12 +658,6 @@ def energy_error_exact(space, prob, fn):
     ge = np.asarray(grad_exact(phys.reshape(-1, 2))).reshape(
         space.mesh.n_elements, -1, 2)
     gh = space.function_gradients(fn.coeffs, pts)
-    diff = ge - gh
-    kind, A = _diffusion_at(prob, phys.reshape(-1, 2))
-    if kind == "scalar":
-        dens = A.reshape(space.mesh.n_elements, -1) * (diff ** 2).sum(axis=2)
-    else:
-        Am = A.reshape(space.mesh.n_elements, -1, 2, 2)
-        dens = np.einsum("eqij,eqj,eqi->eq", Am, diff, diff)
-    wdet = w[None, :] * space.det[:, None]
-    return float(np.sqrt(max((dens * wdet).sum(), 0.0)))
+    a = _diffusion_at(prob, phys.reshape(-1, 2))
+    dens = a.reshape(space.mesh.n_elements, -1) * ((ge - gh) ** 2).sum(axis=2)
+    return float(np.sqrt(max((dens * space.wdet(w)).sum(), 0.0)))

@@ -150,6 +150,7 @@ def test_bad_config_line_is_usage_error(tmp_path, line):
     ["sweep", "--thetas", "0.5,1.2"],
     ["sweep", "--lambdas", "0.1,0"],
     ["sweep", "--jobs", "0"],
+    ["verify", "--instances", "-3"],
 ])
 def test_out_of_range_flag_is_usage_error(monkeypatch, capsys, args):
     # a run would fail the test: the value must be refused while parsing

@@ -98,7 +98,8 @@ def test_assemble_a_exact_symmetry_and_scaling(square2):
 
 
 def test_assemble_b_rejects_nonlinear(square2):
-    nl = Nonlinearity(a=lambda t: 1 + t, da=lambda t: np.ones_like(t))
+    nl = Nonlinearity(a=lambda t: 1 + t, da=lambda t: np.ones_like(t),
+                      integral=lambda t: t + 0.5 * t ** 2)
     prob = ProblemDef(nonlinearity=nl, alpha=1.0, L=2.0)
     with pytest.raises(UnsupportedFormError):
         assemble_b(Space(square2, 1), prob)
@@ -378,19 +379,49 @@ def test_field_kernels_exact_on_polynomials(square2, p):
 
 
 def test_assembly_builds_no_hessians(square2, monkeypatch):
+    # assembly reads the value and gradient tables of the reference element
+    # only; the Hessian table is the estimator's
     from afem_lab import fem
 
     def no_hessians(self, pts):
         raise AssertionError("Hessian table built outside the estimator")
 
     monkeypatch.setattr(fem._RefElem, "hess", no_hessians)
+    ref = fem.reference_element(2)
+    monkeypatch.setattr(ref, "_tables", {})
     space = Space(distorted_mesh(square2, seed=0), 2)
     assemble_a(space, POISSON)
     load_vector(space, POISSON)
-    tables = [a for v in space._cache.values()
-              for a in (v if isinstance(v, tuple) else (v,))
-              if isinstance(a, np.ndarray)]
-    assert tables and all(t.shape[-1] != 3 for t in tables if t.ndim >= 3)
+    kinds = {key[0] for key in ref._tables}
+    assert {"eval", "grad"} <= kinds and "hess" not in kinds
+
+
+def test_assemble_b_matches_per_element_quadrature(square2):
+    # oracle: a plain loop over elements and quadrature points with the
+    # physical basis gradients dN K, for a varying scalar diffusion plus
+    # convection and reaction on a jittered mesh
+    from afem_lab.quadrature import triangle_rule
+    prob = ProblemDef(diffusion=lambda x: 1.0 + x[:, 0] ** 2 + x[:, 1],
+                      convection=lambda x: np.column_stack(
+                          [np.sin(x[:, 1]), 1.0 - x[:, 0]]),
+                      reaction=lambda x: 2.0 + x[:, 0] * x[:, 1])
+    for p in (1, 2, 3):
+        space = Space(distorted_mesh(square2, seed=p), p)
+        pts, w = triangle_rule(2 * p)
+        N, dN = space.ref.eval(pts), space.ref.grad(pts)
+        expected = np.zeros((space.n_dofs, space.n_dofs))
+        for e, dofs in enumerate(space.elem_dofs):
+            x = space.physical_points(pts)[e]
+            a, b, c = prob.diffusion(x), prob.convection(x), prob.reaction(x)
+            local = np.zeros((len(dofs), len(dofs)))
+            for q in range(len(pts)):
+                G = dN[q] @ space.inv_jac[e]
+                local += w[q] * space.det[e] * (
+                    a[q] * G @ G.T + np.outer(N[q], G @ b[q])
+                    + c[q] * np.outer(N[q], N[q]))
+            expected[np.ix_(dofs, dofs)] += local
+        got = assemble_b(space, prob, reduced=False).toarray()
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_reduced_stiffness_is_cut_from_one_assembly(square2, monkeypatch):
@@ -419,10 +450,12 @@ def _indicator_mesh(mesh):
 
 
 @pytest.mark.parametrize("name, p", [
-    ("kellogg", 2), ("zshape-nonlinear", 1), ("zshape-nonlinear", 2)])
+    ("kellogg", 2), ("kellogg", 3), ("lshape-convection", 2),
+    ("zshape-nonlinear", 1), ("zshape-nonlinear", 2)])
 def test_indicators_match_recorded_values(name, p):
-    # recorded with the earlier table-based kernels on the same fixed mesh
-    # and field; the contraction order changed, the values must not
+    # recorded with earlier kernels on the same fixed mesh and field (the
+    # edge gradients at mapped points among them); the contraction order
+    # changed, the values must not
     import json
     from pathlib import Path
     from afem_lab.estimator import compute_indicators
