@@ -227,8 +227,13 @@ def cmd_sweep(args):
     if args.jobs == 1:
         pairs = map(_sweep_worker, tasks)
     else:
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs)
-        pairs = pool.map(_sweep_worker, tasks)
+        with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
+            try:
+                pairs = list(pool.map(_sweep_worker, tasks))
+            except BaseException:
+                # one failed run fails the sweep: drop the queued ones
+                pool.shutdown(cancel_futures=True)
+                raise
     for params, hist in pairs:
         results[(params["lam"], params["theta"])] = hist
     table = driver.weighted_cost_table(results, args.eta_stop_factor)

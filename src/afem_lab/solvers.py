@@ -15,11 +15,24 @@ Three kinds:
   single-cycle factor towards the certification ceiling at desk scale, and
   squaring it buys the needed margin at the same cost per unit of progress.
 
+The V-cycle is linear in the residual it is handed, so from the finest level
+k with at most ``DENSE_BOTTOM`` free DOFs down it is one dense matrix B_k:
+below the sparse levels the recursion ends in the single product B_k r.
+``extend_solver`` builds B_j for each new level up to that size by running
+the level's own cycle on identity columns, with B_(j-1), or level 0's LU
+for j = 1, as its coarse correction; level 0 itself stays the LU solve.
+The method and its iterates are those of the sparse recursion up to
+rounding.  On the sparse levels above, pre-smoothing updates only the
+residual rows its block touches, after the coarse correction only the block
+rows of the residual are formed, and the last sweep updates none, since the
+residual is dropped on return; these give the same bits as updating the
+whole residual.
+
 All vectors are reduced (free DOFs only); the energy norm of a reduced error
 vector e is (e' A e)^(1/2) with A the reduced SPD matrix.  Every sparse
-product of a solver step goes through ``_matvec``, which calls the compiled
-CSR kernel that ``M @ x`` ends in without scipy's per-call dispatch, so the
-operators of a ``_Level`` must be CSR.
+product of a solver step above the dense bottom goes through ``_matvec``,
+which calls the compiled CSR kernel that ``M @ x`` ends in without scipy's
+per-call dispatch, so the operators of a ``_Level`` must be CSR.
 
 Certification measures the norm of the error propagator E (a step with
 right-hand side 0), which is self-adjoint in the energy product, by at most
@@ -28,15 +41,19 @@ certified factor is ``SAFETY`` times the largest of every measured ratio
 |||E v||| / |||v||| and the Ritz values of largest modulus at both ends of
 the spectrum; each is a lower bound of |||E|||.  The first trial on a level
 starts from the prolongated dominant Ritz vector of the level below, plus a
-small random part so that it cannot miss a new mode.
+small random part so that it cannot miss a new mode; only such a warm
+start may stop early, when the largest Ritz modulus settles.
 
 A state holds the space of its finest level only.  ``extend_solver`` never
 modifies the state it is given: it returns a new state for the next
-refinement level that shares the coarser levels.  Two fields are set after
+refinement level that shares the coarser levels and the dense bottom, which
+is read-only.  Two fields are set after
 construction, both by ``certify_contraction``: ``SolverState.certified_q``
 and ``_Level.ritz``, the dominant Ritz vector of the finest level, from
 which the next level's certification starts.
 """
+
+import operator
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,7 +74,14 @@ class NonContractiveError(RuntimeError):
 
 
 class _Level:
-    """Per-level data: reduced SPD matrix, smoother factors, prolongation."""
+    """Per-level data: reduced SPD matrix, smoother factors, prolongation.
+
+    With A the matrix and S the smoothing block, the residual updates use
+    rows of A and of A[:, S], which keep the entry order of A's rows, so
+    they give the bits of the full products: ``cols`` is A[touched, S] for
+    the rows ``touched`` that have an entry in the columns S, ``rows`` is
+    A[S, :] and ``block`` is A[S, S].
+    """
 
     def __init__(self, matrix, prol=None, smooth_dofs=None):
         for op in (matrix, prol):
@@ -67,12 +91,17 @@ class _Level:
         self.prol = prol          # reduced prolongation from previous level
         self.smooth_dofs = smooth_dofs
         self.prol_t = None if prol is None else prol.T.tocsr()
-        self.lower = self.upper = self.cols = None
+        self.lower = self.upper = None
+        self.touched = self.cols = self.rows = self.block = None
         if smooth_dofs is not None and len(smooth_dofs):
-            sub = matrix[smooth_dofs][:, smooth_dofs].tocsc()
+            self.rows = matrix[smooth_dofs]
+            self.block = self.rows[:, smooth_dofs]
+            sub = self.block.tocsc()
             self.lower = splu(sp.tril(sub).tocsc(), permc_spec="NATURAL")
             self.upper = splu(sp.triu(sub).tocsc(), permc_spec="NATURAL")
-            self.cols = matrix[:, smooth_dofs].tocsr()
+            cols = matrix[:, smooth_dofs].tocsr()
+            self.touched = np.flatnonzero(np.diff(cols.indptr))
+            self.cols = cols[self.touched]
         self._lu = None
         self.ritz = None          # dominant Ritz vector, set by certification
 
@@ -87,7 +116,8 @@ class SolverState:
     """Solver on the space of the finest level; only that space is held, so
     superseded spaces and their caches can be collected."""
 
-    def __init__(self, kind, prob, space, levels, omega=None):
+    def __init__(self, kind, prob, space, levels, omega=None,
+                 bottom=(0, None)):
         if kind not in KINDS:
             raise ValueError(f"unknown solver kind {kind!r}")
         self.kind = kind
@@ -95,6 +125,9 @@ class SolverState:
         self.space = space
         self.levels = levels
         self.omega = omega
+        # (k, B_k): the V-cycle from level k down is the dense B_k, or
+        # level 0's LU solve for k = 0
+        self.bottom = bottom
         self.certified_q = None
 
     @property
@@ -158,7 +191,12 @@ def _new_state(kind, prob, space, coarser=None):
         prev = coarser.space
         lvl = _Level(A, prol=_reduced_prolongation(prev, space),
                      smooth_dofs=_new_dof_block(prev, space))
-        return SolverState(kind, prob, space, coarser.levels + [lvl])
+        state = SolverState(kind, prob, space, coarser.levels + [lvl],
+                            bottom=coarser.bottom)
+        j = len(state.levels) - 1
+        if A.shape[0] <= DENSE_BOTTOM and coarser.bottom[0] == j - 1:
+            state.bottom = (j, _dense_cycle(state, j))
+        return state
     omega = _richardson_damping(A) if kind == "damped_richardson" else None
     return SolverState(kind, prob, space, [_Level(A)], omega=omega)
 
@@ -183,6 +221,8 @@ def _richardson_damping(A):
 
 SMOOTH_SWEEPS = 2
 CYCLES_PER_STEP = 2
+DENSE_BOTTOM = 200  # free DOFs up to which a level's V-cycle is kept dense
+BUILD_COLUMNS = 64  # identity columns per block when building B_j
 SAFETY = 1.05  # certified factor = worst measured energy ratio * SAFETY
 LANCZOS_STEPS = 8
 FLOOR = 1e-8   # a Lanczos residual this small spans an invariant subspace
@@ -213,38 +253,64 @@ def solver_step(state, rhs, iterate):
     levels = state.levels
     if len(levels) == 1:
         return levels[0].lu.solve(rhs)
+    top = len(levels) - 1
     x = x.copy()
     for _ in range(CYCLES_PER_STEP):
-        x = _vcycle(levels, len(levels) - 1, x,
-                    rhs - _matvec(state.matrix, x))
+        r = rhs - _matvec(state.matrix, x)
+        if top == state.bottom[0]:
+            x += state.bottom[1] @ r
+        else:
+            _vcycle(state, top, x, r, _matvec)
     return x
 
 
-def _vcycle(levels, j, x, r):
-    # x is corrected in place and r, its residual, is carried along and
-    # updated after each local correction.  Levels below the top start from
-    # x = 0 with the restricted residual, so a cycle costs one full matvec
-    # per level below the top (two at the top) plus the local solves
-    lvl = levels[j]
+def _coarse_cycle(state, j, r, mul):
+    """B_j r: the V-cycle of level j from x = 0 with residual r, for one
+    residual or, in the columns of r, several."""
+    k, B = state.bottom
     if j == 0:
-        return lvl.lu.solve(r)
+        return state.levels[0].lu.solve(r)
+    if j == k:
+        return B @ r
+    return _vcycle(state, j, np.zeros_like(r), r, mul)
+
+
+def _vcycle(state, j, x, r, mul):
+    # x is corrected in place and r, its residual, is carried along and
+    # updated after each local correction; ``mul`` is the sparse product.
+    # Levels below the top start from x = 0 with the restricted residual,
+    # so a level costs its restriction and prolongation, the local solves
+    # and products with the rows and columns of its smoothing block
+    lvl = state.levels[j]
     S = lvl.smooth_dofs
     if lvl.lower is not None:
         for _ in range(SMOOTH_SWEEPS):
             dx = lvl.lower.solve(r[S])
             x[S] += dx
-            r -= _matvec(lvl.cols, dx)
-    e = _vcycle(levels, j - 1, np.zeros(levels[j - 1].matrix.shape[0]),
-                _matvec(lvl.prol_t, r))
-    corr = _matvec(lvl.prol, e)
+            r[lvl.touched] -= mul(lvl.cols, dx)
+    corr = mul(lvl.prol, _coarse_cycle(state, j - 1, mul(lvl.prol_t, r), mul))
     x += corr
-    r -= _matvec(lvl.matrix, corr)
     if lvl.upper is not None:
-        for _ in range(SMOOTH_SWEEPS):
-            dx = lvl.upper.solve(r[S])
+        r = r[S] - mul(lvl.rows, corr)  # the block rows only from here on
+        for sweep in range(SMOOTH_SWEEPS):
+            dx = lvl.upper.solve(r)
             x[S] += dx
-            r -= _matvec(lvl.cols, dx)
+            if sweep + 1 < SMOOTH_SWEEPS:
+                r -= mul(lvl.block, dx)
     return x
+
+
+def _dense_cycle(state, j):
+    """B_j as a read-only dense matrix: level j's V-cycle run on the columns
+    of the identity, a block at a time, over the state's bottom below j."""
+    n = state.levels[j].matrix.shape[0]
+    B = np.empty((n, n))
+    for c in range(0, n, BUILD_COLUMNS):
+        eye = np.eye(n, min(BUILD_COLUMNS, n - c), -c)
+        B[:, c:c + eye.shape[1]] = _vcycle(state, j, np.zeros_like(eye), eye,
+                                           operator.matmul)
+    B.flags.writeable = False
+    return B
 
 
 def certify_contraction(state, trials=1, ceiling=None):
@@ -255,7 +321,9 @@ def certify_contraction(state, trials=1, ceiling=None):
     Each of ``trials`` Lanczos runs on E (see the module docstring) yields
     lower bounds of |||E|||; returns the largest times SAFETY, clamped below
     1.  The first trial starts warm from the level below when that level
-    was certified; later trials start from random draws.  Raises
+    was certified; later trials start from random draws.  Only the warm
+    start may stop when the Ritz values settle: from a random start the
+    dominant eigenvalue can hide behind a cluster that settles first.  Raises
     NonContractiveError if a bound reaches 1 (or q exceeds ``ceiling``).
     """
     if trials < 1:
@@ -272,10 +340,11 @@ def certify_contraction(state, trials=1, ceiling=None):
         # were measured from these starts
         v = rng.standard_normal((2, n))[1]
         v /= state.energy_norm(v)
-        if trial == 0 and warm is not None:
+        settle = trial == 0 and warm is not None
+        if settle:
             v = warm + WARM_NOISE * v
             v /= state.energy_norm(v)
-        bound, theta, ritz = _lanczos(state, v)
+        bound, theta, ritz = _lanczos(state, v, settle)
         worst = max(worst, bound)
         if dominant is None or theta > dominant:
             dominant, state.levels[-1].ritz = theta, ritz
@@ -298,14 +367,15 @@ def _warm_start(state):
     return v / state.energy_norm(v)
 
 
-def _lanczos(state, v):
+def _lanczos(state, v, settle):
     """Lanczos on E in the energy product from the energy-normalized ``v``.
 
     Returns the largest measured ratio |||E v_i||| or Ritz-value modulus,
-    that largest Ritz modulus and its Ritz vector.  Stops when the largest
-    Ritz modulus moves by at most 1% relative after at least two steps, when
-    the energy norm of the next Lanczos residual falls to ``FLOOR`` (an
-    invariant subspace), or after ``LANCZOS_STEPS`` steps.
+    that largest Ritz modulus and its Ritz vector.  Stops when the energy
+    norm of the next Lanczos residual falls to ``FLOOR`` (an invariant
+    subspace), after ``LANCZOS_STEPS`` steps, or, if ``settle``, when the
+    largest Ritz modulus moves by at most 1% relative after at least two
+    steps.
     """
     A = state.matrix
     zero = np.zeros(len(v))
@@ -337,7 +407,7 @@ def _lanczos(state, v):
                 f"{state.kind}: energy-error ratio {worst:.4f} >= 1")
         b = float(np.sqrt(max(w @ Aw, 0.0)))
         if b <= FLOOR or k + 1 == LANCZOS_STEPS \
-                or (k >= 1 and abs(top - prev) <= 0.01 * top):
+                or (settle and k >= 1 and abs(top - prev) <= 0.01 * top):
             break
         V[k + 1], AV[k + 1] = w / b, Aw / b
         beta.append(b)

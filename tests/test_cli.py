@@ -81,6 +81,15 @@ def test_sweep_unreached_threshold_incomplete(tmp_path):
     assert "incomplete" in out.read_text()
 
 
+def test_sweep_failure_exits_1(capsys):
+    # local multigrid refuses p = 2 in every run of the sweep
+    code = main(["sweep", "--problem", "kellogg", "--jobs", "2", "--p", "2",
+                 "--solver", "local-mg"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "p = 1 only" in err
+
+
 def test_verify_reproducible_with_seed(tmp_path):
     outs = []
     for name in ("a.txt", "b.txt"):
