@@ -227,13 +227,9 @@ def cmd_sweep(args):
     if args.jobs == 1:
         pairs = map(_sweep_worker, tasks)
     else:
+        # a failed run fails the sweep; map cancels the runs still queued
         with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
-            try:
-                pairs = list(pool.map(_sweep_worker, tasks))
-            except BaseException:
-                # one failed run fails the sweep: drop the queued ones
-                pool.shutdown(cancel_futures=True)
-                raise
+            pairs = list(pool.map(_sweep_worker, tasks))
     for params, hist in pairs:
         results[(params["lam"], params["theta"])] = hist
     table = driver.weighted_cost_table(results, args.eta_stop_factor)

@@ -15,6 +15,12 @@ Three kinds:
   single-cycle factor towards the certification ceiling at desk scale, and
   squaring it buys the needed margin at the same cost per unit of progress.
 
+Each sparse level holds each operator once: A, the prolongation P,
+``cols`` = A[:, S] for its smoothing block S and ``lower``, the factor of
+tril(A[S, S]).  The backward sweeps solve with its transpose, triu(A[S, S])
+as A is symmetric; restriction P' r and the block rows r[S] - A[:, S]' c of
+the residual, all that the ascent needs, are transpose products.
+
 The V-cycle is linear in the residual it is handed, so from the finest level
 k with at most ``DENSE_BOTTOM`` free DOFs down it is one dense matrix B_k:
 below the sparse levels the recursion ends in the single product B_k r.
@@ -22,17 +28,13 @@ below the sparse levels the recursion ends in the single product B_k r.
 the level's own cycle on identity columns, with B_(j-1), or level 0's LU
 for j = 1, as its coarse correction; level 0 itself stays the LU solve.
 The method and its iterates are those of the sparse recursion up to
-rounding.  On the sparse levels above, pre-smoothing updates only the
-residual rows its block touches, after the coarse correction only the block
-rows of the residual are formed, and the last sweep updates none, since the
-residual is dropped on return; these give the same bits as updating the
-whole residual.
+rounding.
 
 All vectors are reduced (free DOFs only); the energy norm of a reduced error
 vector e is (e' A e)^(1/2) with A the reduced SPD matrix.  Every sparse
-product of a solver step above the dense bottom goes through ``_matvec``,
-which calls the compiled CSR kernel that ``M @ x`` ends in without scipy's
-per-call dispatch, so the operators of a ``_Level`` must be CSR.
+product of a solver step goes through ``_matvec``, which calls the compiled
+kernel that ``M @ x`` or ``M.T @ x`` ends in without scipy's per-call
+dispatch, so the operators of a ``_Level`` must be CSR.
 
 Certification measures the norm of the error propagator E (a step with
 right-hand side 0), which is self-adjoint in the energy product, by at most
@@ -53,8 +55,6 @@ and ``_Level.ritz``, the dominant Ritz vector of the finest level, from
 which the next level's certification starts.
 """
 
-import operator
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
@@ -74,14 +74,9 @@ class NonContractiveError(RuntimeError):
 
 
 class _Level:
-    """Per-level data: reduced SPD matrix, smoother factors, prolongation.
-
-    With A the matrix and S the smoothing block, the residual updates use
-    rows of A and of A[:, S], which keep the entry order of A's rows, so
-    they give the bits of the full products: ``cols`` is A[touched, S] for
-    the rows ``touched`` that have an entry in the columns S, ``rows`` is
-    A[S, :] and ``block`` is A[S, S].
-    """
+    """Per-level data: the reduced SPD matrix A, the prolongation from the
+    level below, the smoothing block S, ``cols`` = A[:, S] and ``lower``,
+    the SuperLU factor of tril(A[S, S]) in the natural ordering."""
 
     def __init__(self, matrix, prol=None, smooth_dofs=None):
         for op in (matrix, prol):
@@ -90,18 +85,11 @@ class _Level:
         self.matrix = matrix
         self.prol = prol          # reduced prolongation from previous level
         self.smooth_dofs = smooth_dofs
-        self.prol_t = None if prol is None else prol.T.tocsr()
-        self.lower = self.upper = None
-        self.touched = self.cols = self.rows = self.block = None
+        self.lower = self.cols = None
         if smooth_dofs is not None and len(smooth_dofs):
-            self.rows = matrix[smooth_dofs]
-            self.block = self.rows[:, smooth_dofs]
-            sub = self.block.tocsc()
-            self.lower = splu(sp.tril(sub).tocsc(), permc_spec="NATURAL")
-            self.upper = splu(sp.triu(sub).tocsc(), permc_spec="NATURAL")
-            cols = matrix[:, smooth_dofs].tocsr()
-            self.touched = np.flatnonzero(np.diff(cols.indptr))
-            self.cols = cols[self.touched]
+            self.cols = matrix[:, smooth_dofs].tocsr()
+            self.lower = splu(sp.tril(self.cols[smooth_dofs], format="csc"),
+                              permc_spec="NATURAL")
         self._lu = None
         self.ritz = None          # dominant Ritz vector, set by certification
 
@@ -229,15 +217,25 @@ FLOOR = 1e-8   # a Lanczos residual this small spans an invariant subspace
 WARM_NOISE = 0.1  # weight of the random part of a warm start
 
 
-def _matvec(M, x):
-    """``M @ x`` for a CSR matrix and a float vector, bit for bit: the same
-    compiled kernel, without scipy's per-call dispatch."""
-    n_row, n_col = M.shape
-    if x.shape != (n_col,):
+def _matvec(M, x, transpose=False):
+    """``M @ x``, or ``M.T @ x`` if ``transpose``, for a CSR matrix M and a
+    float vector or column block x, bit for bit: the compiled kernel that
+    scipy's product ends in (M.T is M's arrays read as CSC), without its
+    per-call dispatch."""
+    n_row, n_col = M.shape[::-1] if transpose else M.shape
+    if x.ndim not in (1, 2) or x.shape[0] != n_col:
         # the kernel does not check: it would read past the end of x
-        raise ValueError(f"dimension mismatch: {M.shape} @ {x.shape}")
-    y = np.zeros(n_row)
-    _sparsetools.csr_matvec(n_row, n_col, M.indptr, M.indices, M.data, x, y)
+        raise ValueError(f"dimension mismatch: {(n_row, n_col)} @ {x.shape}")
+    y = np.zeros((n_row,) + x.shape[1:])
+    if x.ndim == 1:
+        kernel = (_sparsetools.csc_matvec if transpose
+                  else _sparsetools.csr_matvec)
+        kernel(n_row, n_col, M.indptr, M.indices, M.data, x, y)
+    else:
+        kernel = (_sparsetools.csc_matvecs if transpose
+                  else _sparsetools.csr_matvecs)
+        kernel(n_row, n_col, x.shape[1], M.indptr, M.indices, M.data,
+               x.ravel(), y.ravel())
     return y
 
 
@@ -245,6 +243,10 @@ def solver_step(state, rhs, iterate):
     """One iteration of the contractive solver towards A x = rhs."""
     rhs = np.asarray(rhs, dtype=float)
     x = np.asarray(iterate, dtype=float)
+    n = state.matrix.shape[0]
+    if x.shape != (n,) or rhs.shape != (n,):
+        raise ValueError(f"solver step on {n} DOFs got rhs {rhs.shape} and "
+                         f"iterate {x.shape}")
     if state.kind == "direct":
         return solve_direct(state.matrix, rhs)
     if state.kind == "damped_richardson":
@@ -260,11 +262,11 @@ def solver_step(state, rhs, iterate):
         if top == state.bottom[0]:
             x += state.bottom[1] @ r
         else:
-            _vcycle(state, top, x, r, _matvec)
+            _vcycle(state, top, x, r)
     return x
 
 
-def _coarse_cycle(state, j, r, mul):
+def _coarse_cycle(state, j, r):
     """B_j r: the V-cycle of level j from x = 0 with residual r, for one
     residual or, in the columns of r, several."""
     k, B = state.bottom
@@ -272,31 +274,33 @@ def _coarse_cycle(state, j, r, mul):
         return state.levels[0].lu.solve(r)
     if j == k:
         return B @ r
-    return _vcycle(state, j, np.zeros_like(r), r, mul)
+    return _vcycle(state, j, np.zeros_like(r), r)
 
 
-def _vcycle(state, j, x, r, mul):
+def _vcycle(state, j, x, r):
     # x is corrected in place and r, its residual, is carried along and
-    # updated after each local correction; ``mul`` is the sparse product.
-    # Levels below the top start from x = 0 with the restricted residual,
-    # so a level costs its restriction and prolongation, the local solves
-    # and products with the rows and columns of its smoothing block
+    # updated after each local correction.  Levels below the top start
+    # from x = 0 with the restricted residual, so a level costs its
+    # restriction and prolongation, the local solves and products with
+    # the columns of its smoothing block and their transpose
     lvl = state.levels[j]
     S = lvl.smooth_dofs
     if lvl.lower is not None:
         for _ in range(SMOOTH_SWEEPS):
             dx = lvl.lower.solve(r[S])
             x[S] += dx
-            r[lvl.touched] -= mul(lvl.cols, dx)
-    corr = mul(lvl.prol, _coarse_cycle(state, j - 1, mul(lvl.prol_t, r), mul))
+            r -= _matvec(lvl.cols, dx)
+    corr = _matvec(lvl.prol, _coarse_cycle(
+        state, j - 1, _matvec(lvl.prol, r, transpose=True)))
     x += corr
-    if lvl.upper is not None:
-        r = r[S] - mul(lvl.rows, corr)  # the block rows only from here on
+    if lvl.lower is not None:
+        # the block rows only from here on
+        r = r[S] - _matvec(lvl.cols, corr, transpose=True)
         for sweep in range(SMOOTH_SWEEPS):
-            dx = lvl.upper.solve(r)
+            dx = lvl.lower.solve(r, trans="T")
             x[S] += dx
             if sweep + 1 < SMOOTH_SWEEPS:
-                r -= mul(lvl.block, dx)
+                r -= _matvec(lvl.cols, dx)[S]
     return x
 
 
@@ -307,8 +311,7 @@ def _dense_cycle(state, j):
     B = np.empty((n, n))
     for c in range(0, n, BUILD_COLUMNS):
         eye = np.eye(n, min(BUILD_COLUMNS, n - c), -c)
-        B[:, c:c + eye.shape[1]] = _vcycle(state, j, np.zeros_like(eye), eye,
-                                           operator.matmul)
+        B[:, c:c + eye.shape[1]] = _vcycle(state, j, np.zeros_like(eye), eye)
     B.flags.writeable = False
     return B
 

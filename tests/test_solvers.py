@@ -172,13 +172,13 @@ def _vcycle_x_form(state, j, x, b):
             r -= lvl.matrix[:, S] @ dx
     e = _vcycle_x_form(state, j - 1,
                        np.zeros(state.levels[j - 1].matrix.shape[0]),
-                       lvl.prol_t @ r)
+                       lvl.prol.T @ r)
     corr = lvl.prol @ e
     x += corr
     r -= lvl.matrix @ corr
-    if lvl.upper is not None:
+    if lvl.lower is not None:
         for _ in range(solvers.SMOOTH_SWEEPS):
-            dx = lvl.upper.solve(r[S])
+            dx = lvl.lower.solve(r[S], trans="T")
             x[S] += dx
             r -= lvl.matrix[:, S] @ dx
     return x
@@ -320,21 +320,60 @@ def test_matvec_matches_matmul_bit_for_bit(square2):
     rng = np.random.default_rng(7)
     ops = [state.levels[0].matrix]
     for lvl in state.levels[1:]:
-        ops += [lvl.matrix, lvl.prol, lvl.prol_t, lvl.cols, lvl.rows,
-                lvl.block]
+        ops += [lvl.matrix, lvl.prol, lvl.cols]
     matrix = state.matrix
     ops += [matrix[:, []].tocsr(), sp.csr_matrix((0, 3))]
     assert all(op is not None for op in ops)
     for op in ops:
-        x = rng.standard_normal(op.shape[1])
-        y = solvers._matvec(op, x)
-        assert y.shape == (op.shape[0],)
-        assert y.tobytes() == (op @ x).tobytes()
-    for bad in (np.zeros(matrix.shape[1] - 1), np.zeros((matrix.shape[1], 1))):
+        for transpose, ref in ((False, op), (True, op.T)):
+            x = rng.standard_normal(ref.shape[1])
+            y = solvers._matvec(op, x, transpose=transpose)
+            assert y.shape == (ref.shape[0],)
+            assert y.tobytes() == (ref @ x).tobytes()
+            for cols in (1, 5):
+                X = rng.standard_normal((ref.shape[1], cols))
+                Y = solvers._matvec(op, X, transpose=transpose)
+                assert Y.shape == (ref.shape[0], cols)
+                assert Y.tobytes() == (ref @ X).tobytes()
+    for bad in (np.zeros(matrix.shape[1] - 1), np.zeros(()),
+                np.zeros((matrix.shape[1], 1, 1))):
         with pytest.raises(ValueError):
             solvers._matvec(matrix, bad)
+    prol = state.levels[-1].prol
+    assert prol.shape[0] > prol.shape[1]
+    with pytest.raises(ValueError):
+        solvers._matvec(prol, np.zeros(prol.shape[1]), transpose=True)
+    for bad in (np.zeros(matrix.shape[1] - 1), np.zeros((matrix.shape[1], 1))):
         with pytest.raises(ValueError):
             solver_step(state, np.zeros(matrix.shape[0]), bad)
+
+
+def test_levels_hold_each_operator_once(square2):
+    # one SuperLU factor per smoothing block, and of the CSR operators only
+    # the matrix, the prolongation and the block's columns
+    from scipy.sparse.linalg import SuperLU
+
+    state = build_hierarchy(square2, "local_multigrid")
+    for lvl in state.levels[1:]:
+        assert len(lvl.smooth_dofs) > 0
+        held = vars(lvl).values()
+        assert sum(isinstance(v, SuperLU) for v in held) == 1
+        assert [id(v) for v in held if sp.issparse(v)] \
+            == [id(lvl.matrix), id(lvl.prol), id(lvl.cols)]
+        assert lvl.cols.shape == (lvl.matrix.shape[0], len(lvl.smooth_dofs))
+
+
+def test_error_propagator_is_self_adjoint_in_energy():
+    # the premise of Lanczos certification: <E u, v>_A = <u, E v>_A
+    rng = np.random.default_rng(9)
+    for state in _kellogg_states():
+        A, n = state.matrix, state.matrix.shape[0]
+        zero = np.zeros(n)
+        for _ in range(3):
+            u, v = rng.standard_normal((2, n))
+            Eu, Ev = solver_step(state, zero, u), solver_step(state, zero, v)
+            gap = abs(Eu @ (A @ v) - u @ (A @ Ev))
+            assert gap <= 1e-12 * state.energy_norm(u) * state.energy_norm(v)
 
 
 def test_level_rejects_non_csr_operators():
