@@ -14,6 +14,18 @@ boundary-data oscillation term appears only for inhomogeneous Dirichlet
 data; Pi^(p-1) is the L2 projection onto polynomials of degree p-1 on the
 edge.  Every gradient is a GEMM of the element coefficients with a
 reference table of the degree, mapped by the inverse Jacobian.
+
+At p = 1 the pass does only the work the answer depends on.  A P1 gradient
+is constant on each element, so it is evaluated once per element and
+broadcast to the edge points of both owners; the jump is still integrated
+point by point with the edge rule, since the diffusion may vary along an
+edge.  The second-order part of the volume residual is identically zero
+(Delta v = 0, D^2 v = 0, A constant per element), so no Hessian is built,
+and without convection, reaction or load the volume term is zero.  Both
+shortcuts skip exact zeros and repeated values, so the indicators are the
+ones the general pass computes, bit for bit.  The edge points pulled
+towards each owner's centroid are geometry: they are built once per space,
+and only for a diffusion sampled at points (not for nonlinear fluxes).
 """
 
 from dataclasses import dataclass
@@ -53,12 +65,15 @@ class Indicators:
 
 
 def estimator_total(ind, subset=None):
-    """sqrt of the (subset) sum of squared indicators."""
+    """sqrt of the (subset) sum of squared indicators; a subset is a
+    collection of element indices (a boolean mask is rejected)."""
     if subset is None:
         return ind.total
-    subset = np.asarray(list(subset), dtype=np.int64)
+    subset = np.asarray(list(subset))
     if subset.size == 0:
         return 0.0
+    if subset.dtype.kind not in "iu":
+        raise TypeError("subset must hold integer element indices")
     if subset.min() < 0 or subset.max() >= len(ind.per_element):
         raise IndexError("element index out of range")
     return float(np.sqrt(max(ind.per_element[subset].sum(), 0.0)))
@@ -77,45 +92,43 @@ def compute_indicators(space, v, prob):
 # ---------------------------------------------------------------------------
 
 
-def _flux_coefficient(prob, pts, grads):
-    """A grad v (linear) or a(|grad v|^2) grad v (nonlinear) at points."""
-    if prob.is_nonlinear:
-        t = (grads ** 2).sum(axis=-1)
-        return prob.nonlinearity.a(t)[..., None] * grads
-    a = _diffusion_at(prob, pts.reshape(-1, 2))
-    return a.reshape(grads.shape[:-1])[..., None] * grads
-
-
 def _volume_terms(space, coeffs, prob):
-    areas = 0.5 * space.det
     bump = 4 if prob.is_nonlinear else 2
     pts, w = triangle_rule(2 * space.degree + bump)
-    phys = space.physical_points(pts)
-    flat = phys.reshape(-1, 2)
-    g = space.function_gradients(coeffs, pts)
-    h = space.function_hessians(coeffs, pts)
-    lap = h[..., 0] + h[..., 2]
+    convection = None if prob.is_nonlinear else prob.convection
+    if space.degree == 1 and convection is None and prob.reaction is None \
+            and prob.load is None:
+        return np.zeros(space.mesh.n_elements)
+    flat = space.physical_points(pts).reshape(-1, 2)
+    shape = (space.mesh.n_elements, len(w))
 
-    if prob.is_nonlinear:
-        nl = prob.nonlinearity
-        t = (g ** 2).sum(axis=2)
-        Hg = np.stack([h[..., 0] * g[..., 0] + h[..., 1] * g[..., 1],
-                       h[..., 1] * g[..., 0] + h[..., 2] * g[..., 1]], axis=-1)
-        div_flux = 2.0 * nl.da(t) * (Hg * g).sum(axis=-1) + nl.a(t) * lap
-    else:
-        div_flux = _diffusion_at(prob, flat).reshape(lap.shape) * lap
-
-    R = -div_flux
-    if not prob.is_nonlinear and prob.convection is not None:
-        bv = np.asarray(prob.convection(flat)).reshape(g.shape)
-        R = R + (bv * g).sum(axis=-1)
+    R = 0.0
+    if space.degree > 1:
+        R = -_div_flux(space, coeffs, prob, pts, flat)
+    if convection is not None:
+        bv = np.asarray(convection(flat)).reshape(shape + (2,))
+        R = R + (bv * space.function_gradients(coeffs, pts)).sum(axis=-1)
     if prob.reaction is not None:
-        c = np.asarray(prob.reaction(flat)).reshape(lap.shape)
+        c = np.asarray(prob.reaction(flat)).reshape(shape)
         R = R + c * space.function_values(coeffs, pts)
     if prob.load is not None:
-        R = R - np.asarray(prob.load(flat)).reshape(lap.shape)
+        R = R - np.asarray(prob.load(flat)).reshape(shape)
 
-    return areas * (R ** 2 * space.wdet(w)).sum(axis=1)
+    return 0.5 * space.det * (R ** 2 * space.wdet(w)).sum(axis=1)
+
+
+def _div_flux(space, coeffs, prob, pts, flat):
+    """div(A grad v) at the volume points; zero at p = 1, not called there."""
+    h = space.function_hessians(coeffs, pts)
+    lap = h[..., 0] + h[..., 2]
+    if not prob.is_nonlinear:
+        return _diffusion_at(prob, flat).reshape(lap.shape) * lap
+    nl = prob.nonlinearity
+    g = space.function_gradients(coeffs, pts)
+    t = (g ** 2).sum(axis=2)
+    Hg = np.stack([h[..., 0] * g[..., 0] + h[..., 1] * g[..., 1],
+                   h[..., 1] * g[..., 0] + h[..., 2] * g[..., 1]], axis=-1)
+    return 2.0 * nl.da(t) * (Hg * g).sum(axis=-1) + nl.a(t) * lap
 
 
 def _edge_geometry(space, nq):
@@ -141,28 +154,58 @@ def _edge_geometry(space, nq):
     bnd_dirichlet[mesh.edge_ids(mesh.boundary_edges[:, :2])] = True
     geom = dict(edges=edges, owners=edge_elems, pair=pair, t=t, w=w,
                 lengths=lengths, normals=normals, phys=phys,
-                dirichlet=bnd_dirichlet)
+                dirichlet=bnd_dirichlet,
+                interior=np.nonzero(edge_elems[:, 1] >= 0)[0])
     space._cache[key] = geom
     return geom
 
 
-def _side_flux(space, coeffs, prob, geom, side, edge_ids):
-    """Flux from one adjacent element at the edge quadrature points."""
-    e = geom["owners"][edge_ids, side]
-    pair = geom["pair"][edge_ids, side]
-    phys = geom["phys"][edge_ids]
-    centroid = space.origin[e] + (space.jac[e, :, 0] + space.jac[e, :, 1]) / 3.0
-    pulled = phys + _PULL * (centroid[:, None, :] - phys)
+def _pulled_points(space, geom):
+    """The edge points of the interior edges pulled towards the centroid of
+    each owner, shape (2, n_interior, nq, 2); built on first use, since only
+    a diffusion sampled at points reads them."""
+    if "pulled" not in geom:
+        interior = geom["interior"]
+        e = geom["owners"][interior].T
+        phys = geom["phys"][interior]
+        centroid = space.origin[e] \
+            + (space.jac[e, :, 0] + space.jac[e, :, 1]) / 3.0
+        geom["pulled"] = phys + _PULL * (centroid[:, :, None, :] - phys)
+    return geom["pulled"]
+
+
+def _edge_gradients(space, coeffs, geom, side):
+    """grad v from one owner of each interior edge at the edge points, for
+    p >= 2."""
+    e = geom["owners"][geom["interior"], side]
+    pair = geom["pair"][geom["interior"], side]
     # one GEMM per (local edge, direction) table over the edges that use it;
     # gathering all six tables for every edge costs more memory
     tables = space.ref.table("edge_grad", geom["t"])
-    grads = np.empty(phys.shape)
+    grads = np.empty((len(e), len(geom["t"]), 2))
     for k, table in enumerate(tables):
         sel = np.nonzero(pair == k)[0]
         es = e[sel]
         grads[sel] = contract(coeffs[space.elem_dofs[es]], table) \
             @ space.inv_jac[es]
-    return _flux_coefficient(prob, pulled, grads)
+    return grads
+
+
+def _side_flux(space, coeffs, prob, geom, side, p1_grad):
+    """A grad v (linear) or a(|grad v|^2) grad v (nonlinear) from one owner
+    of each interior edge at the edge points.  At p = 1 the gradient is the
+    owner's constant gradient ``p1_grad``, broadcast to the points."""
+    if p1_grad is None:
+        grads = _edge_gradients(space, coeffs, geom, side)
+    else:
+        e = geom["owners"][geom["interior"], side]
+        grads = np.broadcast_to(p1_grad[e], (len(e), len(geom["t"]), 2))
+    if prob.is_nonlinear:
+        t = (grads ** 2).sum(axis=-1)
+        return prob.nonlinearity.a(t)[..., None] * grads
+    pulled = _pulled_points(space, geom)[side]
+    a = _diffusion_at(prob, pulled.reshape(-1, 2))
+    return a.reshape(grads.shape[:-1])[..., None] * grads
 
 
 def _edge_terms(space, coeffs, prob, eta2):
@@ -171,10 +214,14 @@ def _edge_terms(space, coeffs, prob, eta2):
     owners = geom["owners"]
     areas = 0.5 * space.det
 
-    interior = np.nonzero(owners[:, 1] >= 0)[0]
+    interior = geom["interior"]
     if len(interior):
-        f0 = _side_flux(space, coeffs, prob, geom, 0, interior)
-        f1 = _side_flux(space, coeffs, prob, geom, 1, interior)
+        # a P1 gradient is constant on each element: one per element serves
+        # both owners of every edge
+        g = space.function_gradients(coeffs, np.zeros((1, 2))) \
+            if space.degree == 1 else None
+        f0 = _side_flux(space, coeffs, prob, geom, 0, g)
+        f1 = _side_flux(space, coeffs, prob, geom, 1, g)
         n = geom["normals"][interior]
         jump = ((f0 - f1) * n[:, None, :]).sum(axis=2)
         integral = (jump ** 2 * geom["w"][None, :]).sum(axis=1) \

@@ -302,8 +302,6 @@ class Space:
     def function_hessians(self, coeffs, ref_pts):
         """Physical Hessians (ne, nq, 3) as xx, xy, yy: K^T H K at each
         point, with H the reference Hessian and K the inverse Jacobian."""
-        if self.degree == 1:
-            return np.zeros((self.mesh.n_elements, len(ref_pts), 3))
         h = contract(coeffs[self.elem_dofs], self.ref.table("hess", ref_pts))
         hxx, hxy, hyy = h[..., 0], h[..., 1], h[..., 2]
         K = self.inv_jac[:, None]

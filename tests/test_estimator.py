@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from afem_lab.estimator import Q_RED, compute_indicators, estimator_total
+from afem_lab.estimator import (Q_RED, Indicators, compute_indicators,
+                                estimator_total)
 from afem_lab.fem import (DiscreteFunction, ProblemDef, Space, interpolate,
                           prolongate, solve_galerkin_exact)
 from afem_lab.mesh import refine, uniform_refine
+from afem_lab.problems import by_name
 
 POISSON = ProblemDef(load=lambda x: np.ones(len(x)))
 
@@ -78,6 +80,48 @@ def test_estimator_total_subsets(square2):
                       ind.total2, rtol=1e-12)
     with pytest.raises(IndexError):
         estimator_total(ind, [n + 3])
+
+
+def test_estimator_total_rejects_boolean_masks():
+    # a mask read as indices would sum eta(0)^2 twice and eta(1)^2 once
+    ind = Indicators([4.0, 9.0, 16.0])
+    assert estimator_total(ind, np.array([2])) == 4.0
+    with pytest.raises(TypeError):
+        estimator_total(ind, np.array([False, False, True]))
+
+
+def test_p1_indicators_build_no_second_order_tables(monkeypatch):
+    # at p = 1 the gradient is constant per element and the Hessian is zero:
+    # neither the per-edge gradient tables nor the Hessian table is built
+    from afem_lab import fem
+
+    def forbidden(self, pts):
+        raise AssertionError("second-order table built at p = 1")
+
+    monkeypatch.setattr(fem._RefElem, "edge_grad", forbidden)
+    monkeypatch.setattr(fem._RefElem, "hess", forbidden)
+    ref = fem.reference_element(1)
+    monkeypatch.setattr(ref, "_tables", {})
+    for name in ("kellogg", "lshape-convection", "zshape-nonlinear"):
+        prob, mesh = by_name(name)
+        space = Space(uniform_refine(mesh), 1)
+        v = interpolate(space, lambda x: np.sin(x[:, 0]) + x[:, 1] ** 2)
+        assert np.all(compute_indicators(space, v, prob).per_element > 0)
+    kinds = {key[0] for key in ref._tables}
+    assert "grad" in kinds and not kinds & {"edge_grad", "hess"}
+
+
+def test_pulled_edge_points_only_for_pointwise_diffusion():
+    # the pulled edge points sample a piecewise diffusion; a nonlinear flux
+    # reads the gradient only, so its edge geometry holds none
+    from afem_lab.estimator import _edge_geometry
+    for name, pulled in (("zshape-nonlinear", False), ("kellogg", True)):
+        prob, mesh = by_name(name)
+        space = Space(uniform_refine(mesh), 1)
+        v = interpolate(space, lambda x: np.sin(x[:, 0]) + x[:, 1] ** 2)
+        compute_indicators(space, v, prob)
+        geom = _edge_geometry(space, space.degree + 4)
+        assert ("pulled" in geom) == pulled
 
 
 def test_stability_a1_recorded_ratio(square2):

@@ -451,7 +451,8 @@ def _indicator_mesh(mesh):
 
 @pytest.mark.parametrize("name, p", [
     ("kellogg", 2), ("kellogg", 3), ("lshape-convection", 2),
-    ("zshape-nonlinear", 1), ("zshape-nonlinear", 2)])
+    ("zshape-nonlinear", 1), ("zshape-nonlinear", 2),
+    ("kellogg", 1), ("lshape-convection", 1)])
 def test_indicators_match_recorded_values(name, p):
     # recorded with earlier kernels on the same fixed mesh and field (the
     # edge gradients at mapped points among them); the contraction order

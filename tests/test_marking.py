@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afem_lab.estimator import Indicators
-from afem_lab.marking import Converged, doerfler_mark
+from afem_lab.marking import doerfler_mark
 
 
 def brute_force_min_cardinality(eta2, theta):
@@ -41,8 +41,15 @@ def test_tie_breaks_to_lower_index():
 
 
 def test_zero_total_signals_converged():
-    with pytest.raises(Converged):
-        doerfler_mark(Indicators([0.0, 0.0]), 0.5)
+    # with eta = 0 the empty set satisfies the Doerfler property
+    marked = doerfler_mark(Indicators([0.0, 0.0]), 0.5)
+    assert marked.dtype == np.int64 and marked.size == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -5.0])
+def test_rejects_nonfinite_or_negative_indicators(bad):
+    with pytest.raises(ValueError):
+        doerfler_mark(Indicators([1.0, bad, 2.0]), 0.5)
 
 
 def test_invalid_theta():
@@ -60,10 +67,6 @@ def test_minimality_against_brute_force(raw, theta64):
     eta2 = [v / 64.0 for v in raw]
     theta = theta64 / 64.0
     total = sum(eta2)
-    if total <= 0:
-        with pytest.raises(Converged):
-            doerfler_mark(Indicators(eta2), theta)
-        return
     marked = doerfler_mark(Indicators(eta2), theta)
     assert marked.dtype == np.int64 and np.all(np.diff(marked) > 0)
     assert sum(eta2[i] for i in marked) >= theta * total * (1 - 1e-12)
