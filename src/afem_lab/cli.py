@@ -26,8 +26,7 @@ from . import analysis, driver
 from .iteration import ZarantonelloConfig
 from .problems import PROBLEM_NAMES, by_name
 
-SOLVER_FLAGS = {"local-mg": "local_multigrid", "richardson":
-                "damped_richardson", "direct": "direct"}
+SOLVER_FLAGS = {"local-mg": "local_multigrid", "direct": "direct"}
 
 
 def _typed(kind, ok, what):
@@ -158,7 +157,7 @@ def execute_run(problem, algo, theta, lam, p, solver, max_dofs, eta_tol=None,
                 delta=None, lambda_sym=0.7, lambda_alg=0.7):
     """Module-level worker so sweeps can run in separate processes."""
     prob, mesh = by_name(problem)
-    kind = SOLVER_FLAGS.get(solver, solver)
+    kind = SOLVER_FLAGS[solver]
     if algo == "exact":
         return driver.run_exact(prob, mesh, theta=theta, p=p,
                                 max_dofs=max_dofs, eta_tol=eta_tol)

@@ -36,8 +36,7 @@ import numpy as np
 
 from .estimator import compute_indicators
 from .fem import (DiscreteFunction, Space, assemble_rhs, dirichlet_values,
-                  energy_gram, prolongation_matrix, solve_direct,
-                  solve_galerkin_exact)
+                  energy_gram, prolongation_matrix, solve_galerkin_exact)
 from .iteration import (check_lambda_constraint, inner_stop, outer_stop,
                         zarantonello_rhs)
 from .marking import doerfler_mark
@@ -284,8 +283,7 @@ def _certify(history, state, cfg):
     """Certify the solver of the current level.  With a Zarantonello
     ``cfg``, recheck q_sym < 1 of the inexact iteration against the running
     maximum q_alg; q_sym can only grow, so warn once, when it reaches 1."""
-    ceiling = MG_CEILING if state.kind == "local_multigrid" else None
-    q = certify_contraction(state, ceiling=ceiling)
+    q = certify_contraction(state, ceiling=MG_CEILING)
     history.meta.setdefault("q_alg_levels", []).append(q)
     q_alg = history.meta["q_alg"] = max(history.meta["q_alg_levels"])
     if cfg is None or cfg.q_sym_star is None:
@@ -380,15 +378,13 @@ def run_single(prob, mesh0, theta, lam, p=1, solver_kind="local_multigrid",
 
 def run_nested(prob, mesh0, theta, cfg, p=1, solver_kind="local_multigrid",
                max_dofs=5e4, eta_tol=None, store_artifacts=False,
-               max_inner=500, compute_kstar=False):
+               max_inner=500):
     """AFEM with nested contractive solvers (symmetrization + algebraic).
 
     Inner stop:  |||u^(k,j) - u^(k,j-1)||| <=
                  lambda_alg [lambda_sym eta(u^(k,j)) + |||u^(k,j) - u^(k-1,J)|||]
     Outer stop:  |||u^(k,J) - u^(k-1,J)||| <= lambda_sym eta(u^(k,J))
 
-    ``compute_kstar`` additionally materializes the exact Zarantonello
-    iterates u^(k,*) (verification only; never used by the production path).
     When ``cfg`` carries q_sym_star, each certification records q_sym and
     whether lambda_alg < lambda_alg* keeps it below 1 (``meta["q_sym"]``,
     ``meta["lambda_constraint_ok"]``), and the run warns once if not.
@@ -401,17 +397,13 @@ def run_nested(prob, mesh0, theta, cfg, p=1, solver_kind="local_multigrid",
     def solve_level(ell, space, state, u, art):
         lift = u * space.dirichlet_mask
         lift_term = (energy_gram(space, prob) @ lift)[space.free]
-        art.update(initial=u, outer=[], kstar=[])
+        art.update(initial=u, outer=[])
         for k in _steps(max_inner, f"symmetrization loop on level {ell}"):
             u_prev = u
             t0 = time.perf_counter()
             rhs = zarantonello_rhs(space, prob, cfg.delta, u)[space.free] \
                 - lift_term
             t_assemble = time.perf_counter() - t0
-            if compute_kstar:
-                kstar = u.copy()
-                kstar[space.free] = solve_direct(state.matrix, rhs)
-                art["kstar"].append(kstar)
             for j in _steps(max_inner, f"algebraic loop on level {ell}, "
                                        f"outer step {k}"):
                 t0 = time.perf_counter()

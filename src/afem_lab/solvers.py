@@ -1,11 +1,8 @@
 """Contractive algebraic solvers for the SPD (energy) systems.
 
-Three kinds:
+Two kinds:
 
 * ``direct``: one step is ``solve_direct`` (contraction factor 0).
-* ``damped_richardson``: x <- x + omega D^-1 (rhs - A x) with omega from a
-  power-iteration estimate of the largest eigenvalue of D^-1/2 A D^-1/2.
-  Contractive but not mesh-robust; intended for p >= 2 experiments.
 * ``local_multigrid`` (p = 1 only): multiplicative V-cycles over the
   adaptive mesh hierarchy.  Smoothing is Gauss-Seidel restricted to the DOFs
   created on each level plus their edge neighbours (two forward sweeps on
@@ -14,6 +11,8 @@ Three kinds:
   step applies two V-cycles: checkerboard-type coefficient jumps degrade the
   single-cycle factor towards the certification ceiling at desk scale, and
   squaring it buys the needed margin at the same cost per unit of progress.
+A state with one level, that of the ``direct`` kind and level 0 of local
+multigrid, steps with ``solve_direct`` as well.
 
 Each sparse level holds each operator once: A, the prolongation P,
 ``cols`` = A[:, S] for its smoothing block S and ``lower``, the factor of
@@ -41,10 +40,10 @@ right-hand side 0), which is self-adjoint in the energy product, by at most
 8 Lanczos steps in that product with full reorthogonalization.  The
 certified factor is ``SAFETY`` times the largest of every measured ratio
 |||E v||| / |||v||| and the Ritz values of largest modulus at both ends of
-the spectrum; each is a lower bound of |||E|||.  The first trial on a level
-starts from the prolongated dominant Ritz vector of the level below, plus a
-small random part so that it cannot miss a new mode; only such a warm
-start may stop early, when the largest Ritz modulus settles.
+the spectrum; each is a lower bound of |||E|||.  The run on a level starts
+from the prolongated dominant Ritz vector of the level below, plus a small
+random part so that it cannot miss a new mode; only such a warm start may
+stop early, when the largest Ritz modulus settles.
 
 A state holds the space of its finest level only.  ``extend_solver`` never
 modifies the state it is given: it returns a new state for the next
@@ -66,7 +65,7 @@ __all__ = ["SolverState", "setup_solver", "extend_solver", "solver_step",
            "certify_contraction", "solve_direct", "SolverError",
            "NonContractiveError"]
 
-KINDS = ("direct", "damped_richardson", "local_multigrid")
+KINDS = ("direct", "local_multigrid")
 
 
 class NonContractiveError(RuntimeError):
@@ -104,15 +103,13 @@ class SolverState:
     """Solver on the space of the finest level; only that space is held, so
     superseded spaces and their caches can be collected."""
 
-    def __init__(self, kind, prob, space, levels, omega=None,
-                 bottom=(0, None)):
+    def __init__(self, kind, prob, space, levels, bottom=(0, None)):
         if kind not in KINDS:
             raise ValueError(f"unknown solver kind {kind!r}")
         self.kind = kind
         self.prob = prob
         self.space = space
         self.levels = levels
-        self.omega = omega
         # (k, B_k): the V-cycle from level k down is the dense B_k, or
         # level 0's LU solve for k = 0
         self.bottom = bottom
@@ -162,7 +159,7 @@ def setup_solver(kind, space, prob):
     """Solver state on the initial level."""
     if kind == "local_multigrid" and space.degree != 1:
         raise SolverError("local multigrid is implemented for p = 1 only; "
-                          "use damped_richardson or direct for p >= 2")
+                          "use direct for p >= 2")
     return _new_state(kind, prob, space)
 
 
@@ -185,26 +182,7 @@ def _new_state(kind, prob, space, coarser=None):
         if A.shape[0] <= DENSE_BOTTOM and coarser.bottom[0] == j - 1:
             state.bottom = (j, _dense_cycle(state, j))
         return state
-    omega = _richardson_damping(A) if kind == "damped_richardson" else None
-    return SolverState(kind, prob, space, [_Level(A)], omega=omega)
-
-
-def _richardson_damping(A):
-    if A.shape[0] == 0:
-        return 1.0
-    d = A.diagonal()
-    dinv_sqrt = 1.0 / np.sqrt(d)
-    v = np.random.default_rng(0).standard_normal(A.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 1.0
-    for _ in range(50):
-        w = dinv_sqrt * (A @ (dinv_sqrt * v))
-        lam = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            break
-        v = w / nw
-    return 1.0 / lam
+    return SolverState(kind, prob, space, [_Level(A)])
 
 
 SMOOTH_SWEEPS = 2
@@ -247,15 +225,9 @@ def solver_step(state, rhs, iterate):
     if x.shape != (n,) or rhs.shape != (n,):
         raise ValueError(f"solver step on {n} DOFs got rhs {rhs.shape} and "
                          f"iterate {x.shape}")
-    if state.kind == "direct":
+    top = len(state.levels) - 1
+    if top == 0:
         return solve_direct(state.matrix, rhs)
-    if state.kind == "damped_richardson":
-        A = state.matrix
-        return x + state.omega * (rhs - _matvec(A, x)) / A.diagonal()
-    levels = state.levels
-    if len(levels) == 1:
-        return levels[0].lu.solve(rhs)
-    top = len(levels) - 1
     x = x.copy()
     for _ in range(CYCLES_PER_STEP):
         r = rhs - _matvec(state.matrix, x)
@@ -316,41 +288,32 @@ def _dense_cycle(state, j):
     return B
 
 
-def certify_contraction(state, trials=1, ceiling=None):
+def certify_contraction(state, ceiling=None):
     """Measured per-step energy contraction factor with a safety margin.
 
     A step is affine, so any error evolves as e <- E e = solver_step(state,
     0, e) whatever the right-hand side; no reference solution is needed.
-    Each of ``trials`` Lanczos runs on E (see the module docstring) yields
-    lower bounds of |||E|||; returns the largest times SAFETY, clamped below
-    1.  The first trial starts warm from the level below when that level
-    was certified; later trials start from random draws.  Only the warm
-    start may stop when the Ritz values settle: from a random start the
-    dominant eigenvalue can hide behind a cluster that settles first.  Raises
-    NonContractiveError if a bound reaches 1 (or q exceeds ``ceiling``).
+    One Lanczos run on E (see the module docstring) yields lower bounds of
+    |||E|||; returns the largest times SAFETY, clamped below 1.  The run
+    starts warm from the level below when that level was certified, and
+    from a random draw otherwise.  Only a warm start may stop when the Ritz
+    values settle: from a random start the dominant eigenvalue can hide
+    behind a cluster that settles first.  Raises NonContractiveError if a
+    bound reaches 1 (or q exceeds ``ceiling``).
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
     n = state.matrix.shape[0]
     if state.kind == "direct" or n == 0:
         state.certified_q = 0.0
         return 0.0
-    rng = np.random.default_rng(0)
+    # the second of two standard normal draws, as recorded certificates
+    # were measured from this start
+    v = np.random.default_rng(0).standard_normal((2, n))[1]
+    v /= state.energy_norm(v)
     warm = _warm_start(state)
-    worst, dominant = 0.0, None
-    for trial in range(trials):
-        # the second of two standard normal draws, as recorded certificates
-        # were measured from these starts
-        v = rng.standard_normal((2, n))[1]
+    if warm is not None:
+        v = warm + WARM_NOISE * v
         v /= state.energy_norm(v)
-        settle = trial == 0 and warm is not None
-        if settle:
-            v = warm + WARM_NOISE * v
-            v /= state.energy_norm(v)
-        bound, theta, ritz = _lanczos(state, v, settle)
-        worst = max(worst, bound)
-        if dominant is None or theta > dominant:
-            dominant, state.levels[-1].ritz = theta, ritz
+    worst, state.levels[-1].ritz = _lanczos(state, v, warm is not None)
     q = min(worst * SAFETY, 1.0 - 1e-9)
     if ceiling is not None and q > ceiling:
         raise NonContractiveError(
@@ -374,7 +337,7 @@ def _lanczos(state, v, settle):
     """Lanczos on E in the energy product from the energy-normalized ``v``.
 
     Returns the largest measured ratio |||E v_i||| or Ritz-value modulus,
-    that largest Ritz modulus and its Ritz vector.  Stops when the energy
+    and the Ritz vector of the largest Ritz modulus.  Stops when the energy
     norm of the next Lanczos residual falls to ``FLOOR`` (an invariant
     subspace), after ``LANCZOS_STEPS`` steps, or, if ``settle``, when the
     largest Ritz modulus moves by at most 1% relative after at least two
@@ -414,4 +377,4 @@ def _lanczos(state, v, settle):
             break
         V[k + 1], AV[k + 1] = w / b, Aw / b
         beta.append(b)
-    return worst, top, S[:, i] @ V[:k + 1]
+    return worst, S[:, i] @ V[:k + 1]

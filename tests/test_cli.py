@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from afem_lab.cli import main
+from afem_lab import solvers
+from afem_lab.cli import SOLVER_FLAGS, main
 from afem_lab.driver import CSV_HEADER
 
 
@@ -52,6 +53,10 @@ def test_missing_problem_is_usage_error():
     proc = run_cli(["run", "--algo", "single"])
     assert proc.returncode == 2
     assert "problem" in proc.stderr
+
+
+def test_solver_flags_name_every_solver_kind():
+    assert set(SOLVER_FLAGS.values()) == set(solvers.KINDS)
 
 
 def test_bad_flag_is_usage_error():
