@@ -25,7 +25,10 @@ and without convection, reaction or load the volume term is zero.  Both
 shortcuts skip exact zeros and repeated values, so the indicators are the
 ones the general pass computes, bit for bit.  The edge points pulled
 towards each owner's centroid are geometry: they are built once per space,
-and only for a diffusion sampled at points (not for nonlinear fluxes).
+and only for a diffusion sampled at points (not for nonlinear fluxes).  The
+diffusion at those points and the boundary-data oscillation depend on the
+space and the problem only, so they are kept on the space for the problem
+object they were computed for.
 """
 
 from dataclasses import dataclass
@@ -203,9 +206,17 @@ def _side_flux(space, coeffs, prob, geom, side, p1_grad):
     if prob.is_nonlinear:
         t = (grads ** 2).sum(axis=-1)
         return prob.nonlinearity.a(t)[..., None] * grads
-    pulled = _pulled_points(space, geom)[side]
-    a = _diffusion_at(prob, pulled.reshape(-1, 2))
-    return a.reshape(grads.shape[:-1])[..., None] * grads
+    return _edge_diffusion(space, prob, geom)[side][..., None] * grads
+
+
+def _edge_diffusion(space, prob, geom):
+    """The diffusion at the pulled edge points of both owners, shape
+    (2, n_interior, nq); it depends on the space and the problem only."""
+    def build():
+        pulled = _pulled_points(space, geom)
+        return _diffusion_at(prob, pulled.reshape(-1, 2)) \
+            .reshape(pulled.shape[:-1])
+    return space.cached(("edge_diffusion", len(geom["t"])), prob, build)
 
 
 def _edge_terms(space, coeffs, prob, eta2):
@@ -233,7 +244,9 @@ def _edge_terms(space, coeffs, prob, eta2):
     if prob.dirichlet is not None:
         bnd = np.nonzero(geom["dirichlet"])[0]
         if len(bnd):
-            osc = _boundary_oscillation(space, prob, geom, bnd)
+            osc = space.cached(
+                ("boundary_oscillation", nq), prob,
+                lambda: _boundary_oscillation(space, prob, geom, bnd))
             e = owners[bnd, 0]
             np.add.at(eta2, e, np.sqrt(areas[e]) * osc)
 

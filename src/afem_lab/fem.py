@@ -281,6 +281,16 @@ class Space:
         self.n_free = len(self.free)
         self._cache = {}
 
+    def cached(self, key, prob, build):
+        """``build()``, kept on the space for the problem object ``prob``;
+        another problem object on the same space builds anew."""
+        hit = self._cache.get(key)
+        if hit is not None and hit[0] is prob:
+            return hit[1]
+        out = build()
+        self._cache[key] = (prob, out)
+        return out
+
     # -- evaluation helpers -------------------------------------------------
 
     def physical_points(self, ref_pts):
@@ -374,16 +384,11 @@ def assemble_a(space, prob, reduced=True):
     Exactly symmetric by construction; SPD on the free DOFs.  The reduced
     matrix is cut from the cached full one, so a level assembles once.
     """
-    key = ("a", reduced)
-    hit = space._cache.get(key)
-    if hit is not None and hit[0] is prob:
-        return hit[1]
-    if reduced:
-        out = _reduce(space, assemble_a(space, prob, reduced=False))
-    else:
-        out = _scatter(space, _local_stiffness(space, prob))
-    space._cache[key] = (prob, out)
-    return out
+    def build():
+        if reduced:
+            return _reduce(space, assemble_a(space, prob, reduced=False))
+        return _scatter(space, _local_stiffness(space, prob))
+    return space.cached(("a", reduced), prob, build)
 
 
 def _local_stiffness(space, prob):
@@ -407,18 +412,14 @@ def assemble_b(space, prob, reduced=True):
         raise UnsupportedFormError(
             "assemble_b needs a linear problem; use nonlinear_form for the "
             "monotone operator")
-    key = ("b", reduced)
-    hit = space._cache.get(key)
-    if hit is not None and hit[0] is prob:
-        return hit[1]
-    if reduced:
-        out = _reduce(space, assemble_b(space, prob, reduced=False))
-    else:
+    def build():
+        if reduced:
+            return _reduce(space, assemble_b(space, prob, reduced=False))
         out = assemble_a(space, prob, reduced=False).copy()
         if prob.convection is not None or prob.reaction is not None:
             out = out + _scatter(space, _local_lower_order(space, prob))
-    space._cache[key] = (prob, out)
-    return out
+        return out
+    return space.cached(("b", reduced), prob, build)
 
 
 def _local_lower_order(space, prob):

@@ -15,10 +15,17 @@ A state with one level, that of the ``direct`` kind and level 0 of local
 multigrid, steps with ``solve_direct`` as well.
 
 Each sparse level holds each operator once: A, the prolongation P,
-``cols`` = A[:, S] for its smoothing block S and ``lower``, the factor of
-tril(A[S, S]).  The backward sweeps solve with its transpose, triu(A[S, S])
-as A is symmetric; restriction P' r and the block rows r[S] - A[:, S]' c of
-the residual, all that the ascent needs, are transpose products.
+``rows`` = A[S, :] for its smoothing block S and ``smoother``, one SuperLU
+factor that runs all ``SMOOTH_SWEEPS`` sweeps as a single substitution.
+With L = tril(A[S, S]), U = triu(A[S, S], 1) and z_k the sum of the first k
+corrections, forward sweep k solves L z_k = r[S] - U z_(k-1), z_0 = 0.  So
+the m sweeps are one forward substitution with the block lower-bidiagonal
+K of ``_sweep_matrix`` (L on the diagonal blocks, U below them) on r[S]
+repeated m times, and the correction is the last block.  As A is
+symmetric, the m backward sweeps are the transposed solve with K, whose
+correction is the first block.  A level visit thus makes two SuperLU calls,
+and the residual updates r - A[:, S] z and r[S] - A[S, :] c are a transpose
+and a plain product with ``rows``, both looping over the |S| block rows.
 
 The V-cycle is linear in the residual it is handed, so from the finest level
 k with at most ``DENSE_BOTTOM`` free DOFs down it is one dense matrix B_k:
@@ -74,8 +81,10 @@ class NonContractiveError(RuntimeError):
 
 class _Level:
     """Per-level data: the reduced SPD matrix A, the prolongation from the
-    level below, the smoothing block S, ``cols`` = A[:, S] and ``lower``,
-    the SuperLU factor of tril(A[S, S]) in the natural ordering."""
+    level below, the smoothing block S, ``rows`` = A[S, :] and
+    ``smoother``, the SuperLU factor of the sweep matrix K of A[S, S] in the
+    natural ordering without pivoting, which is pure substitution: no fill,
+    L has K's pattern and U is K's diagonal."""
 
     def __init__(self, matrix, prol=None, smooth_dofs=None):
         for op in (matrix, prol):
@@ -84,11 +93,18 @@ class _Level:
         self.matrix = matrix
         self.prol = prol          # reduced prolongation from previous level
         self.smooth_dofs = smooth_dofs
-        self.lower = self.cols = None
+        self.smoother = self.rows = None
         if smooth_dofs is not None and len(smooth_dofs):
-            self.cols = matrix[:, smooth_dofs].tocsr()
-            self.lower = splu(sp.tril(self.cols[smooth_dofs], format="csc"),
-                              permc_spec="NATURAL")
+            self.rows = matrix[smooth_dofs]
+            # assembly stores exact zeros (e.g. edges opposite two right
+            # angles): dropped, K's factor holds no entry a sweep
+            # multiplies by 0
+            self.rows.eliminate_zeros()
+            # K is triangular, so no column updates another: panels of one
+            # column factor it in half the time, with smaller work arrays
+            self.smoother = splu(_sweep_matrix(self.rows[:, smooth_dofs]),
+                                 permc_spec="NATURAL", diag_pivot_thresh=0,
+                                 panel_size=1)
         self._lu = None
         self.ritz = None          # dominant Ritz vector, set by certification
 
@@ -195,26 +211,52 @@ FLOOR = 1e-8   # a Lanczos residual this small spans an invariant subspace
 WARM_NOISE = 0.1  # weight of the random part of a warm start
 
 
-def _matvec(M, x, transpose=False):
+def _matvec(M, x, transpose=False, out=None):
     """``M @ x``, or ``M.T @ x`` if ``transpose``, for a CSR matrix M and a
     float vector or column block x, bit for bit: the compiled kernel that
     scipy's product ends in (M.T is M's arrays read as CSC), without its
-    per-call dispatch."""
+    per-call dispatch.  With ``out``, a C-contiguous float array of the
+    product's shape, the product is added into ``out``, which is
+    returned."""
     n_row, n_col = M.shape[::-1] if transpose else M.shape
     if x.ndim not in (1, 2) or x.shape[0] != n_col:
         # the kernel does not check: it would read past the end of x
         raise ValueError(f"dimension mismatch: {(n_row, n_col)} @ {x.shape}")
-    y = np.zeros((n_row,) + x.shape[1:])
+    shape = (n_row,) + x.shape[1:]
+    if out is None:
+        out = np.zeros(shape)
+    elif (out.shape != shape or out.dtype != np.float64
+          or not out.flags.c_contiguous):
+        # the kernel writes through a flat view: a copy would lose the sum
+        raise ValueError(f"out must be a C-contiguous float64 array of "
+                         f"shape {shape}, not {out.dtype} {out.shape}")
     if x.ndim == 1:
         kernel = (_sparsetools.csc_matvec if transpose
                   else _sparsetools.csr_matvec)
-        kernel(n_row, n_col, M.indptr, M.indices, M.data, x, y)
+        kernel(n_row, n_col, M.indptr, M.indices, M.data, x, out)
     else:
         kernel = (_sparsetools.csc_matvecs if transpose
                   else _sparsetools.csr_matvecs)
         kernel(n_row, n_col, x.shape[1], M.indptr, M.indices, M.data,
-               x.ravel(), y.ravel())
-    return y
+               x.ravel(), out.ravel())
+    return out
+
+
+def _sweep_matrix(block):
+    """K, in CSC, of the ``SMOOTH_SWEEPS`` = m Gauss-Seidel sweeps on
+    ``block`` = A[S, S]: block lower bidiagonal, with L = tril(block) on the
+    m diagonal blocks and U = triu(block, 1) on the m - 1 blocks below."""
+    c = block.tocoo()
+    s, m = block.shape[0], SMOOTH_SWEEPS
+    low = c.row >= c.col
+    shift = s * np.arange(m)[:, None]
+    row = np.concatenate([(c.row[low] + shift).ravel(),
+                          (c.row[~low] + shift[1:]).ravel()])
+    col = np.concatenate([(c.col[low] + shift).ravel(),
+                          (c.col[~low] + shift[:-1]).ravel()])
+    data = np.concatenate([np.tile(c.data[low], m),
+                           np.tile(c.data[~low], m - 1)])
+    return sp.csc_matrix((data, (row, col)), shape=(m * s, m * s))
 
 
 def solver_step(state, rhs, iterate):
@@ -253,26 +295,26 @@ def _vcycle(state, j, x, r):
     # x is corrected in place and r, its residual, is carried along and
     # updated after each local correction.  Levels below the top start
     # from x = 0 with the restricted residual, so a level costs its
-    # restriction and prolongation, the local solves and products with
-    # the columns of its smoothing block and their transpose
+    # restriction and prolongation, one forward and one transposed solve
+    # with its smoother and one product with its block rows and one with
+    # their transpose
     lvl = state.levels[j]
     S = lvl.smooth_dofs
-    if lvl.lower is not None:
-        for _ in range(SMOOTH_SWEEPS):
-            dx = lvl.lower.solve(r[S])
-            x[S] += dx
-            r -= _matvec(lvl.cols, dx)
+    if lvl.smoother is not None:
+        z = lvl.smoother.solve(np.concatenate([r[S]] * SMOOTH_SWEEPS))
+        z = z[-len(S):]  # the last block sums the corrections of all sweeps
+        x[S] += z
+        _matvec(lvl.rows, -z, transpose=True, out=r)
     corr = _matvec(lvl.prol, _coarse_cycle(
         state, j - 1, _matvec(lvl.prol, r, transpose=True)))
     x += corr
-    if lvl.lower is not None:
+    if lvl.smoother is not None:
         # the block rows only from here on
-        r = r[S] - _matvec(lvl.cols, corr, transpose=True)
-        for sweep in range(SMOOTH_SWEEPS):
-            dx = lvl.lower.solve(r, trans="T")
-            x[S] += dx
-            if sweep + 1 < SMOOTH_SWEEPS:
-                r -= _matvec(lvl.cols, dx)[S]
+        r_S = r[S]
+        r_S -= _matvec(lvl.rows, corr)
+        z = lvl.smoother.solve(np.concatenate([r_S] * SMOOTH_SWEEPS),
+                               trans="T")
+        x[S] += z[:len(S)]
     return x
 
 

@@ -124,6 +124,43 @@ def test_pulled_edge_points_only_for_pointwise_diffusion():
         assert ("pulled" in geom) == pulled
 
 
+def test_indicator_caches_follow_the_problem_object(monkeypatch):
+    # the edge diffusion and the boundary oscillation are built once per
+    # space and problem object; another problem on the same space builds
+    # its own and gets the indicators a fresh space gives
+    import dataclasses
+
+    from afem_lab import estimator
+    calls = {"_boundary_oscillation": 0, "_diffusion_at": 0}
+    for name in calls:
+        def counted(*args, real=getattr(estimator, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(estimator, name, counted)
+    prob, mesh = by_name("kellogg")
+    other = dataclasses.replace(
+        prob, diffusion=lambda x: 3.0 * prob.diffusion(x),
+        dirichlet=lambda x: np.sin(3 * x[:, 0]) * x[:, 1] ** 2,
+        exact_solution=None)
+    mesh = uniform_refine(mesh)
+
+    def field(space):
+        return interpolate(space, lambda x: np.sin(x[:, 0]) + x[:, 1] ** 2)
+
+    space = Space(mesh, 1)
+    first = compute_indicators(space, field(space), prob).per_element
+    assert list(calls.values()) == [1, 1]
+    again = compute_indicators(space, field(space), prob).per_element
+    assert list(calls.values()) == [1, 1]
+    assert again.tobytes() == first.tobytes()
+    switched = compute_indicators(space, field(space), other).per_element
+    assert list(calls.values()) == [2, 2]
+    fresh = Space(mesh, 1)
+    assert switched.tobytes() == compute_indicators(
+        fresh, field(fresh), other).per_element.tobytes()
+    assert not np.allclose(switched, first)
+
+
 def test_stability_a1_recorded_ratio(square2):
     # |eta(S, v) - eta(S, w)| <= C |||v - w||| with a moderate recorded C
     from afem_lab.fem import energy_norm

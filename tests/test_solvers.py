@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve_triangular
 
 from afem_lab import solvers
 from afem_lab.fem import ProblemDef, Space
@@ -139,10 +140,11 @@ def test_setup_rejects_non_spd(square2):
 
 
 def _vcycle_x_form(state, j, x, b):
-    """V-cycle that recomputes the residual b - A x on entry to every level
-    and updates all of it with the full products, down to the state's dense
-    bottom (the reference the residual-passing cycle must match bit for
-    bit)."""
+    """V-cycle that recomputes the residual b - A x on entry to every level,
+    updates all of it with the full products and runs ``SMOOTH_SWEEPS``
+    separate triangular solves with tril(A[S, S]) and its transpose, down to
+    the state's dense bottom: the sweep-by-sweep reference of the fused
+    cycle."""
     lvl = state.levels[j]
     k, B = state.bottom
     if j == 0:
@@ -150,44 +152,48 @@ def _vcycle_x_form(state, j, x, b):
     if j == k:
         return x + B @ (b - lvl.matrix @ x)
     S = lvl.smooth_dofs
+    lower = sp.tril(lvl.matrix[S][:, S], format="csr")
     x = x.copy()
     r = b - lvl.matrix @ x
-    if lvl.lower is not None:
-        for _ in range(solvers.SMOOTH_SWEEPS):
-            dx = lvl.lower.solve(r[S])
-            x[S] += dx
-            r -= lvl.matrix[:, S] @ dx
+    for _ in range(solvers.SMOOTH_SWEEPS):
+        dx = spsolve_triangular(lower, r[S], lower=True)
+        x[S] += dx
+        r -= lvl.matrix[:, S] @ dx
     e = _vcycle_x_form(state, j - 1,
                        np.zeros(state.levels[j - 1].matrix.shape[0]),
                        lvl.prol.T @ r)
     corr = lvl.prol @ e
     x += corr
     r -= lvl.matrix @ corr
-    if lvl.lower is not None:
-        for _ in range(solvers.SMOOTH_SWEEPS):
-            dx = lvl.lower.solve(r[S], trans="T")
-            x[S] += dx
-            r -= lvl.matrix[:, S] @ dx
+    for _ in range(solvers.SMOOTH_SWEEPS):
+        dx = spsolve_triangular(lower.T.tocsr(), r[S], lower=False)
+        x[S] += dx
+        r -= lvl.matrix[:, S] @ dx
     return x
 
 
 @pytest.mark.parametrize("steps", [0, 1, 4])
-def test_vcycle_matches_x_form_bit_for_bit(square2, steps, monkeypatch):
+def test_vcycle_matches_x_form(square2, steps, monkeypatch):
     # a bottom of 3 DOFs leaves sparse levels above it on these hierarchies
     monkeypatch.setattr(solvers, "DENSE_BOTTOM", 3)
-    state = build_hierarchy(square2, "local_multigrid", steps=steps)
-    top = len(state.levels) - 1
-    assert steps < 4 or 0 < state.bottom[0] < top
     rng = np.random.default_rng(6)
-    n = state.matrix.shape[0]
-    for _ in range(3):
-        rhs, x0 = rng.standard_normal((2, n))
-        x = x0.copy()
-        for _ in range(solvers.CYCLES_PER_STEP):
-            x = _vcycle_x_form(state, top, x, rhs)
-        x0_before = x0.copy()
-        assert solver_step(state, rhs, x0).tobytes() == x.tobytes()
-        assert np.array_equal(x0, x0_before)  # the iterate is not modified
+    for sweeps in (1, 2, 3):
+        # the smoothers are built for the number of sweeps at setup
+        monkeypatch.setattr(solvers, "SMOOTH_SWEEPS", sweeps)
+        state = build_hierarchy(square2, "local_multigrid", steps=steps)
+        top = len(state.levels) - 1
+        assert steps < 4 or 0 < state.bottom[0] < top
+        n = state.matrix.shape[0]
+        for _ in range(3):
+            rhs, x0 = rng.standard_normal((2, n))
+            x = x0.copy()
+            for _ in range(solvers.CYCLES_PER_STEP):
+                x = _vcycle_x_form(state, top, x, rhs)
+            x0_before = x0.copy()
+            step = solver_step(state, rhs, x0)
+            assert state.energy_norm(step - x) \
+                <= 1e-14 * state.energy_norm(x)
+            assert np.array_equal(x0, x0_before)  # the iterate is kept
 
 
 def test_certify_needs_no_reference_factorization(square2, monkeypatch):
@@ -307,21 +313,28 @@ def test_matvec_matches_matmul_bit_for_bit(square2):
     rng = np.random.default_rng(7)
     ops = [state.levels[0].matrix]
     for lvl in state.levels[1:]:
-        ops += [lvl.matrix, lvl.prol, lvl.cols]
+        ops += [lvl.matrix, lvl.prol, lvl.rows]
     matrix = state.matrix
     ops += [matrix[:, []].tocsr(), sp.csr_matrix((0, 3))]
     assert all(op is not None for op in ops)
     for op in ops:
         for transpose, ref in ((False, op), (True, op.T)):
-            x = rng.standard_normal(ref.shape[1])
-            y = solvers._matvec(op, x, transpose=transpose)
-            assert y.shape == (ref.shape[0],)
-            assert y.tobytes() == (ref @ x).tobytes()
-            for cols in (1, 5):
-                X = rng.standard_normal((ref.shape[1], cols))
+            for shape in ((), (1,), (5,)):
+                X = rng.standard_normal((ref.shape[1],) + shape)
+                want = ref @ X
                 Y = solvers._matvec(op, X, transpose=transpose)
-                assert Y.shape == (ref.shape[0], cols)
-                assert Y.tobytes() == (ref @ X).tobytes()
+                assert Y.shape == want.shape
+                assert Y.tobytes() == want.tobytes()
+                # out= adds the product into out and returns it
+                out = np.zeros(want.shape)
+                Y = solvers._matvec(op, X, transpose=transpose, out=out)
+                assert Y is out and Y.tobytes() == want.tobytes()
+                base = rng.standard_normal(want.shape)
+                out = base.copy()
+                Y = solvers._matvec(op, X, transpose=transpose, out=out)
+                assert Y is out
+                assert np.abs(Y - (base + want)).max(initial=0.0) \
+                    <= 1e-15 * np.abs(base + want).max(initial=1.0)
     for bad in (np.zeros(matrix.shape[1] - 1), np.zeros(()),
                 np.zeros((matrix.shape[1], 1, 1))):
         with pytest.raises(ValueError):
@@ -330,6 +343,15 @@ def test_matvec_matches_matmul_bit_for_bit(square2):
     assert prol.shape[0] > prol.shape[1]
     with pytest.raises(ValueError):
         solvers._matvec(prol, np.zeros(prol.shape[1]), transpose=True)
+    # an out the kernel cannot write through: wrong shape, wrong dtype, or
+    # a column block whose flat view would be a copy
+    n = matrix.shape[0]
+    for x, bad in ((np.ones(n), np.zeros(n - 1)),
+                   (np.ones(n), np.zeros(n, dtype=np.float32)),
+                   (np.ones((n, 2)), np.zeros((2, n)).T),
+                   (np.ones((n, 2)), np.zeros((n, 3))[:, :2])):
+        with pytest.raises(ValueError):
+            solvers._matvec(matrix, x, out=bad)
     for bad in (np.zeros(matrix.shape[1] - 1), np.zeros((matrix.shape[1], 1))):
         with pytest.raises(ValueError):
             solver_step(state, np.zeros(matrix.shape[0]), bad)
@@ -337,7 +359,7 @@ def test_matvec_matches_matmul_bit_for_bit(square2):
 
 def test_levels_hold_each_operator_once(square2):
     # one SuperLU factor per smoothing block, and of the CSR operators only
-    # the matrix, the prolongation and the block's columns
+    # the matrix, the prolongation and the block's rows
     from scipy.sparse.linalg import SuperLU
 
     state = build_hierarchy(square2, "local_multigrid")
@@ -346,8 +368,25 @@ def test_levels_hold_each_operator_once(square2):
         held = vars(lvl).values()
         assert sum(isinstance(v, SuperLU) for v in held) == 1
         assert [id(v) for v in held if sp.issparse(v)] \
-            == [id(lvl.matrix), id(lvl.prol), id(lvl.cols)]
-        assert lvl.cols.shape == (lvl.matrix.shape[0], len(lvl.smooth_dofs))
+            == [id(lvl.matrix), id(lvl.prol), id(lvl.rows)]
+        assert lvl.rows.shape == (len(lvl.smooth_dofs), lvl.matrix.shape[0])
+
+
+def test_smoothers_are_pure_substitution():
+    # no pivoting, no reordering and no fill: L holds the entries of the
+    # sweep matrix K and U its diagonal
+    state = list(_kellogg_states(steps=12))[-1]
+    for lvl in state.levels[1:]:
+        S = lvl.smooth_dofs
+        K = solvers._sweep_matrix(lvl.rows[:, S])
+        N = solvers.SMOOTH_SWEEPS * len(S)
+        f = lvl.smoother
+        assert K.shape == f.shape == (N, N)
+        assert np.array_equal(f.perm_r, np.arange(N))
+        assert np.array_equal(f.perm_c, np.arange(N))
+        assert f.L.nnz == K.nnz == K.count_nonzero()
+        assert f.U.nnz == N
+        assert np.array_equal(f.U.diagonal(), K.diagonal())
 
 
 def test_error_propagator_is_self_adjoint_in_energy():
