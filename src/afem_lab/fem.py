@@ -631,6 +631,7 @@ def prolongation_matrix(coarse, fine):
     cols = coarse.elem_dofs[amap[e_idx]].ravel()
     P = sp.coo_matrix((vals.ravel(), (rows, cols)),
                       shape=(fine.n_dofs, coarse.n_dofs)).tocsr()
+    P.eliminate_zeros()  # the weights set to 0 above
     fine._cache[key] = P
     return P
 

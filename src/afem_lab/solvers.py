@@ -14,10 +14,10 @@ Two kinds:
 A state with one level, that of the ``direct`` kind and level 0 of local
 multigrid, steps with ``solve_direct`` as well.
 
-Each sparse level holds each operator once: A, the prolongation P,
-``rows`` = A[S, :] for its smoothing block S and ``smoother``, one SuperLU
-factor that runs all ``SMOOTH_SWEEPS`` sweeps as a single substitution.
-With L = tril(A[S, S]), U = triu(A[S, S], 1) and z_k the sum of the first k
+Each sparse level holds each operator once: A, the rows W of the
+prolongation for the free DOFs the refinement created, ``rows`` = A[S, :]
+for its smoothing block S and ``smoother``, one SuperLU factor that runs
+all ``SMOOTH_SWEEPS`` sweeps as a single substitution.  With L = tril(A[S, S]), U = triu(A[S, S], 1) and z_k the sum of the first k
 corrections, forward sweep k solves L z_k = r[S] - U z_(k-1), z_0 = 0.  So
 the m sweeps are one forward substitution with the block lower-bidiagonal
 K of ``_sweep_matrix`` (L on the diagonal blocks, U below them) on r[S]
@@ -26,6 +26,12 @@ symmetric, the m backward sweeps are the transposed solve with K, whose
 correction is the first block.  A level visit thus makes two SuperLU calls,
 and the residual updates r - A[:, S] z and r[S] - A[S, :] c are a transpose
 and a plain product with ``rows``, both looping over the |S| block rows.
+
+``refine`` appends the new vertices and keeps the Dirichlet status of the
+old ones, so the coarse free DOFs come first on the fine level, in order,
+and the reduced prolongation is P = [I; W], with at most two weights 1/2
+per row of W.  Restriction P' r = r[:n_c] + W' r[n_c:] and prolongation
+P c = [c; W c] thus touch only the refinement patch.
 
 The V-cycle is linear in the residual it is handed, so from the finest level
 k with at most ``DENSE_BOTTOM`` free DOFs down it is one dense matrix B_k:
@@ -80,18 +86,19 @@ class NonContractiveError(RuntimeError):
 
 
 class _Level:
-    """Per-level data: the reduced SPD matrix A, the prolongation from the
-    level below, the smoothing block S, ``rows`` = A[S, :] and
-    ``smoother``, the SuperLU factor of the sweep matrix K of A[S, S] in the
-    natural ordering without pivoting, which is pure substitution: no fill,
-    L has K's pattern and U is K's diagonal."""
+    """Per-level data: the reduced SPD matrix A; ``new_rows`` = W, the rows
+    of the reduced prolongation P = [I; W] from the level below for the
+    free DOFs the refinement created; the smoothing block S, ``rows`` =
+    A[S, :] and ``smoother``, the SuperLU factor of the sweep matrix K of
+    A[S, S] in the natural ordering without pivoting, which is pure
+    substitution: no fill, L has K's pattern and U is K's diagonal."""
 
-    def __init__(self, matrix, prol=None, smooth_dofs=None):
-        for op in (matrix, prol):
+    def __init__(self, matrix, new_rows=None, smooth_dofs=None):
+        for op in (matrix, new_rows):
             if op is not None and not (sp.issparse(op) and op.format == "csr"):
                 raise TypeError("solver levels need CSR operators")
         self.matrix = matrix
-        self.prol = prol          # reduced prolongation from previous level
+        self.new_rows = new_rows
         self.smooth_dofs = smooth_dofs
         self.smoother = self.rows = None
         if smooth_dofs is not None and len(smooth_dofs):
@@ -149,9 +156,16 @@ def _check_spd(matrix):
         raise SolverError("solver needs a positive definite operator")
 
 
-def _reduced_prolongation(coarse_space, fine_space):
+def _new_rows(coarse_space, fine_space):
+    """W of the reduced prolongation P = [I; W]: ``refine`` appends the new
+    vertices, and an old vertex keeps its Dirichlet status, so the fine free
+    DOFs start with the coarse ones, in order, and interpolate them
+    exactly."""
+    n_c = coarse_space.n_free
+    if not np.array_equal(fine_space.free[:n_c], coarse_space.free):
+        raise SolverError("the fine free DOFs must start with the coarse ones")
     P = prolongation_matrix(coarse_space, fine_space)
-    return P[fine_space.free][:, coarse_space.free].tocsr()
+    return P[fine_space.free[n_c:]][:, coarse_space.free]
 
 
 def _new_dof_block(coarse_space, fine_space):
@@ -190,7 +204,7 @@ def _new_state(kind, prob, space, coarser=None):
     _check_spd(A)
     if kind == "local_multigrid" and coarser is not None:
         prev = coarser.space
-        lvl = _Level(A, prol=_reduced_prolongation(prev, space),
+        lvl = _Level(A, new_rows=_new_rows(prev, space),
                      smooth_dofs=_new_dof_block(prev, space))
         state = SolverState(kind, prob, space, coarser.levels + [lvl],
                             bottom=coarser.bottom)
@@ -240,6 +254,18 @@ def _matvec(M, x, transpose=False, out=None):
         kernel(n_row, n_col, x.shape[1], M.indptr, M.indices, M.data,
                x.ravel(), out.ravel())
     return out
+
+
+def _restrict(lvl, r):
+    """P' r = r[:n_c] + W' r[n_c:] for level ``lvl``'s P = [I; W], for one
+    residual or, in the columns of r, several."""
+    n_c = lvl.new_rows.shape[1]
+    return _matvec(lvl.new_rows, r[n_c:], transpose=True, out=r[:n_c].copy())
+
+
+def _prolongate(lvl, c):
+    """P c = [c; W c] for level ``lvl``'s P = [I; W]."""
+    return np.concatenate([c, _matvec(lvl.new_rows, c)])
 
 
 def _sweep_matrix(block):
@@ -294,10 +320,10 @@ def _coarse_cycle(state, j, r):
 def _vcycle(state, j, x, r):
     # x is corrected in place and r, its residual, is carried along and
     # updated after each local correction.  Levels below the top start
-    # from x = 0 with the restricted residual, so a level costs its
-    # restriction and prolongation, one forward and one transposed solve
-    # with its smoother and one product with its block rows and one with
-    # their transpose
+    # from x = 0 with the restricted residual, so a level costs one product
+    # with W and one with its transpose, one forward and one transposed
+    # solve with its smoother and one product with its block rows and one
+    # with their transpose
     lvl = state.levels[j]
     S = lvl.smooth_dofs
     if lvl.smoother is not None:
@@ -305,8 +331,7 @@ def _vcycle(state, j, x, r):
         z = z[-len(S):]  # the last block sums the corrections of all sweeps
         x[S] += z
         _matvec(lvl.rows, -z, transpose=True, out=r)
-    corr = _matvec(lvl.prol, _coarse_cycle(
-        state, j - 1, _matvec(lvl.prol, r, transpose=True)))
+    corr = _prolongate(lvl, _coarse_cycle(state, j - 1, _restrict(lvl, r)))
     x += corr
     if lvl.smoother is not None:
         # the block rows only from here on
@@ -371,7 +396,7 @@ def _warm_start(state):
     levels = state.levels
     if len(levels) < 2 or levels[-2].ritz is None:
         return None
-    v = _matvec(levels[-1].prol, levels[-2].ritz)
+    v = _prolongate(levels[-1], levels[-2].ritz)
     return v / state.energy_norm(v)
 
 

@@ -154,9 +154,11 @@ def test_prolongation_preserves_function(square2):
     coarse_mesh = uniform_refine(square2)
     fine_mesh = refine(coarse_mesh, rng.choice(coarse_mesh.n_elements, 3,
                                                replace=False))
-    for p in (1, 2):
+    for p in (1, 2, 3):
         coarse = Space(coarse_mesh, p)
         fine = Space(fine_mesh, p)
+        P = prolongation_matrix(coarse, fine)
+        assert P.nnz == P.count_nonzero()  # no stored zeros
         v = DiscreteFunction(coarse, rng.standard_normal(coarse.n_dofs))
         vf = prolongate(v, fine)
         nc = energy_norm(coarse, POISSON, v)
