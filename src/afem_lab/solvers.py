@@ -37,8 +37,8 @@ The V-cycle is linear in the residual it is handed, so from the finest level
 k with at most ``DENSE_BOTTOM`` free DOFs down it is one dense matrix B_k:
 below the sparse levels the recursion ends in the single product B_k r.
 ``extend_solver`` builds B_j for each new level up to that size by running
-the level's own cycle on identity columns, with B_(j-1), or level 0's LU
-for j = 1, as its coarse correction; level 0 itself stays the LU solve.
+the level's own cycle on the whole identity in one call, with B_(j-1), or
+level 0's LU for j = 1, as its coarse correction; level 0 itself stays the LU solve.
 The method and its iterates are those of the sparse recursion up to
 rounding.
 
@@ -218,7 +218,6 @@ def _new_state(kind, prob, space, coarser=None):
 SMOOTH_SWEEPS = 2
 CYCLES_PER_STEP = 2
 DENSE_BOTTOM = 200  # free DOFs up to which a level's V-cycle is kept dense
-BUILD_COLUMNS = 64  # identity columns per block when building B_j
 SAFETY = 1.05  # certified factor = worst measured energy ratio * SAFETY
 LANCZOS_STEPS = 8
 FLOOR = 1e-8   # a Lanczos residual this small spans an invariant subspace
@@ -344,13 +343,11 @@ def _vcycle(state, j, x, r):
 
 
 def _dense_cycle(state, j):
-    """B_j as a read-only dense matrix: level j's V-cycle run on the columns
-    of the identity, a block at a time, over the state's bottom below j."""
-    n = state.levels[j].matrix.shape[0]
-    B = np.empty((n, n))
-    for c in range(0, n, BUILD_COLUMNS):
-        eye = np.eye(n, min(BUILD_COLUMNS, n - c), -c)
-        B[:, c:c + eye.shape[1]] = _vcycle(state, j, np.zeros_like(eye), eye)
+    """B_j as a read-only dense matrix: level j's V-cycle run on all columns
+    of the identity at once, over the state's bottom below j; with n_j at
+    most ``DENSE_BOTTOM`` its temporaries stay small."""
+    eye = np.eye(state.levels[j].matrix.shape[0])
+    B = _vcycle(state, j, np.zeros_like(eye), eye)
     B.flags.writeable = False
     return B
 
