@@ -17,7 +17,8 @@ multigrid, steps with ``solve_direct`` as well.
 Each sparse level holds each operator once: A, the rows W of the
 prolongation for the free DOFs the refinement created, ``rows`` = A[S, :]
 for its smoothing block S and ``smoother``, one SuperLU factor that runs
-all ``SMOOTH_SWEEPS`` sweeps as a single substitution.  With L = tril(A[S, S]), U = triu(A[S, S], 1) and z_k the sum of the first k
+all ``SMOOTH_SWEEPS`` sweeps as a single substitution.  With
+L = tril(A[S, S]), U = triu(A[S, S], 1) and z_k the sum of the first k
 corrections, forward sweep k solves L z_k = r[S] - U z_(k-1), z_0 = 0.  So
 the m sweeps are one forward substitution with the block lower-bidiagonal
 K of ``_sweep_matrix`` (L on the diagonal blocks, U below them) on r[S]
@@ -38,7 +39,8 @@ k with at most ``DENSE_BOTTOM`` free DOFs down it is one dense matrix B_k:
 below the sparse levels the recursion ends in the single product B_k r.
 ``extend_solver`` builds B_j for each new level up to that size by running
 the level's own cycle on the whole identity in one call, with B_(j-1), or
-level 0's LU for j = 1, as its coarse correction; level 0 itself stays the LU solve.
+level 0's LU for j = 1, as its coarse correction; level 0 itself stays the
+LU solve.
 The method and its iterates are those of the sparse recursion up to
 rounding.
 
@@ -161,11 +163,8 @@ def _new_rows(coarse_space, fine_space):
     vertices, and an old vertex keeps its Dirichlet status, so the fine free
     DOFs start with the coarse ones, in order, and interpolate them
     exactly."""
-    n_c = coarse_space.n_free
-    if not np.array_equal(fine_space.free[:n_c], coarse_space.free):
-        raise SolverError("the fine free DOFs must start with the coarse ones")
     P = prolongation_matrix(coarse_space, fine_space)
-    return P[fine_space.free[n_c:]][:, coarse_space.free]
+    return P[fine_space.free[coarse_space.n_free:]][:, coarse_space.free]
 
 
 def _new_dof_block(coarse_space, fine_space):
