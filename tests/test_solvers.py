@@ -382,6 +382,7 @@ def test_levels_hold_each_operator_once(square2):
             == [id(lvl.matrix), id(lvl.new_rows), id(lvl.rows)]
         n_c, n = coarse.matrix.shape[0], lvl.matrix.shape[0]
         assert lvl.new_rows.shape == (n - n_c, n_c)
+        assert lvl.new_rows.nnz == lvl.new_rows.count_nonzero()
         assert lvl.rows.shape == (len(lvl.smooth_dofs), n)
 
 
