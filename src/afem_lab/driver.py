@@ -22,9 +22,10 @@ and further iterations would only duplicate it.
 
 Timing: solve and estimate are timed per step; mark and refine (building the
 next level's space and carrying the iterate over included) land on a level's
-last record, and so do the setup (``t_setup``: ``extend_solver``) and the
-certification (``t_certify``) of the next level's solver.  The initial
-level's ``setup_solver`` and certification land on the first record.
+last record, and so do the setup (``t_setup``: ``extend_solver``, which for
+the ``direct`` kind factors the level's matrix) and the certification
+(``t_certify``) of the next level's solver.  The initial level's
+``setup_solver`` and certification land on the first record.
 """
 
 import itertools
@@ -35,8 +36,9 @@ import warnings
 import numpy as np
 
 from .estimator import compute_indicators
-from .fem import (DiscreteFunction, Space, assemble_rhs, dirichlet_values,
-                  energy_gram, prolongation_matrix, solve_galerkin_exact)
+from .fem import (DiscreteFunction, SolverError, Space, assemble_rhs,
+                  dirichlet_values, energy_gram, prolongation_matrix,
+                  solve_galerkin_exact)
 from .iteration import (check_lambda_constraint, inner_stop, outer_stop,
                         zarantonello_rhs)
 from .marking import doerfler_mark
@@ -47,11 +49,17 @@ from .solvers import (certify_contraction, extend_solver, setup_solver,
 __all__ = ["History", "LedgerError", "run_exact", "run_uniform", "run_single",
            "run_nested", "weighted_cost_table", "CSV_HEADER"]
 
-CSV_HEADER = ("ell,k,j,n_elem,n_dof,eta,increment,stop_outer,stop_inner,"
-              "t_solve,t_estimate,t_mark,t_refine,cum_cost,t_setup,t_certify")
+# (name, CSV format) of each ledger column, in CSV order; None is written
+# as an empty field
+COLUMNS = (("ell", "d"), ("k", "d"), ("j", "d"), ("n_elem", "d"),
+           ("n_dof", "d"), ("eta", ".16e"), ("increment", ".16e"),
+           ("stop_outer", "d"), ("stop_inner", "d"), ("t_solve", ".6e"),
+           ("t_estimate", ".6e"), ("t_mark", ".6e"), ("t_refine", ".6e"),
+           ("cum_cost", "d"), ("t_setup", ".6e"), ("t_certify", ".6e"))
 
-TIME_COLUMNS = ("t_solve", "t_estimate", "t_mark", "t_refine", "t_setup",
-                "t_certify")
+CSV_HEADER = ",".join(name for name, _ in COLUMNS)
+
+TIME_COLUMNS = tuple(name for name, _ in COLUMNS if name.startswith("t_"))
 
 MG_CEILING = 0.9
 
@@ -119,20 +127,9 @@ class History:
     def to_csv(self, fileobj):
         fileobj.write(CSV_HEADER + "\n")
         for r in self.records:
-            fields = [
-                str(r["ell"]),
-                "" if r["k"] is None else str(r["k"]),
-                "" if r["j"] is None else str(r["j"]),
-                str(r["n_elem"]), str(r["n_dof"]),
-                f"{r['eta']:.16e}",
-                "" if r["increment"] is None else f"{r['increment']:.16e}",
-                str(int(r["stop_outer"])), str(int(r["stop_inner"])),
-                f"{r['t_solve']:.6e}", f"{r['t_estimate']:.6e}",
-                f"{r['t_mark']:.6e}", f"{r['t_refine']:.6e}",
-                str(r["cum_cost"]),
-                f"{r['t_setup']:.6e}", f"{r['t_certify']:.6e}",
-            ]
-            fileobj.write(",".join(fields) + "\n")
+            fileobj.write(",".join(
+                "" if r[name] is None else format(r[name], fmt)
+                for name, fmt in COLUMNS) + "\n")
 
     def check_invariants(self):
         """Index-set consistency, cost law, and stop-flag placement; raises
@@ -258,10 +255,10 @@ def _timed(fn, *args):
 
 
 def _steps(max_inner, loop):
-    """1, 2, ..., max_inner; asking for one more raises RuntimeError."""
+    """1, 2, ..., max_inner; asking for one more raises SolverError."""
     yield from range(1, max_inner + 1)
-    raise RuntimeError(f"{loop} exceeded {max_inner} iterations; the solver "
-                       "does not contract fast enough")
+    raise SolverError(f"{loop} exceeded {max_inner} iterations; the solver "
+                      "does not contract fast enough")
 
 
 def _solver_step(state, rhs, space, u):

@@ -28,7 +28,7 @@ __all__ = [
     "Space", "ProblemDef", "Nonlinearity", "DiscreteFunction",
     "assemble_a", "assemble_b", "assemble_rhs", "solve_galerkin_exact",
     "prolongate", "prolongation_matrix", "energy_norm", "energy_inner",
-    "solve_direct", "SolverError",
+    "factorize", "solve_direct", "SolverError",
 ]
 
 
@@ -382,12 +382,16 @@ def assemble_a(space, prob, reduced=True):
     """Stiffness of the energy product a(u, v) = <A grad u, grad v>.
 
     Exactly symmetric by construction; SPD on the free DOFs.  The reduced
-    matrix is cut from the cached full one, so a level assembles once.
+    matrix is cut from the cached full one, so a level assembles once, and
+    drops the exact zeros that assembly stores (edges opposite two right
+    angles); the full matrix keeps its pattern.
     """
     def build():
-        if reduced:
-            return _reduce(space, assemble_a(space, prob, reduced=False))
-        return _scatter(space, _local_stiffness(space, prob))
+        if not reduced:
+            return _scatter(space, _local_stiffness(space, prob))
+        A = _reduce(space, assemble_a(space, prob, reduced=False))
+        A.eliminate_zeros()
+        return A
     return space.cached(("a", reduced), prob, build)
 
 
@@ -534,14 +538,13 @@ def solve_galerkin_exact(space, prob):
     if prob.L is None:
         raise SolverError("nonlinear problem needs monotonicity constants")
     delta = 1.0 / prob.L
-    A = assemble_a(space, prob)
-    lu = splu(A.tocsc())
+    solve = factorize(assemble_a(space, prob))
     G = energy_gram(space, prob)
     F = load_vector(space, prob)
     coeffs = lift.copy()
     for _ in range(10000):
         resid = (F - nonlinear_form(space, prob, coeffs))[space.free]
-        step = delta * lu.solve(resid)
+        step = delta * solve(resid)
         coeffs[space.free] += step
         inc = np.zeros(space.n_dofs)
         inc[space.free] = step
@@ -550,31 +553,40 @@ def solve_galerkin_exact(space, prob):
     raise SolverError("Zarantonello fixed point did not converge")
 
 
-def solve_direct(operator, rhs):
-    """Exact sparse solve: one LU factorization, then up to three steps of
-    iterative refinement with the same factors; the relative residual must
-    end at most 1e-12."""
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.size == 0:
-        return np.zeros(0)
+def factorize(operator):
+    """The exact solve with a sparse matrix, for a vector or a column block
+    of right-hand sides.  The matrix is LU-factored once, here; each solve
+    then takes up to three steps of iterative refinement with the same
+    factors, and its relative residual must end at most 1e-12.  Every
+    exact solve goes through this routine; each failure raises
+    SolverError."""
     M = sp.csc_matrix(operator)
     try:
         lu = splu(M)
     except RuntimeError as exc:
         raise SolverError(f"direct solve failed: {exc}") from exc
-    x = lu.solve(rhs)
-    if not np.all(np.isfinite(x)):
-        raise SolverError("singular system")
-    scale = np.linalg.norm(rhs)
-    for _ in range(3):
-        r = rhs - M @ x
-        if np.linalg.norm(r) <= 1e-12 * scale:
-            return x
-        x = x + lu.solve(r)
-    res = np.linalg.norm(rhs - M @ x) / scale
-    if res > 1e-12:
-        raise SolverError(f"relative residual {res:.2e} above 1e-12")
-    return x
+
+    def solve(rhs):
+        rhs = np.asarray(rhs, dtype=float)
+        x = lu.solve(rhs)
+        if not np.all(np.isfinite(x)):
+            raise SolverError("singular system")
+        scale = np.linalg.norm(rhs)
+        for _ in range(3):
+            r = rhs - M @ x
+            if np.linalg.norm(r) <= 1e-12 * scale:
+                return x
+            x = x + lu.solve(r)
+        res = np.linalg.norm(rhs - M @ x) / scale
+        if res > 1e-12:
+            raise SolverError(f"relative residual {res:.2e} above 1e-12")
+        return x
+    return solve
+
+
+def solve_direct(operator, rhs):
+    """One exact solve: ``factorize(operator)(rhs)``."""
+    return factorize(operator)(rhs)
 
 
 # ---------------------------------------------------------------------------

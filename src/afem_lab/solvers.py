@@ -2,17 +2,19 @@
 
 Two kinds:
 
-* ``direct``: one step is ``solve_direct`` (contraction factor 0).
+* ``direct``: one step is the exact solve (contraction factor 0).
 * ``local_multigrid`` (p = 1 only): multiplicative V-cycles over the
   adaptive mesh hierarchy.  Smoothing is Gauss-Seidel restricted to the DOFs
   created on each level plus their edge neighbours (two forward sweeps on
   descent, two backward on ascent, so the cycle is symmetric and contracts
-  in the energy norm); the coarsest level is solved directly.  One solver
+  in the energy norm); the coarsest level is solved exactly.  One solver
   step applies two V-cycles: checkerboard-type coefficient jumps degrade the
   single-cycle factor towards the certification ceiling at desk scale, and
   squaring it buys the needed margin at the same cost per unit of progress.
-A state with one level, that of the ``direct`` kind and level 0 of local
-multigrid, steps with ``solve_direct`` as well.
+A level with no coarser level holds its exact solve from
+``fem.factorize``, made when the level is built: a state with one level,
+that of the ``direct`` kind and level 0 of local multigrid, steps with it
+and never factors again, and it is the V-cycle's solve on level 0.
 
 Each sparse level holds each operator once: A, the rows W of the
 prolongation for the free DOFs the refinement created, ``rows`` = A[S, :]
@@ -36,13 +38,11 @@ P c = [c; W c] thus touch only the refinement patch.
 
 The V-cycle is linear in the residual it is handed, so from the finest level
 k with at most ``DENSE_BOTTOM`` free DOFs down it is one dense matrix B_k:
-below the sparse levels the recursion ends in the single product B_k r.
-``extend_solver`` builds B_j for each new level up to that size by running
-the level's own cycle on the whole identity in one call, with B_(j-1), or
-level 0's LU for j = 1, as its coarse correction; level 0 itself stays the
-LU solve.
-The method and its iterates are those of the sparse recursion up to
-rounding.
+the recursion has one base case, level k, where it adds B_k r, or level
+0's exact solve when k = 0.  ``extend_solver`` builds B_j for each new
+level up to that size by running the level's own cycle on the whole
+identity in one call, over the bottom below it.  The method and its
+iterates are those of the sparse recursion up to rounding.
 
 All vectors are reduced (free DOFs only); the energy norm of a reduced error
 vector e is (e' A e)^(1/2) with A the reduced SPD matrix.  Every sparse
@@ -74,7 +74,8 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu
 
-from .fem import SolverError, assemble_a, prolongation_matrix, solve_direct
+from .fem import (SolverError, assemble_a, factorize, prolongation_matrix,
+                  solve_direct)
 
 __all__ = ["SolverState", "setup_solver", "extend_solver", "solver_step",
            "certify_contraction", "solve_direct", "SolverError",
@@ -88,9 +89,10 @@ class NonContractiveError(RuntimeError):
 
 
 class _Level:
-    """Per-level data: the reduced SPD matrix A; ``new_rows`` = W, the rows
-    of the reduced prolongation P = [I; W] from the level below for the
-    free DOFs the refinement created; the smoothing block S, ``rows`` =
+    """Per-level data: the reduced SPD matrix A; on a level with no coarser
+    level, ``solve``, its exact solve; on the others ``new_rows`` = W, the
+    rows of the reduced prolongation P = [I; W] from the level below for
+    the free DOFs the refinement created; the smoothing block S, ``rows`` =
     A[S, :] and ``smoother``, the SuperLU factor of the sweep matrix K of
     A[S, S] in the natural ordering without pivoting, which is pure
     substitution: no fill, L has K's pattern and U is K's diagonal."""
@@ -102,26 +104,16 @@ class _Level:
         self.matrix = matrix
         self.new_rows = new_rows
         self.smooth_dofs = smooth_dofs
+        self.solve = factorize(matrix) if new_rows is None else None
         self.smoother = self.rows = None
         if smooth_dofs is not None and len(smooth_dofs):
             self.rows = matrix[smooth_dofs]
-            # assembly stores exact zeros (e.g. edges opposite two right
-            # angles): dropped, K's factor holds no entry a sweep
-            # multiplies by 0
-            self.rows.eliminate_zeros()
             # K is triangular, so no column updates another: panels of one
             # column factor it in half the time, with smaller work arrays
             self.smoother = splu(_sweep_matrix(self.rows[:, smooth_dofs]),
                                  permc_spec="NATURAL", diag_pivot_thresh=0,
                                  panel_size=1)
-        self._lu = None
         self.ritz = None          # dominant Ritz vector, set by certification
-
-    @property
-    def lu(self):
-        if self._lu is None:
-            self._lu = splu(self.matrix.tocsc())
-        return self._lu
 
 
 class SolverState:
@@ -136,7 +128,7 @@ class SolverState:
         self.space = space
         self.levels = levels
         # (k, B_k): the V-cycle from level k down is the dense B_k, or
-        # level 0's LU solve for k = 0
+        # level 0's exact solve for k = 0
         self.bottom = bottom
         self.certified_q = None
 
@@ -293,35 +285,27 @@ def solver_step(state, rhs, iterate):
                          f"iterate {x.shape}")
     top = len(state.levels) - 1
     if top == 0:
-        return solve_direct(state.matrix, rhs)
+        return state.levels[0].solve(rhs)
     x = x.copy()
     for _ in range(CYCLES_PER_STEP):
-        r = rhs - _matvec(state.matrix, x)
-        if top == state.bottom[0]:
-            x += state.bottom[1] @ r
-        else:
-            _vcycle(state, top, x, r)
+        _vcycle(state, top, x, rhs - _matvec(state.matrix, x))
     return x
 
 
-def _coarse_cycle(state, j, r):
-    """B_j r: the V-cycle of level j from x = 0 with residual r, for one
-    residual or, in the columns of r, several."""
-    k, B = state.bottom
-    if j == 0:
-        return state.levels[0].lu.solve(r)
-    if j == k:
-        return B @ r
-    return _vcycle(state, j, np.zeros_like(r), r)
-
-
 def _vcycle(state, j, x, r):
-    # x is corrected in place and r, its residual, is carried along and
-    # updated after each local correction.  Levels below the top start
-    # from x = 0 with the restricted residual, so a level costs one product
-    # with W and one with its transpose, one forward and one transposed
-    # solve with its smoother and one product with its block rows and one
-    # with their transpose
+    """Level j's V-cycle on x with residual r, for one residual or, in the
+    columns of r, several; x is corrected in place and returned.  The one
+    base case is the bottom level k, which adds B_k r, or level 0's exact
+    solve for k = 0."""
+    # r is carried along and updated after each local correction.  Levels
+    # below the top start from x = 0 with the restricted residual, so a
+    # level costs one product with W and one with its transpose, one
+    # forward and one transposed solve with its smoother and one product
+    # with its block rows and one with their transpose
+    k, B = state.bottom
+    if j == k:
+        x += state.levels[0].solve(r) if k == 0 else B @ r
+        return x
     lvl = state.levels[j]
     S = lvl.smooth_dofs
     if lvl.smoother is not None:
@@ -329,7 +313,8 @@ def _vcycle(state, j, x, r):
         z = z[-len(S):]  # the last block sums the corrections of all sweeps
         x[S] += z
         _matvec(lvl.rows, -z, transpose=True, out=r)
-    corr = _prolongate(lvl, _coarse_cycle(state, j - 1, _restrict(lvl, r)))
+    c = _restrict(lvl, r)
+    corr = _prolongate(lvl, _vcycle(state, j - 1, np.zeros_like(c), c))
     x += corr
     if lvl.smoother is not None:
         # the block rows only from here on

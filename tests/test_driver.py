@@ -7,8 +7,8 @@ import pytest
 from afem_lab.analysis import quasi_error_sequence, tailsum_rlinear_equivalence
 from afem_lab.driver import (CSV_HEADER, run_exact, run_nested,
                              run_single, run_uniform, weighted_cost_table)
-from afem_lab.fem import (DiscreteFunction, ProblemDef, energy_norm,
-                          prolongate, solve_galerkin_exact)
+from afem_lab.fem import (DiscreteFunction, ProblemDef, SolverError,
+                          energy_norm, prolongate, solve_galerkin_exact)
 from afem_lab.iteration import ZarantonelloConfig
 from afem_lab.problems import kellogg, lshape_convection, zshape_nonlinear
 
@@ -226,7 +226,7 @@ def test_safety_cap_raises(square2):
     from afem_lab.mesh import uniform_refine
     prob = ProblemDef(load=lambda x: np.ones(len(x)))
     mesh = uniform_refine(uniform_refine(uniform_refine(square2)))
-    with pytest.raises(RuntimeError, match="iterations"):
+    with pytest.raises(SolverError, match="iterations"):
         run_single(prob, mesh, theta=0.5, lam=1e-14, p=1,
                    solver_kind="local_multigrid", max_dofs=5000,
                    max_inner=10)
@@ -372,6 +372,6 @@ def test_nested_run_factorizes_only_the_coarsest_level(monkeypatch):
     run_nested(prob, mesh, theta=0.3, cfg=cfg, p=1, max_dofs=300)
     levels = states[-1].levels
     assert len(levels) >= 3
-    # the V-cycle factorizes the coarsest level only
-    assert [lvl._lu is not None for lvl in levels] \
+    # only the coarsest level holds an exact solve
+    assert [lvl.solve is not None for lvl in levels] \
         == [True] + [False] * (len(levels) - 1)

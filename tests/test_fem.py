@@ -8,6 +8,7 @@ from afem_lab.fem import (DiscreteFunction, Nonlinearity, ProblemDef, Space,
                           nonlinear_energy, nonlinear_form, prolongate,
                           prolongation_matrix, solve_galerkin_exact)
 from afem_lab.mesh import Mesh, refine, uniform_refine
+from afem_lab.problems import kellogg, zshape_nonlinear
 
 POISSON = ProblemDef(load=lambda x: np.ones(len(x)))
 
@@ -440,9 +441,40 @@ def test_reduced_stiffness_is_cut_from_one_assembly(square2, monkeypatch):
         full, red = (K2, K1) if first else (K1, K2)
         cut = fem._reduce(space, full)
         assert (red != cut).nnz == 0
-        assert np.array_equal(red.data, cut.data)
-        assert np.array_equal(red.indices, cut.indices)
+        assert red.nnz == red.count_nonzero()
     assert len(calls) == 2
+
+
+def test_reduced_stiffness_holds_no_stored_zero():
+    # assembly stores exact zeros for edges opposite two right angles; the
+    # full matrix keeps them, the reduced one that the solvers multiply by
+    # drops them
+    prob, mesh = kellogg()
+    for _ in range(6):
+        mid = mesh.vertices[mesh.elements].mean(axis=1)
+        mesh = refine(mesh, np.argsort(np.hypot(*mid.T), kind="stable")[:8])
+    space = Space(mesh, 1)
+    full = assemble_a(space, prob, reduced=False)
+    red = assemble_a(space, prob)
+    assert full.nnz > full.count_nonzero()
+    assert red.nnz == red.count_nonzero()
+    assert (red != full[space.free][:, space.free]).nnz == 0
+
+
+def test_nonlinear_exact_solve_factors_once_per_call(monkeypatch):
+    # the Zarantonello loop reuses one factorization of the reduced a-form,
+    # made by the one exact-solve routine
+    from afem_lab import fem
+    calls = []
+    for name in ("factorize", "splu"):
+        fn = getattr(fem, name)
+        monkeypatch.setattr(fem, name, lambda *a, fn=fn, name=name:
+                            calls.append(name) or fn(*a))
+    prob, mesh = zshape_nonlinear()
+    space = Space(uniform_refine(mesh), 1)
+    for n in (1, 2):
+        solve_galerkin_exact(space, prob)
+        assert calls == ["factorize", "splu"] * n
 
 
 def _indicator_mesh(mesh):

@@ -43,7 +43,7 @@ def test_fixed_point(square2, kind):
     rng = np.random.default_rng(1)
     n = state.matrix.shape[0]
     rhs = state.matrix @ rng.standard_normal(n)
-    x_star = state.levels[-1].lu.solve(rhs)
+    x_star = solve_direct(state.matrix, rhs)
     x1 = solver_step(state, rhs, x_star)
     assert state.energy_norm(x1 - x_star) <= 1e-13 * state.energy_norm(x_star)
 
@@ -57,7 +57,7 @@ def test_contraction_on_random_starts(square2, kind):
     n = state.matrix.shape[0]
     for _ in range(50):
         rhs = state.matrix @ rng.standard_normal(n)
-        x_star = state.levels[-1].lu.solve(rhs)
+        x_star = solve_direct(state.matrix, rhs)
         x0 = x_star + rng.standard_normal(n)
         x1 = solver_step(state, rhs, x0)
         x2 = solver_step(state, rhs, x1)
@@ -156,7 +156,7 @@ def _vcycle_x_form(state, spaces, j, x, b):
     lvl = state.levels[j]
     k, B = state.bottom
     if j == 0:
-        return lvl.lu.solve(b)
+        return solve_direct(lvl.matrix, b)
     if j == k:
         return x + B @ (b - lvl.matrix @ x)
     S = lvl.smooth_dofs
@@ -206,15 +206,36 @@ def test_vcycle_matches_x_form(square2, steps, monkeypatch):
             assert np.array_equal(x0, x0_before)  # the iterate is kept
 
 
-def test_certify_needs_no_reference_factorization(square2, monkeypatch):
-    state, _ = build_hierarchy(square2, "local_multigrid")
-    state.levels[0].lu  # the coarse solve of the V-cycle
+def _forbid_factorization(monkeypatch):
+    from afem_lab import fem
 
     def no_splu(*args, **kwargs):
-        raise AssertionError("certification factorized a matrix")
+        raise AssertionError("a matrix was factorized after construction")
 
-    monkeypatch.setattr(solvers, "splu", no_splu)
+    for module in (fem, solvers):
+        monkeypatch.setattr(module, "splu", no_splu)
+
+
+def test_certify_needs_no_reference_factorization(square2, monkeypatch):
+    state, _ = build_hierarchy(square2, "local_multigrid")
+    _forbid_factorization(monkeypatch)
     assert 0.0 < certify_contraction(state) < 1.0
+
+
+@pytest.mark.parametrize("kind", ["direct", "local_multigrid"])
+def test_one_level_state_steps_with_the_solve_it_was_built_with(
+        square2, kind, monkeypatch):
+    space = Space(uniform_refine(uniform_refine(square2)), 1)
+    state = setup_solver(kind, space, POISSON)
+    assert len(state.levels) == 1 and state.levels[0].solve is not None
+    rhs = np.random.default_rng(10).standard_normal(state.matrix.shape[0])
+    x_star = solve_direct(state.matrix, rhs)
+    _forbid_factorization(monkeypatch)
+    x = np.zeros_like(rhs)
+    for _ in range(2):
+        x = solver_step(state, rhs, x)
+        assert x.tobytes() == x_star.tobytes()
+    assert certify_contraction(state) == 0.0
 
 
 def _kellogg_states(steps=24, seed=5):
