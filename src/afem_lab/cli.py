@@ -2,9 +2,14 @@
 
 Subcommands
 -----------
-run     one adaptive run; writes the History CSV and a plain-text summary
+run     one adaptive run; writes the History CSV and a JSON summary
 sweep   Cartesian theta x lambda sweep; writes the weighted-cost table CSV
-verify  axiom suite, sequence-lemma property suites, and contraction checks
+verify  axiom suite, sequence-lemma property suites, and contraction checks;
+        writes a JSON report
+
+The run summary and the verify report are each one JSON object, values at
+full precision and keys sorted, printed to stdout and also written to the
+path of ``run --summary`` or ``verify --out``.
 
 Configuration precedence: command-line flags > config file (simple
 ``key=value`` lines, keys named like the long flags) > built-in defaults.
@@ -17,6 +22,7 @@ variable AFEM_LAB_THREADS (an integer >= 1) caps sweep parallelism.
 
 import argparse
 import concurrent.futures
+import json
 import os
 import sys
 
@@ -83,7 +89,7 @@ def build_parser():
                      help="solver-stopping parameter (single)")
     run.add_argument("--out", type=str, default=None, help="CSV path")
     run.add_argument("--summary", type=str, default=None,
-                     help="summary text path (default: stdout)")
+                     help="also write the JSON summary to this path")
 
     sw = sub.add_parser("sweep", help="theta x lambda sweep -> cost table")
     _add_common(sw)
@@ -101,7 +107,8 @@ def build_parser():
     ver.add_argument("--instances", type=_count0, default=100,
                      help="random sequence-lemma instances")
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--out", type=str, default=None)
+    ver.add_argument("--out", type=str, default=None,
+                     help="also write the JSON report to this path")
     ver.add_argument("--config", type=str, default=None)
     return ap
 
@@ -175,23 +182,34 @@ def execute_run(problem, algo, theta, lam, p, solver, max_dofs, eta_tol=None,
 
 
 def _summarize(hist):
+    """The run's facts: its size, the final estimator, the rates against
+    DOFs and cost (from three levels on), the certified contractions and the
+    measured R-linear certificate of the quasi-error."""
     lv = hist.level_summary()
-    lines = [f"algo={hist.algo} problem={hist.meta.get('problem')}"]
-    lines.append(f"levels={len(lv['ell'])} records={len(hist)} "
-                 f"final_dofs={lv['n_dof'][-1]} final_eta={lv['eta'][-1]:.6e}")
-    if len(lv["n_dof"]) >= 3:
-        s_dof = analysis.fit_rate_loglog(lv["n_dof"], lv["eta"])
-        s_cost = analysis.fit_rate_loglog(lv["cum_cost"], lv["eta"])
-        lines.append(f"rate_vs_dofs={s_dof:+.4f} rate_vs_cost={s_cost:+.4f}")
-    if "q_alg" in hist.meta:
-        lines.append(f"q_alg={hist.meta['q_alg']:.4f}")
     cert = analysis.tailsum_rlinear_equivalence(
         analysis.quasi_error_sequence(hist))
-    lines.append(f"C_lin={cert.C_lin:.4g} q_lin={cert.q_lin:.4f} "
-                 f"violation={cert.violation_rlinear:.4g}"
-                 + (f" q_sym={hist.meta['q_sym']:.4f}"
-                    if "q_sym" in hist.meta else ""))
-    return "\n".join(lines) + "\n"
+    facts = dict(algo=hist.algo, problem=hist.meta.get("problem"),
+                 levels=len(lv["ell"]), records=len(hist),
+                 final_dofs=int(lv["n_dof"][-1]), final_eta=lv["eta"][-1],
+                 C_lin=cert.C_lin, q_lin=cert.q_lin,
+                 violation=cert.violation_rlinear)
+    if len(lv["n_dof"]) >= 3:
+        facts["rate_vs_dofs"] = analysis.fit_rate_loglog(lv["n_dof"], lv["eta"])
+        facts["rate_vs_cost"] = analysis.fit_rate_loglog(lv["cum_cost"],
+                                                         lv["eta"])
+    facts.update((k, hist.meta[k]) for k in ("q_alg", "q_sym")
+                 if k in hist.meta)
+    return facts
+
+
+def _write_json(facts, path):
+    """Write ``facts`` as one JSON object to stdout and, if ``path`` is
+    given, to that file."""
+    text = json.dumps(facts, indent=2, sort_keys=True) + "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    sys.stdout.write(text)
 
 
 def cmd_run(args):
@@ -201,11 +219,7 @@ def cmd_run(args):
     if args.out:
         with open(args.out, "w") as fh:
             hist.to_csv(fh)
-    summary = _summarize(hist)
-    if args.summary:
-        with open(args.summary, "w") as fh:
-            fh.write(summary)
-    sys.stdout.write(summary)
+    _write_json(_summarize(hist), args.summary)
     return 0
 
 
@@ -267,8 +281,6 @@ def render_cost_table(table):
 
 def cmd_verify(args):
     rng = np.random.default_rng(args.seed)
-    lines = [f"verification report (seed={args.seed})"]
-
     prob, mesh = by_name(args.problem)
     if prob.is_symmetric:
         hist = driver.run_single(prob, mesh, theta=0.5, lam=0.01, p=1,
@@ -280,12 +292,6 @@ def cmd_verify(args):
                                  max_dofs=args.max_dofs, store_artifacts=True)
     report = analysis.verify_axioms(hist, prob,
                                     rng=np.random.default_rng(args.seed))
-    ok = True
-    for key in sorted(report):
-        lines.append(f"{key} = {report[key]}")
-        if key.endswith("_pass") and not report[key]:
-            ok = False
-
     violations = 0
     for _ in range(args.instances):
         a, b, q, C1, C2, delta = analysis.random_criterion_instance(rng)
@@ -294,21 +300,12 @@ def cmd_verify(args):
         if not fit.ok() or eq.violation_rlinear > 1 + 1e-9 \
                 or eq.violation_tail > 1 + 1e-9:
             violations += 1
-    lines.append(f"sequence_lemma_instances = {args.instances}")
-    lines.append(f"sequence_lemma_violations = {violations}")
-    ok = ok and violations == 0
-    lines.append(f"overall = {'PASS' if ok else 'FAIL'}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        with open(args.out + ".csv", "w") as fh:
-            fh.write("key,value\n")
-            for key in sorted(report):
-                fh.write(f"{key},{report[key]}\n")
-            fh.write(f"sequence_lemma_instances,{args.instances}\n")
-            fh.write(f"sequence_lemma_violations,{violations}\n")
-    sys.stdout.write(text)
+    ok = violations == 0 and all(report[key] for key in report
+                                 if key.endswith("_pass"))
+    report.update(seed=args.seed, sequence_lemma_instances=args.instances,
+                  sequence_lemma_violations=violations,
+                  overall="PASS" if ok else "FAIL")
+    _write_json(report, args.out)
     return 0 if ok else 1
 
 

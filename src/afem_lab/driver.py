@@ -62,6 +62,7 @@ CSV_HEADER = ",".join(name for name, _ in COLUMNS)
 TIME_COLUMNS = tuple(name for name, _ in COLUMNS if name.startswith("t_"))
 
 MG_CEILING = 0.9
+MAX_INNER = 500  # steps of one solver loop before the run is abandoned
 
 
 class LedgerError(AssertionError):
@@ -254,10 +255,10 @@ def _timed(fn, *args):
     return out, time.perf_counter() - t0
 
 
-def _steps(max_inner, loop):
-    """1, 2, ..., max_inner; asking for one more raises SolverError."""
-    yield from range(1, max_inner + 1)
-    raise SolverError(f"{loop} exceeded {max_inner} iterations; the solver "
+def _steps(loop):
+    """1, 2, ..., MAX_INNER; asking for one more raises SolverError."""
+    yield from range(1, MAX_INNER + 1)
+    raise SolverError(f"{loop} exceeded {MAX_INNER} iterations; the solver "
                       "does not contract fast enough")
 
 
@@ -331,8 +332,7 @@ def _exact_level(history, prob):
 
 
 def run_single(prob, mesh0, theta, lam, p=1, solver_kind="local_multigrid",
-               max_dofs=5e4, eta_tol=None, store_artifacts=False,
-               max_inner=500):
+               max_dofs=5e4, eta_tol=None, store_artifacts=False):
     """AFEM with one contractive solver; requires the symmetric case b = a.
 
     The solver loop repeats until |||u^k - u^(k-1)||| <= lam * eta(u^k)
@@ -352,7 +352,7 @@ def run_single(prob, mesh0, theta, lam, p=1, solver_kind="local_multigrid",
         t0 = time.perf_counter()
         rhs = assemble_rhs(space, prob)
         t_assemble = time.perf_counter() - t0
-        for k in _steps(max_inner, f"solver loop on level {ell}"):
+        for k in _steps(f"solver loop on level {ell}"):
             t0 = time.perf_counter()
             u, inc = _solver_step(state, rhs, space, u)
             t_solve = time.perf_counter() - t0 + t_assemble
@@ -374,8 +374,7 @@ def run_single(prob, mesh0, theta, lam, p=1, solver_kind="local_multigrid",
 
 
 def run_nested(prob, mesh0, theta, cfg, p=1, solver_kind="local_multigrid",
-               max_dofs=5e4, eta_tol=None, store_artifacts=False,
-               max_inner=500):
+               max_dofs=5e4, eta_tol=None, store_artifacts=False):
     """AFEM with nested contractive solvers (symmetrization + algebraic).
 
     Inner stop:  |||u^(k,j) - u^(k,j-1)||| <=
@@ -395,14 +394,13 @@ def run_nested(prob, mesh0, theta, cfg, p=1, solver_kind="local_multigrid",
         lift = u * space.dirichlet_mask
         lift_term = (energy_gram(space, prob) @ lift)[space.free]
         art.update(initial=u, outer=[])
-        for k in _steps(max_inner, f"symmetrization loop on level {ell}"):
+        for k in _steps(f"symmetrization loop on level {ell}"):
             u_prev = u
             t0 = time.perf_counter()
             rhs = zarantonello_rhs(space, prob, cfg.delta, u)[space.free] \
                 - lift_term
             t_assemble = time.perf_counter() - t0
-            for j in _steps(max_inner, f"algebraic loop on level {ell}, "
-                                       f"outer step {k}"):
+            for j in _steps(f"algebraic loop on level {ell}, outer step {k}"):
                 t0 = time.perf_counter()
                 u, inc = _solver_step(state, rhs, space, u)
                 outer_inc = state.energy_norm(

@@ -411,7 +411,8 @@ def _local_stiffness(space, prob):
 
 def assemble_b(space, prob, reduced=True):
     """Full linear form b(u, v) = a(u, v) + <conv . grad u + c u, v>; the
-    reduced matrix is cut from the cached full one."""
+    reduced matrix is cut from the cached full one.  For b = a the full
+    matrix is the cached stiffness of ``assemble_a`` itself."""
     if prob.is_nonlinear:
         raise UnsupportedFormError(
             "assemble_b needs a linear problem; use nonlinear_form for the "
@@ -419,7 +420,7 @@ def assemble_b(space, prob, reduced=True):
     def build():
         if reduced:
             return _reduce(space, assemble_b(space, prob, reduced=False))
-        out = assemble_a(space, prob, reduced=False).copy()
+        out = assemble_a(space, prob, reduced=False)
         if prob.convection is not None or prob.reaction is not None:
             out = out + _scatter(space, _local_lower_order(space, prob))
         return out

@@ -84,7 +84,7 @@ __all__ = ["SolverState", "setup_solver", "extend_solver", "solver_step",
 KINDS = ("direct", "local_multigrid")
 
 
-class NonContractiveError(RuntimeError):
+class NonContractiveError(SolverError):
     """A measured per-step energy-error ratio reached 1: setup rejected."""
 
 
@@ -262,17 +262,10 @@ def _sweep_matrix(block):
     """K, in CSC, of the ``SMOOTH_SWEEPS`` = m Gauss-Seidel sweeps on
     ``block`` = A[S, S]: block lower bidiagonal, with L = tril(block) on the
     m diagonal blocks and U = triu(block, 1) on the m - 1 blocks below."""
-    c = block.tocoo()
-    s, m = block.shape[0], SMOOTH_SWEEPS
-    low = c.row >= c.col
-    shift = s * np.arange(m)[:, None]
-    row = np.concatenate([(c.row[low] + shift).ravel(),
-                          (c.row[~low] + shift[1:]).ravel()])
-    col = np.concatenate([(c.col[low] + shift).ravel(),
-                          (c.col[~low] + shift[:-1]).ravel()])
-    data = np.concatenate([np.tile(c.data[low], m),
-                           np.tile(c.data[~low], m - 1)])
-    return sp.csc_matrix((data, (row, col)), shape=(m * s, m * s))
+    low, up = sp.tril(block), sp.triu(block, 1)
+    return sp.bmat([[low if i == j else up if i == j + 1 else None
+                     for j in range(SMOOTH_SWEEPS)]
+                    for i in range(SMOOTH_SWEEPS)], format="csc")
 
 
 def solver_step(state, rhs, iterate):

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -14,7 +15,7 @@ def run_cli(args):
 
 
 def test_run_writes_csv_and_summary(tmp_path):
-    out, summary = tmp_path / "k.csv", tmp_path / "k.txt"
+    out, summary = tmp_path / "k.csv", tmp_path / "k.json"
     code = main(["run", "--problem", "kellogg", "--algo", "single",
                  "--p", "1", "--theta", "0.5", "--lambda", "0.1",
                  "--solver", "local-mg", "--max-dofs", "300",
@@ -23,22 +24,38 @@ def test_run_writes_csv_and_summary(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) > 5
-    # the measured R-linear certificate of the quasi-error, on one line
-    cert = [line for line in summary.read_text().splitlines()
-            if line.startswith("C_lin=")]
-    assert len(cert) == 1
-    fields = dict(item.split("=") for item in cert[0].split())
-    assert set(fields) == {"C_lin", "q_lin", "violation"}
-    assert float(fields["C_lin"]) >= 1.0
-    assert 0.0 < float(fields["q_lin"]) < 1.0
-    assert float(fields["violation"]) <= 1.0
+    # the measured R-linear certificate of the quasi-error
+    facts = json.loads(summary.read_text())
+    assert facts["C_lin"] >= 1.0
+    assert 0.0 < facts["q_lin"] < 1.0
+    assert facts["violation"] <= 1.0
+    assert "q_sym" not in facts
     # a nested run with a contraction bound adds its q_sym
     code = main(["run", "--problem", "zshape-nonlinear", "--algo", "nested",
                  "--theta", "0.3", "--max-dofs", "200", "--summary",
                  str(summary)])
     assert code == 0
-    cert = summary.read_text().splitlines()[-1].split()
-    assert cert[0].startswith("C_lin=") and cert[-1].startswith("q_sym=")
+    facts = json.loads(summary.read_text())
+    assert {"C_lin", "q_lin", "violation", "q_sym"} <= set(facts)
+
+
+def test_run_summary_is_one_json_object(tmp_path, capsys):
+    summary = tmp_path / "s.json"
+    code = main(["run", "--problem", "kellogg", "--max-dofs", "300",
+                 "--summary", str(summary)])
+    assert code == 0
+    text = summary.read_text()
+    assert capsys.readouterr().out == text
+    with open(summary) as fh:
+        facts = json.load(fh)
+    assert set(facts) == {"algo", "problem", "levels", "records",
+                          "final_dofs", "final_eta", "rate_vs_dofs",
+                          "rate_vs_cost", "q_alg", "C_lin", "q_lin",
+                          "violation"}
+    assert (facts["algo"], facts["problem"]) == ("single", "kellogg")
+    assert facts["levels"] >= 3 and facts["records"] >= facts["levels"]
+    assert isinstance(facts["final_dofs"], int)
+    assert text == json.dumps(facts, indent=2, sort_keys=True) + "\n"
 
 
 def test_run_nested_parses_paper_parameters(tmp_path):
@@ -97,14 +114,29 @@ def test_sweep_failure_exits_1(capsys):
 
 def test_verify_reproducible_with_seed(tmp_path):
     outs = []
-    for name in ("a.txt", "b.txt"):
+    for name in ("a.json", "b.json"):
         out = tmp_path / name
         code = main(["verify", "--problem", "kellogg", "--max-dofs", "300",
                      "--instances", "10", "--seed", "7", "--out", str(out)])
         assert code == 0
         outs.append(out.read_text())
     assert outs[0] == outs[1]
-    assert "overall = PASS" in outs[0]
+    assert json.loads(outs[0])["overall"] == "PASS"
+
+
+def test_verify_writes_one_json_report_and_no_csv(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    code = main(["verify", "--problem", "kellogg", "--max-dofs", "100",
+                 "--instances", "3", "--seed", "5", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out == out.read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
+    report = json.loads(out.read_text())
+    assert report["seed"] == 5
+    assert report["sequence_lemma_instances"] == 3
+    assert report["sequence_lemma_violations"] == 0
+    assert report["overall"] == "PASS"
+    assert all(report[k] is True for k in report if k.endswith("_pass"))
 
 
 def test_config_file_precedence(tmp_path):

@@ -222,14 +222,15 @@ def test_nested_symmetric_delta_one_degenerates_to_single(square2):
     assert all(k == 1 for k in hist_n.k_stop.values())
 
 
-def test_safety_cap_raises(square2):
+def test_safety_cap_raises(square2, monkeypatch):
+    from afem_lab import driver
     from afem_lab.mesh import uniform_refine
+    monkeypatch.setattr(driver, "MAX_INNER", 10)
     prob = ProblemDef(load=lambda x: np.ones(len(x)))
     mesh = uniform_refine(uniform_refine(uniform_refine(square2)))
-    with pytest.raises(SolverError, match="iterations"):
+    with pytest.raises(SolverError, match="exceeded 10 iterations"):
         run_single(prob, mesh, theta=0.5, lam=1e-14, p=1,
-                   solver_kind="local_multigrid", max_dofs=5000,
-                   max_inner=10)
+                   solver_kind="local_multigrid", max_dofs=5000)
 
 
 def test_csv_schema(square2, tmp_path):

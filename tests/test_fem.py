@@ -461,6 +461,19 @@ def test_reduced_stiffness_holds_no_stored_zero():
     assert (red != full[space.free][:, space.free]).nnz == 0
 
 
+def test_symmetric_b_form_is_the_cached_stiffness():
+    # for b = a the full b-form is the stiffness matrix itself, not a copy,
+    # and the reduced one is cut from it with its stored zeros
+    prob, mesh = kellogg()
+    space = Space(uniform_refine(mesh), 1)
+    full = assemble_a(space, prob, reduced=False)
+    assert assemble_b(space, prob, reduced=False) is full
+    cut = full[space.free][:, space.free]
+    red = assemble_b(space, prob)
+    assert np.array_equal(red.indices, cut.indices)
+    assert np.array_equal(red.data, cut.data)
+
+
 def test_nonlinear_exact_solve_factors_once_per_call(monkeypatch):
     # the Zarantonello loop reuses one factorization of the reduced a-form,
     # made by the one exact-solve routine

@@ -119,6 +119,7 @@ def test_solve_direct_examples(square2):
 def test_one_solver_error_for_fem_and_solvers():
     from afem_lab import fem
     assert fem.SolverError is SolverError
+    assert issubclass(NonContractiveError, SolverError)
     with pytest.raises(SolverError):
         solve_direct(sp.csr_matrix(np.ones((2, 2))), np.array([1.0, 2.0]))
 
