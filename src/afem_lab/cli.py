@@ -21,9 +21,10 @@ variable AFEM_LAB_THREADS (an integer >= 1) caps sweep parallelism.
 """
 
 import argparse
-import concurrent.futures
 import json
+import multiprocessing
 import os
+import resource
 import sys
 
 import numpy as np
@@ -182,22 +183,27 @@ def execute_run(problem, algo, theta, lam, p, solver, max_dofs, eta_tol=None,
 
 
 def _summarize(hist):
-    """The run's facts: its size, the final estimator, the rates against
-    DOFs and cost (from three levels on), the certified contractions and the
-    measured R-linear certificate of the quasi-error."""
+    """The run's facts: its size, why it stopped, the final estimator, the
+    rates against DOFs and cost (from three levels on), the certified
+    contractions (overall and per level), the measured R-linear certificate
+    of the quasi-error and the peak resident set of this process."""
     lv = hist.level_summary()
     cert = analysis.tailsum_rlinear_equivalence(
         analysis.quasi_error_sequence(hist))
     facts = dict(algo=hist.algo, problem=hist.meta.get("problem"),
                  levels=len(lv["ell"]), records=len(hist),
+                 stop_reason=hist.meta["stop_reason"],
                  final_dofs=int(lv["n_dof"][-1]), final_eta=lv["eta"][-1],
                  C_lin=cert.C_lin, q_lin=cert.q_lin,
-                 violation=cert.violation_rlinear)
+                 violation=cert.violation_rlinear,
+                 # ru_maxrss is in KiB on Linux
+                 peak_rss_mb=resource.getrusage(
+                     resource.RUSAGE_SELF).ru_maxrss / 1024)
     if len(lv["n_dof"]) >= 3:
         facts["rate_vs_dofs"] = analysis.fit_rate_loglog(lv["n_dof"], lv["eta"])
         facts["rate_vs_cost"] = analysis.fit_rate_loglog(lv["cum_cost"],
                                                          lv["eta"])
-    facts.update((k, hist.meta[k]) for k in ("q_alg", "q_sym")
+    facts.update((k, hist.meta[k]) for k in ("q_alg", "q_alg_levels", "q_sym")
                  if k in hist.meta)
     return facts
 
@@ -240,9 +246,10 @@ def cmd_sweep(args):
     if args.jobs == 1:
         pairs = map(_sweep_worker, tasks)
     else:
-        # a failed run fails the sweep; map cancels the runs still queued
-        with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
-            pairs = list(pool.map(_sweep_worker, tasks))
+        # the first failed run raises here, and leaving the block terminates
+        # the workers, so the runs still going stop with the sweep
+        with multiprocessing.Pool(args.jobs) as pool:
+            pairs = list(pool.imap_unordered(_sweep_worker, tasks))
     for params, hist in pairs:
         results[(params["lam"], params["theta"])] = hist
     table = driver.weighted_cost_table(results, args.eta_stop_factor)

@@ -6,29 +6,25 @@ Per element T (d = 2):
                 + |T|^(1/2) * || [[ A grad v . n ]] ||_{dT cap Omega}^2
                 + |T|^(1/2) * || (1 - Pi^(p-1)) d u_D / ds ||_{dT cap dOmega}^2
 
-with the scalar diffusion A taken as constant inside each element.  For
-nonlinear problems the flux A grad v is a(|grad v|^2) grad v.  Interior
-edge integrals are computed once per edge and added to both neighbouring
-elements (the boundary-of-T convention double-counts edges by design).  The
-boundary-data oscillation term appears only for inhomogeneous Dirichlet
-data; Pi^(p-1) is the L2 projection onto polynomials of degree p-1 on the
-edge.  Every gradient is a GEMM of the element coefficients with a
-reference table of the degree, mapped by the inverse Jacobian.
+with the scalar diffusion A taken as constant inside each element: it is
+read once per element, at the centroid, and kept on the space for the
+problem object it was read for.  For nonlinear problems the flux A grad v
+is a(|grad v|^2) grad v.  Interior edge integrals are computed once per
+edge and added to both neighbouring elements (the boundary-of-T convention
+double-counts edges by design).  The boundary-data oscillation term appears
+only for inhomogeneous Dirichlet data; Pi^(p-1) is the L2 projection onto
+polynomials of degree p-1 on the edge, and it is kept on the space for the
+problem object too.  Every gradient is a GEMM of the element coefficients
+with a reference table of the degree, mapped by the inverse Jacobian.
 
-At p = 1 the pass does only the work the answer depends on.  A P1 gradient
-is constant on each element, so it is evaluated once per element and
-broadcast to the edge points of both owners; the jump is still integrated
-point by point with the edge rule, since the diffusion may vary along an
-edge.  The second-order part of the volume residual is identically zero
-(Delta v = 0, D^2 v = 0, A constant per element), so no Hessian is built,
-and without convection, reaction or load the volume term is zero.  Both
-shortcuts skip exact zeros and repeated values, so the indicators are the
-ones the general pass computes, bit for bit.  The edge points pulled
-towards each owner's centroid are geometry: they are built once per space,
-and only for a diffusion sampled at points (not for nonlinear fluxes).  The
-diffusion at those points and the boundary-data oscillation depend on the
-space and the problem only, so they are kept on the space for the problem
-object they were computed for.
+At p = 1 the pass does only the work the answer depends on.  A P1 gradient,
+and with it the flux, is constant on each element, so it is evaluated once
+per element, and the jump across an interior edge is one value that the
+edge rule integrates.  The second-order part of the volume residual is
+identically zero (Delta v = 0, D^2 v = 0, A constant per element), so no
+Hessian is built, and without convection, reaction or load the volume term
+is zero.  Both shortcuts skip exact zeros and repeated values, so the
+indicators are the ones the general pass computes, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -44,11 +40,6 @@ __all__ = ["Indicators", "compute_indicators", "estimator_total", "Q_RED"]
 # estimator reduction factor on refined elements: a bisection halves |T|, so
 # the weights |T| and |T|^(1/2) of eta^2 shrink by at least 2^(-1/2)
 Q_RED = 2.0 ** -0.25
-
-# relative pull of edge quadrature points towards the element centroid, so
-# that piecewise coefficients are sampled from the correct side
-_PULL = 1e-6
-
 
 @dataclass
 class Indicators:
@@ -107,7 +98,7 @@ def _volume_terms(space, coeffs, prob):
 
     R = 0.0
     if space.degree > 1:
-        R = -_div_flux(space, coeffs, prob, pts, flat)
+        R = -_div_flux(space, coeffs, prob, pts)
     if convection is not None:
         bv = np.asarray(convection(flat)).reshape(shape + (2,))
         R = R + (bv * space.function_gradients(coeffs, pts)).sum(axis=-1)
@@ -120,12 +111,18 @@ def _volume_terms(space, coeffs, prob):
     return 0.5 * space.det * (R ** 2 * space.wdet(w)).sum(axis=1)
 
 
-def _div_flux(space, coeffs, prob, pts, flat):
+def _element_diffusion(space, prob):
+    """The diffusion at each element's centroid, shape (n_elements,)."""
+    return space.cached("element_diffusion", prob, lambda: _diffusion_at(
+        prob, space.physical_points(np.full((1, 2), 1.0 / 3.0))[:, 0]))
+
+
+def _div_flux(space, coeffs, prob, pts):
     """div(A grad v) at the volume points; zero at p = 1, not called there."""
     h = space.function_hessians(coeffs, pts)
     lap = h[..., 0] + h[..., 2]
     if not prob.is_nonlinear:
-        return _diffusion_at(prob, flat).reshape(lap.shape) * lap
+        return _element_diffusion(space, prob)[:, None] * lap
     nl = prob.nonlinearity
     g = space.function_gradients(coeffs, pts)
     t = (g ** 2).sum(axis=2)
@@ -152,29 +149,15 @@ def _edge_geometry(space, nq):
     d = mesh.vertices[edges[:, 1]] - pa
     lengths = np.linalg.norm(d, axis=1)
     normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
-    phys = pa[:, None, :] + t[None, :, None] * d[:, None, :]
-    bnd_dirichlet = np.zeros(len(edges), dtype=bool)
-    bnd_dirichlet[mesh.edge_ids(mesh.boundary_edges[:, :2])] = True
+    dirichlet = np.sort(mesh.edge_ids(mesh.boundary_edges[:, :2]))
+    # edge points on the Dirichlet edges, where the data oscillation is read
+    phys = pa[dirichlet, None, :] + t[None, :, None] * d[dirichlet, None, :]
     geom = dict(edges=edges, owners=edge_elems, pair=pair, t=t, w=w,
                 lengths=lengths, normals=normals, phys=phys,
-                dirichlet=bnd_dirichlet,
+                dirichlet=dirichlet,
                 interior=np.nonzero(edge_elems[:, 1] >= 0)[0])
     space._cache[key] = geom
     return geom
-
-
-def _pulled_points(space, geom):
-    """The edge points of the interior edges pulled towards the centroid of
-    each owner, shape (2, n_interior, nq, 2); built on first use, since only
-    a diffusion sampled at points reads them."""
-    if "pulled" not in geom:
-        interior = geom["interior"]
-        e = geom["owners"][interior].T
-        phys = geom["phys"][interior]
-        centroid = space.origin[e] \
-            + (space.jac[e, :, 0] + space.jac[e, :, 1]) / 3.0
-        geom["pulled"] = phys + _PULL * (centroid[:, :, None, :] - phys)
-    return geom["pulled"]
 
 
 def _edge_gradients(space, coeffs, geom, side):
@@ -194,29 +177,13 @@ def _edge_gradients(space, coeffs, geom, side):
     return grads
 
 
-def _side_flux(space, coeffs, prob, geom, side, p1_grad):
-    """A grad v (linear) or a(|grad v|^2) grad v (nonlinear) from one owner
-    of each interior edge at the edge points.  At p = 1 the gradient is the
-    owner's constant gradient ``p1_grad``, broadcast to the points."""
-    if p1_grad is None:
-        grads = _edge_gradients(space, coeffs, geom, side)
-    else:
-        e = geom["owners"][geom["interior"], side]
-        grads = np.broadcast_to(p1_grad[e], (len(e), len(geom["t"]), 2))
+def _flux(space, prob, grads, e):
+    """A grad v (linear) or a(|grad v|^2) grad v (nonlinear) from the
+    gradients ``grads``, shape (n, nq, 2), of the elements ``e``."""
     if prob.is_nonlinear:
         t = (grads ** 2).sum(axis=-1)
         return prob.nonlinearity.a(t)[..., None] * grads
-    return _edge_diffusion(space, prob, geom)[side][..., None] * grads
-
-
-def _edge_diffusion(space, prob, geom):
-    """The diffusion at the pulled edge points of both owners, shape
-    (2, n_interior, nq); it depends on the space and the problem only."""
-    def build():
-        pulled = _pulled_points(space, geom)
-        return _diffusion_at(prob, pulled.reshape(-1, 2)) \
-            .reshape(pulled.shape[:-1])
-    return space.cached(("edge_diffusion", len(geom["t"])), prob, build)
+    return _element_diffusion(space, prob)[e, None, None] * grads
 
 
 def _edge_terms(space, coeffs, prob, eta2):
@@ -227,12 +194,17 @@ def _edge_terms(space, coeffs, prob, eta2):
 
     interior = geom["interior"]
     if len(interior):
-        # a P1 gradient is constant on each element: one per element serves
-        # both owners of every edge
-        g = space.function_gradients(coeffs, np.zeros((1, 2))) \
-            if space.degree == 1 else None
-        f0 = _side_flux(space, coeffs, prob, geom, 0, g)
-        f1 = _side_flux(space, coeffs, prob, geom, 1, g)
+        if space.degree == 1:
+            # a P1 flux is constant on each element: one per element serves
+            # both owners of every edge, and each jump is one value
+            every = np.arange(space.mesh.n_elements)
+            flux = _flux(space, prob, space.function_gradients(
+                coeffs, np.zeros((1, 2))), every)
+            f0, f1 = (flux[owners[interior, side]] for side in (0, 1))
+        else:
+            f0, f1 = (_flux(space, prob,
+                            _edge_gradients(space, coeffs, geom, side),
+                            owners[interior, side]) for side in (0, 1))
         n = geom["normals"][interior]
         jump = ((f0 - f1) * n[:, None, :]).sum(axis=2)
         integral = (jump ** 2 * geom["w"][None, :]).sum(axis=1) \
@@ -241,22 +213,19 @@ def _edge_terms(space, coeffs, prob, eta2):
             e = owners[interior, side]
             np.add.at(eta2, e, np.sqrt(areas[e]) * integral)
 
-    if prob.dirichlet is not None:
-        bnd = np.nonzero(geom["dirichlet"])[0]
-        if len(bnd):
-            osc = space.cached(
-                ("boundary_oscillation", nq), prob,
-                lambda: _boundary_oscillation(space, prob, geom, bnd))
-            e = owners[bnd, 0]
-            np.add.at(eta2, e, np.sqrt(areas[e]) * osc)
+    bnd = geom["dirichlet"]
+    if prob.dirichlet is not None and len(bnd):
+        osc = space.cached(("boundary_oscillation", nq), prob,
+                           lambda: _boundary_oscillation(space, prob, geom))
+        e = owners[bnd, 0]
+        np.add.at(eta2, e, np.sqrt(areas[e]) * osc)
 
 
-def _boundary_oscillation(space, prob, geom, edge_ids):
+def _boundary_oscillation(space, prob, geom):
     """|| (1 - Pi^(p-1)) du_D/ds ||^2 per Dirichlet boundary edge."""
-    t, w = geom["t"], geom["w"]
-    phys = geom["phys"][edge_ids]
-    lengths = geom["lengths"][edge_ids]
-    edges = geom["edges"][edge_ids]
+    t, w, phys = geom["t"], geom["w"], geom["phys"]
+    lengths = geom["lengths"][geom["dirichlet"]]
+    edges = geom["edges"][geom["dirichlet"]]
     tangents = (space.mesh.vertices[edges[:, 1]]
                 - space.mesh.vertices[edges[:, 0]]) / lengths[:, None]
     if prob.exact_solution is not None:

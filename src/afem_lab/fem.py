@@ -177,8 +177,9 @@ class ProblemDef:
     """Coefficients of the PDE; all callables act on (n, 2) point arrays.
 
     diffusion returns the scalar coefficient a(x), shape (n,), of the
-    isotropic diffusion a(x) I; None means 1.  The residual estimator takes
-    it as constant inside each element.
+    isotropic diffusion a(x) I; None means 1.  Assembly and the exact energy
+    error integrate a(x) at quadrature points; the residual estimator takes
+    it as constant inside each element and reads it at the centroids.
     """
     diffusion: callable = None
     convection: callable = None

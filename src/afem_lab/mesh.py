@@ -209,13 +209,16 @@ def refine(mesh, marked):
     """Coarsest conforming NVB refinement bisecting all marked elements.
 
     Returns a new Mesh with parent links; ``marked`` may be any iterable of
-    element indices.  An empty ``marked`` returns ``mesh`` unchanged.
+    integer element indices (a boolean mask is rejected).  An empty
+    ``marked`` returns ``mesh`` unchanged.
     """
     if not isinstance(marked, np.ndarray):
-        marked = np.fromiter(marked, np.int64)
-    marked = np.unique(marked.astype(np.int64, copy=False))
+        marked = np.asarray(list(marked))
     if marked.size == 0:
         return mesh
+    if marked.dtype.kind not in "iu":
+        raise TypeError("marked must hold integer element indices")
+    marked = np.unique(marked.astype(np.int64, copy=False))
     if marked.min() < 0 or marked.max() >= mesh.n_elements:
         raise IndexError("marked element index out of range")
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -49,11 +50,16 @@ def test_run_summary_is_one_json_object(tmp_path, capsys):
     with open(summary) as fh:
         facts = json.load(fh)
     assert set(facts) == {"algo", "problem", "levels", "records",
-                          "final_dofs", "final_eta", "rate_vs_dofs",
-                          "rate_vs_cost", "q_alg", "C_lin", "q_lin",
-                          "violation"}
+                          "stop_reason", "final_dofs", "final_eta",
+                          "rate_vs_dofs", "rate_vs_cost", "q_alg",
+                          "q_alg_levels", "C_lin", "q_lin", "violation",
+                          "peak_rss_mb"}
     assert (facts["algo"], facts["problem"]) == ("single", "kellogg")
     assert facts["levels"] >= 3 and facts["records"] >= facts["levels"]
+    assert facts["stop_reason"] == "max_dofs"
+    assert len(facts["q_alg_levels"]) == facts["levels"]
+    assert max(facts["q_alg_levels"]) == facts["q_alg"]
+    assert facts["peak_rss_mb"] > 0
     assert isinstance(facts["final_dofs"], int)
     assert text == json.dumps(facts, indent=2, sort_keys=True) + "\n"
 
@@ -110,6 +116,23 @@ def test_sweep_failure_exits_1(capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "p = 1 only" in err
+
+
+def test_failed_sweep_stops_its_workers(monkeypatch, capsys):
+    # the first run fails at once and every other run would take 3 s; the
+    # sweep ends without waiting for the runs its workers already started
+    def run(**params):
+        if (params["lam"], params["theta"]) == (0.1, 0.1):
+            raise RuntimeError("the first run fails")
+        time.sleep(3.0)
+
+    monkeypatch.setattr("afem_lab.cli.execute_run", run)  # forks inherit it
+    t0 = time.perf_counter()
+    code = main(["sweep", "--problem", "kellogg", "--jobs", "2",
+                 "--thetas", "0.1,0.2,0.3,0.4", "--lambdas", "0.1,0.2"])
+    assert code == 1
+    assert time.perf_counter() - t0 < 2.0
+    assert "the first run fails" in capsys.readouterr().err
 
 
 def test_verify_reproducible_with_seed(tmp_path):

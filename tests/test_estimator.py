@@ -111,21 +111,35 @@ def test_p1_indicators_build_no_second_order_tables(monkeypatch):
     assert "grad" in kinds and not kinds & {"edge_grad", "hess"}
 
 
-def test_pulled_edge_points_only_for_pointwise_diffusion():
-    # the pulled edge points sample a piecewise diffusion; a nonlinear flux
-    # reads the gradient only, so its edge geometry holds none
-    from afem_lab.estimator import _edge_geometry
-    for name, pulled in (("zshape-nonlinear", False), ("kellogg", True)):
-        prob, mesh = by_name(name)
-        space = Space(uniform_refine(mesh), 1)
-        v = interpolate(space, lambda x: np.sin(x[:, 0]) + x[:, 1] ** 2)
-        compute_indicators(space, v, prob)
-        geom = _edge_geometry(space, space.degree + 4)
-        assert ("pulled" in geom) == pulled
+@pytest.mark.parametrize("p", [1, 2])
+def test_diffusion_read_once_per_element(monkeypatch, p):
+    # the estimator takes the diffusion as constant inside each element: it
+    # reads it at the centroids, once per space and problem object
+    import dataclasses
+
+    from afem_lab import estimator
+    reads = []
+
+    def counted(prob, pts, real=estimator._diffusion_at):
+        reads.append(np.array(pts))
+        return real(prob, pts)
+
+    monkeypatch.setattr(estimator, "_diffusion_at", counted)
+    prob, mesh = by_name("kellogg")
+    mesh = uniform_refine(mesh)
+    space = Space(mesh, p)
+    v = interpolate(space, lambda x: np.sin(x[:, 0]) + x[:, 1] ** 2)
+    for problem in (prob, prob, dataclasses.replace(prob)):
+        compute_indicators(space, v, problem)
+    assert len(reads) == 2
+    centroids = mesh.element_coords().mean(axis=1)
+    for pts in reads:
+        assert pts.shape == (mesh.n_elements, 2)
+        assert np.allclose(pts, centroids, rtol=0, atol=1e-14)
 
 
 def test_indicator_caches_follow_the_problem_object(monkeypatch):
-    # the edge diffusion and the boundary oscillation are built once per
+    # the element diffusion and the boundary oscillation are built once per
     # space and problem object; another problem on the same space builds
     # its own and gets the indicators a fresh space gives
     import dataclasses

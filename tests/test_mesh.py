@@ -44,6 +44,18 @@ def test_refine_rejects_bad_index(square2):
         refine(square2, {0, 7})
 
 
+def test_refine_rejects_masks_and_non_integer_marks():
+    # a mask read as indices would bisect elements 0 and 1, not element 15
+    from afem_lab.problems import by_name
+    _, mesh = by_name("kellogg")
+    mask = np.zeros(mesh.n_elements, dtype=bool)
+    mask[15] = True
+    for marked in (mask, list(mask), [1.5], np.array([15.0])):
+        with pytest.raises(TypeError):
+            refine(mesh, marked)
+    assert refine(mesh, np.nonzero(mask)[0]).n_elements == 18
+
+
 def test_uniform_refine_counts_and_generation(square2):
     fine = uniform_refine(square2)
     assert fine.n_elements == 8
