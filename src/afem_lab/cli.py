@@ -22,10 +22,10 @@ variable AFEM_LAB_THREADS (an integer >= 1) caps sweep parallelism.
 
 import argparse
 import json
-import multiprocessing
 import os
 import resource
 import sys
+from concurrent.futures import ProcessPoolExecutor, as_completed
 
 import numpy as np
 
@@ -34,6 +34,8 @@ from .iteration import ZarantonelloConfig
 from .problems import PROBLEM_NAMES, by_name
 
 SOLVER_FLAGS = {"local-mg": "local_multigrid", "direct": "direct"}
+# getrusage's ru_maxrss is in bytes on macOS and in KiB on Linux
+_MAXRSS_PER_MB = 2 ** 20 if sys.platform == "darwin" else 2 ** 10
 
 
 def _typed(kind, ok, what):
@@ -186,7 +188,8 @@ def _summarize(hist):
     """The run's facts: its size, why it stopped, the final estimator, the
     rates against DOFs and cost (from three levels on), the certified
     contractions (overall and per level), the measured R-linear certificate
-    of the quasi-error and the peak resident set of this process."""
+    of the quasi-error, and the peak resident set of the whole process so
+    far, which counts what ran before and is the one irreproducible key."""
     lv = hist.level_summary()
     cert = analysis.tailsum_rlinear_equivalence(
         analysis.quasi_error_sequence(hist))
@@ -196,9 +199,8 @@ def _summarize(hist):
                  final_dofs=int(lv["n_dof"][-1]), final_eta=lv["eta"][-1],
                  C_lin=cert.C_lin, q_lin=cert.q_lin,
                  violation=cert.violation_rlinear,
-                 # ru_maxrss is in KiB on Linux
                  peak_rss_mb=resource.getrusage(
-                     resource.RUSAGE_SELF).ru_maxrss / 1024)
+                     resource.RUSAGE_SELF).ru_maxrss / _MAXRSS_PER_MB)
     if len(lv["n_dof"]) >= 3:
         facts["rate_vs_dofs"] = analysis.fit_rate_loglog(lv["n_dof"], lv["eta"])
         facts["rate_vs_cost"] = analysis.fit_rate_loglog(lv["cum_cost"],
@@ -233,6 +235,22 @@ def _sweep_worker(params):
     return params, execute_run(**params)
 
 
+def _pool_map(fn, tasks, jobs):
+    """``fn`` over ``tasks`` in ``jobs`` worker processes, in the order they
+    finish.  The first failed task (it raised, or its worker died) cancels
+    the tasks not started, terminates the workers and is raised."""
+    with ProcessPoolExecutor(jobs) as pool:
+        futures = [pool.submit(fn, task) for task in tasks]
+        try:
+            return [f.result() for f in as_completed(futures)]
+        except BaseException:
+            workers = list(pool._processes.values())
+            pool.shutdown(wait=False, cancel_futures=True)
+            for proc in workers:
+                proc.terminate()
+            raise
+
+
 def cmd_sweep(args):
     tasks = []
     for lam in args.lambdas:
@@ -246,10 +264,7 @@ def cmd_sweep(args):
     if args.jobs == 1:
         pairs = map(_sweep_worker, tasks)
     else:
-        # the first failed run raises here, and leaving the block terminates
-        # the workers, so the runs still going stop with the sweep
-        with multiprocessing.Pool(args.jobs) as pool:
-            pairs = list(pool.imap_unordered(_sweep_worker, tasks))
+        pairs = _pool_map(_sweep_worker, tasks, args.jobs)
     for params, hist in pairs:
         results[(params["lam"], params["theta"])] = hist
     table = driver.weighted_cost_table(results, args.eta_stop_factor)

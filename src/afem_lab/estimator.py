@@ -33,6 +33,7 @@ import numpy as np
 from numpy.polynomial.legendre import legval
 
 from .fem import _diffusion_at, contract
+from .mesh import element_indices
 from .quadrature import edge_rule, triangle_rule
 
 __all__ = ["Indicators", "compute_indicators", "estimator_total", "Q_RED"]
@@ -40,6 +41,7 @@ __all__ = ["Indicators", "compute_indicators", "estimator_total", "Q_RED"]
 # estimator reduction factor on refined elements: a bisection halves |T|, so
 # the weights |T| and |T|^(1/2) of eta^2 shrink by at least 2^(-1/2)
 Q_RED = 2.0 ** -0.25
+
 
 @dataclass
 class Indicators:
@@ -63,13 +65,7 @@ def estimator_total(ind, subset=None):
     collection of element indices (a boolean mask is rejected)."""
     if subset is None:
         return ind.total
-    subset = np.asarray(list(subset))
-    if subset.size == 0:
-        return 0.0
-    if subset.dtype.kind not in "iu":
-        raise TypeError("subset must hold integer element indices")
-    if subset.min() < 0 or subset.max() >= len(ind.per_element):
-        raise IndexError("element index out of range")
+    subset = element_indices(subset, len(ind.per_element))
     return float(np.sqrt(max(ind.per_element[subset].sum(), 0.0)))
 
 

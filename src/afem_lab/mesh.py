@@ -205,22 +205,30 @@ class Mesh:
                    generation=gen)
 
 
+def element_indices(indices, n_elements):
+    """``indices`` (any iterable of integer element indices) as an int64
+    array, checked against ``n_elements``; a boolean mask or other
+    non-integer values raise TypeError, an index out of range IndexError."""
+    indices = np.asarray(indices if isinstance(indices, np.ndarray)
+                         else list(indices))
+    if indices.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if indices.dtype.kind not in "iu":
+        raise TypeError("element indices must be integers")
+    if indices.min() < 0 or indices.max() >= n_elements:
+        raise IndexError("element index out of range")
+    return indices.astype(np.int64, copy=False)
+
+
 def refine(mesh, marked):
     """Coarsest conforming NVB refinement bisecting all marked elements.
 
-    Returns a new Mesh with parent links; ``marked`` may be any iterable of
-    integer element indices (a boolean mask is rejected).  An empty
-    ``marked`` returns ``mesh`` unchanged.
+    Returns a new Mesh with parent links; ``marked`` is checked by
+    `element_indices`.  An empty ``marked`` returns ``mesh`` unchanged.
     """
-    if not isinstance(marked, np.ndarray):
-        marked = np.asarray(list(marked))
+    marked = np.unique(element_indices(marked, mesh.n_elements))
     if marked.size == 0:
         return mesh
-    if marked.dtype.kind not in "iu":
-        raise TypeError("marked must hold integer element indices")
-    marked = np.unique(marked.astype(np.int64, copy=False))
-    if marked.min() < 0 or marked.max() >= mesh.n_elements:
-        raise IndexError("marked element index out of range")
 
     edges, elem_edges, _ = mesh.edge_tables()
     n_edges = len(edges)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -118,21 +119,34 @@ def test_sweep_failure_exits_1(capsys):
     assert err.startswith("error: ") and "p = 1 only" in err
 
 
-def test_failed_sweep_stops_its_workers(monkeypatch, capsys):
-    # the first run fails at once and every other run would take 3 s; the
-    # sweep ends without waiting for the runs its workers already started
-    def run(**params):
-        if (params["lam"], params["theta"]) == (0.1, 0.1):
-            raise RuntimeError("the first run fails")
-        time.sleep(3.0)
+def _raise_first(params):
+    # a sweep task: the first run fails at once, every other one sleeps;
+    # module level, so worker processes import it under any start method
+    if (params["lam"], params["theta"]) == (0.1, 0.1):
+        raise RuntimeError("the first run fails")
+    time.sleep(10.0)
 
-    monkeypatch.setattr("afem_lab.cli.execute_run", run)  # forks inherit it
+
+def _die_first(params):
+    # as _raise_first, but the first run's worker process dies
+    if (params["lam"], params["theta"]) == (0.1, 0.1):
+        os._exit(1)
+    time.sleep(10.0)
+
+
+@pytest.mark.parametrize("task", [_raise_first, _die_first])
+def test_failed_sweep_stops_its_workers(task, monkeypatch, capsys):
+    # the sweep ends without waiting for the runs its workers already started
+    monkeypatch.setattr("afem_lab.cli._sweep_worker", task)
     t0 = time.perf_counter()
     code = main(["sweep", "--problem", "kellogg", "--jobs", "2",
                  "--thetas", "0.1,0.2,0.3,0.4", "--lambdas", "0.1,0.2"])
     assert code == 1
     assert time.perf_counter() - t0 < 2.0
-    assert "the first run fails" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if task is _raise_first:
+        assert "the first run fails" in err
 
 
 def test_verify_reproducible_with_seed(tmp_path):
