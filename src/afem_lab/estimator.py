@@ -128,10 +128,11 @@ def _div_flux(space, coeffs, prob, pts):
 
 
 def _edge_geometry(space, nq):
-    key = ("edge_geom", nq)
-    if key in space._cache:
-        return space._cache[key]
-    mesh = space.mesh
+    return space.cached(("edge_geom", nq), None,
+                        lambda: _build_edge_geometry(space.mesh, nq))
+
+
+def _build_edge_geometry(mesh, nq):
     edges, elem_edges, edge_elems = mesh.edge_tables()
     # pair[edge, side]: 2 k + s for the owner's local edge k, with s = 1 when
     # the owner runs along it against the edge's orientation
@@ -148,12 +149,10 @@ def _edge_geometry(space, nq):
     dirichlet = np.sort(mesh.edge_ids(mesh.boundary_edges[:, :2]))
     # edge points on the Dirichlet edges, where the data oscillation is read
     phys = pa[dirichlet, None, :] + t[None, :, None] * d[dirichlet, None, :]
-    geom = dict(edges=edges, owners=edge_elems, pair=pair, t=t, w=w,
+    return dict(edges=edges, owners=edge_elems, pair=pair, t=t, w=w,
                 lengths=lengths, normals=normals, phys=phys,
                 dirichlet=dirichlet,
                 interior=np.nonzero(edge_elems[:, 1] >= 0)[0])
-    space._cache[key] = geom
-    return geom
 
 
 def _edge_gradients(space, coeffs, geom, side):

@@ -164,7 +164,7 @@ class _RefElem:
 # problem definition
 
 
-@dataclass
+@dataclass(frozen=True)
 class Nonlinearity:
     """Scalar nonlinearity A(grad u) = a(|grad u|^2) grad u."""
     a: callable
@@ -172,7 +172,7 @@ class Nonlinearity:
     integral: callable   # antiderivative of a, for energies
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemDef:
     """Coefficients of the PDE; all callables act on (n, 2) point arrays.
 
@@ -283,8 +283,8 @@ class Space:
         self._cache = {}
 
     def cached(self, key, prob, build):
-        """``build()``, kept on the space for the problem object ``prob``;
-        another problem object on the same space builds anew."""
+        """``build()``, kept on the space for the problem object ``prob``
+        (None for what depends on the space alone); another builds anew."""
         hit = self._cache.get(key)
         if hit is not None and hit[0] is prob:
             return hit[1]
@@ -481,24 +481,24 @@ def assemble_rhs(space, prob):
 
 
 def nonlinear_form(space, prob, coeffs):
-    """Vector of <A(grad u), grad phi_i> + <c u, phi_i> for the monotone op."""
+    """Vector of <A(grad u), grad phi_i> + <c u, phi_i> for the monotone op:
+    the flux a(|grad u|^2) grad u w det, pulled back by K^T, and c u w det,
+    each times a reference table in one GEMM."""
     nl = prob.nonlinearity
     if nl is None:
         raise UnsupportedFormError("problem has no nonlinearity")
     pts, w = triangle_rule(2 * space.degree + 4)
-    g = space.function_gradients(coeffs, pts)
-    t = (g ** 2).sum(axis=2)
-    flux = nl.a(t)[:, :, None] * g
+    ne, n_local = space.mesh.n_elements, space.ref.n_local
     wdet = space.wdet(w)
-    # physical basis gradients (ne, nq, nl, 2), a temporary of this call
-    grad_tab = space.ref.table("grad", pts)[None] @ space.inv_jac[:, None]
-    local = np.einsum("eqi,eqli,eq->el", flux, grad_tab, wdet)
+    g = space.function_gradients(coeffs, pts)
+    flux = (nl.a((g ** 2).sum(axis=2)) * wdet)[:, :, None] * g
+    dN = space.ref.table("grad", pts).transpose(0, 2, 1).reshape(-1, n_local)
+    local = (flux @ space.inv_jac.transpose(0, 2, 1)).reshape(ne, -1) @ dN
     if prob.reaction is not None:
         phys = space.physical_points(pts).reshape(-1, 2)
-        c = np.asarray(prob.reaction(phys)).reshape(space.mesh.n_elements, -1)
+        c = np.asarray(prob.reaction(phys)).reshape(ne, -1)
         u = space.function_values(coeffs, pts)
-        local += np.einsum("eq,ql,eq->el", c * u,
-                           space.ref.table("eval", pts), wdet)
+        local += (c * u * wdet) @ space.ref.table("eval", pts)
     out = np.zeros(space.n_dofs)
     np.add.at(out, space.elem_dofs.ravel(), local.ravel())
     return out
@@ -620,13 +620,15 @@ def prolongation_matrix(coarse, fine):
     reproduces the identical piecewise polynomial (exact interpolation at
     fine DOF nodes inside each ancestor element).
     """
-    # keyed on the coarse mesh, which the refinement chain keeps alive, so
-    # the key cannot be reused; the coarse space itself is not pinned
-    key = ("prol", coarse.mesh)
-    if key in fine._cache:
-        return fine._cache[key]
     if fine.degree != coarse.degree:
         raise ValueError("prolongation requires matching polynomial degree")
+    # keyed on the coarse mesh, which the refinement chain keeps alive, so
+    # the key cannot be reused; the coarse space itself is not pinned
+    return fine.cached(("prol", coarse.mesh), None,
+                       lambda: _prolongation(coarse, fine))
+
+
+def _prolongation(coarse, fine):
     amap = ancestor_map(fine.mesh, coarse.mesh)
 
     ref_nodes = fine.ref.nodes
@@ -646,7 +648,6 @@ def prolongation_matrix(coarse, fine):
     P = sp.coo_matrix((vals.ravel(), (rows, cols)),
                       shape=(fine.n_dofs, coarse.n_dofs)).tocsr()
     P.eliminate_zeros()  # the weights set to 0 above
-    fine._cache[key] = P
     return P
 
 

@@ -89,6 +89,31 @@ def test_prolongation_cache_never_serves_another_coarse_space(square2):
         assert np.allclose(P @ coarse.dof_points[:, 0], fine.dof_points[:, 0])
 
 
+def test_prolongation_checks_the_degree_before_its_cache():
+    # a p = 1 matrix kept for the coarse mesh must not be handed out for a
+    # p = 2 coarse space of the same mesh
+    _, mesh = kellogg()
+    fine = Space(refine(mesh, [0]), 1)
+    with pytest.raises(ValueError):
+        prolongation_matrix(Space(mesh, 2), fine)
+    P = prolongation_matrix(Space(mesh, 1), fine)
+    assert P.shape == (fine.n_dofs, mesh.n_vertices)
+    with pytest.raises(ValueError):
+        prolongation_matrix(Space(mesh, 2), fine)
+
+
+def test_problem_objects_are_frozen():
+    # the caches keyed on a problem object must not outlive its coefficients
+    import dataclasses
+    prob, _ = zshape_nonlinear()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prob.diffusion = lambda x: np.full(len(x), 2.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prob.nonlinearity.a = prob.nonlinearity.da
+    changed = dataclasses.replace(prob, reaction=None)
+    assert changed.reaction is None and prob.reaction is not None
+
+
 def test_assemble_a_exact_symmetry_and_scaling(square2):
     space = Space(square2, 1)
     M = assemble_a(space, POISSON, reduced=False)
@@ -288,6 +313,65 @@ def test_nonlinear_galerkin_fixed_point(square2):
     res = (load_vector(space, prob)
            - nonlinear_form(space, prob, u.coeffs))[space.free]
     assert np.linalg.norm(res) <= 1e-9
+
+
+def _nonlinear_form_reference(space, prob, coeffs):
+    # reference: the flux contracted with the physical basis gradients
+    # (elements x points x local DOFs x 2) at each point
+    from afem_lab.quadrature import triangle_rule
+    pts, w = triangle_rule(2 * space.degree + 4)
+    g = space.function_gradients(coeffs, pts)
+    flux = prob.nonlinearity.a((g ** 2).sum(axis=2))[:, :, None] * g
+    wdet = space.wdet(w)
+    grad_tab = space.ref.table("grad", pts)[None] @ space.inv_jac[:, None]
+    local = np.einsum("eqi,eqli,eq->el", flux, grad_tab, wdet)
+    phys = space.physical_points(pts).reshape(-1, 2)
+    c = np.asarray(prob.reaction(phys)).reshape(space.mesh.n_elements, -1)
+    u = space.function_values(coeffs, pts)
+    local += np.einsum("eq,ql,eq->el", c * u, space.ref.table("eval", pts),
+                       wdet)
+    out = np.zeros(space.n_dofs)
+    np.add.at(out, space.elem_dofs.ravel(), local.ravel())
+    return out
+
+
+def _smooth_field(space):
+    x, y = space.dof_points.T
+    return np.sin(2 * x + 1) * np.cos(3 * y) + x * y ** 2
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_nonlinear_form_matches_the_per_point_contraction(p):
+    prob, mesh = zshape_nonlinear()
+    assert prob.reaction is not None
+    space = Space(uniform_refine(uniform_refine(mesh)), p)
+    v = _smooth_field(space)
+    ref = _nonlinear_form_reference(space, prob, v)
+    err = np.abs(nonlinear_form(space, prob, v) - ref).max()
+    assert err <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_nonlinear_form_peak_memory_has_no_local_dof_axis(p):
+    # the traced peak of one call, in units of one (elements x points x 2)
+    # float64 array, must not grow with the number of local DOFs
+    import tracemalloc
+    from afem_lab.quadrature import triangle_rule
+    prob, mesh = zshape_nonlinear()
+    for _ in range(3):
+        mesh = uniform_refine(mesh)
+    space = Space(mesh, p)
+    v = _smooth_field(space)
+    nonlinear_form(space, prob, v)  # builds the reference tables
+    tracemalloc.start()
+    try:
+        nonlinear_form(space, prob, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nq = len(triangle_rule(2 * p + 4)[1])
+    assert mesh.n_elements == 895
+    assert peak <= 8 * mesh.n_elements * nq * 2 * 8
 
 
 def test_p3_reproduces_harmonic_cubic(square2):
