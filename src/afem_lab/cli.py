@@ -16,13 +16,11 @@ Configuration precedence: command-line flags > config file (simple
 A config line that is not ``key=value`` or names no flag of the subcommand
 is a usage error.
 Flag and config values are range-checked while parsing, before any run.
-Exit codes: 0 success, 1 run failure, 2 usage error.  The environment
-variable AFEM_LAB_THREADS (an integer >= 1) caps sweep parallelism.
+Exit codes: 0 success, 1 run failure, 2 usage error.
 """
 
 import argparse
 import json
-import os
 import resource
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -145,11 +143,6 @@ def _parse(ap, argv):
     # verify has a default problem
     if getattr(args, "problem", "") is None:
         sub.error("--problem is required")
-    if args.command == "sweep" and "AFEM_LAB_THREADS" in os.environ:
-        try:
-            args.jobs = min(args.jobs, _count(os.environ["AFEM_LAB_THREADS"]))
-        except argparse.ArgumentTypeError as exc:
-            sub.error(f"AFEM_LAB_THREADS: {exc}")
     return args
 
 
@@ -319,8 +312,7 @@ def cmd_verify(args):
         a, b, q, C1, C2, delta = analysis.random_criterion_instance(rng)
         fit = analysis.rlinear_constants_from_criterion(a, b, q, C1, C2, delta)
         eq = analysis.tailsum_rlinear_equivalence(a)
-        if not fit.ok() or eq.violation_rlinear > 1 + 1e-9 \
-                or eq.violation_tail > 1 + 1e-9:
+        if not (fit.ok() and eq.ok()):
             violations += 1
     ok = violations == 0 and all(report[key] for key in report
                                  if key.endswith("_pass"))

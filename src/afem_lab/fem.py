@@ -57,7 +57,9 @@ class _RefElem:
     """Lagrange basis of total degree p on the reference triangle.
 
     Nodes sit on the barycentric lattice.  Basis coefficients come from the
-    inverted Vandermonde matrix in the monomial basis; fine for p <= 6.
+    inverted Vandermonde matrix in the monomial basis, which loses accuracy
+    quickly with p: on a jittered mesh with h ~ 1/8, the P4 interpolant of
+    a quartic has Hessians off by 5e-11 (gradients 2e-12, values 6e-14).
     """
 
     def __init__(self, p):
@@ -617,8 +619,10 @@ def prolongation_matrix(coarse, fine):
     """Sparse embedding of coarse coefficients into the fine space.
 
     Requires fine.mesh to be an NVB descendant of coarse.mesh.  The matrix
-    reproduces the identical piecewise polynomial (exact interpolation at
-    fine DOF nodes inside each ancestor element).
+    reproduces the identical piecewise polynomial: row i is the coarse basis
+    evaluated at ``fine.dof_points[i]``, in the ancestor of one fine element
+    that holds DOF i (weights below 1e-13 dropped); a DOF that no element
+    holds has an empty row.
     """
     if fine.degree != coarse.degree:
         raise ValueError("prolongation requires matching polynomial degree")
@@ -629,22 +633,19 @@ def prolongation_matrix(coarse, fine):
 
 
 def _prolongation(coarse, fine):
-    amap = ancestor_map(fine.mesh, coarse.mesh)
+    # one fine element holding each DOF; a DOF that none holds keeps an
+    # empty row
+    owner = np.full(fine.n_dofs, -1)
+    owner[fine.elem_dofs] = np.arange(fine.mesh.n_elements)[:, None]
+    held = np.flatnonzero(owner >= 0)
+    anc = ancestor_map(fine.mesh, coarse.mesh)[owner[held]]
+    loc = np.einsum("dij,dj->di", coarse.inv_jac[anc],
+                    fine.dof_points[held] - coarse.origin[anc])
 
-    ref_nodes = fine.ref.nodes
-    phys = fine.physical_points(ref_nodes)  # (ne_f, nl, 2)
-    anc_origin = coarse.origin[amap]
-    anc_inv = coarse.inv_jac[amap]
-    loc = np.einsum("eij,enj->eni", anc_inv, phys - anc_origin[:, None, :])
-
-    flat_rows = fine.elem_dofs.ravel()
-    _, first = np.unique(flat_rows, return_index=True)
-    e_idx, l_idx = np.divmod(first, fine.ref.n_local)
-
-    vals = coarse.ref.eval(loc[e_idx, l_idx])
+    vals = coarse.ref.eval(loc)
     vals[np.abs(vals) < 1e-13] = 0.0
-    rows = np.repeat(flat_rows[first], coarse.ref.n_local)
-    cols = coarse.elem_dofs[amap[e_idx]].ravel()
+    rows = np.repeat(held, coarse.ref.n_local)
+    cols = coarse.elem_dofs[anc].ravel()
     P = sp.coo_matrix((vals.ravel(), (rows, cols)),
                       shape=(fine.n_dofs, coarse.n_dofs)).tocsr()
     P.eliminate_zeros()  # the weights set to 0 above

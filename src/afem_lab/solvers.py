@@ -160,20 +160,16 @@ def _new_rows(coarse_space, fine_space):
 
 
 def _new_dof_block(coarse_space, fine_space):
-    """Free fine DOFs created by the refinement plus their edge neighbours."""
-    mesh = fine_space.mesh
-    new_vertex0 = coarse_space.mesh.n_vertices
-    edges, _, _ = mesh.edge_tables()
-    is_new = np.zeros(mesh.n_vertices, dtype=bool)
-    is_new[new_vertex0:] = True
-    touched = is_new.copy()
-    touch = is_new[edges[:, 0]] | is_new[edges[:, 1]]
-    touched[edges[touch].ravel()] = True
-    full = np.nonzero(touched & ~fine_space.dirichlet_mask)[0]
-    # map to reduced indices
-    pos = np.full(fine_space.n_dofs, -1, dtype=np.int64)
-    pos[fine_space.free] = np.arange(fine_space.n_free)
-    return pos[full]
+    """Reduced indices of the free DOFs of every fine element that holds a
+    DOF the refinement created.  At p = 1 a DOF is its vertex, ``refine``
+    appends the new vertices and the vertices of a triangle are pairwise
+    edges, so these are the new DOFs plus their edge neighbours."""
+    dofs = fine_space.elem_dofs
+    # an element appears once per new DOF it holds
+    holders = np.flatnonzero(dofs >= coarse_space.n_dofs) // dofs.shape[1]
+    touched = np.zeros(fine_space.n_dofs, dtype=bool)
+    touched[dofs[holders]] = True
+    return np.flatnonzero(touched[fine_space.free])
 
 
 def setup_solver(kind, space, prob):

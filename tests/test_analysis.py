@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -29,6 +30,42 @@ def test_criterion_perturbed_geometric():
                                            C2=0.011 / (1 - q ** 2), delta=1.0)
     assert fit.ok()
     assert max_rlinear_violation(a, fit.C_lin, fit.q_lin) <= 1 + 1e-9
+
+
+def _max_rlinear_violation_all_pairs(a, C_lin, q_lin):
+    worst = 0.0
+    for m in range(len(a)):
+        for l in range(m):
+            if a[l] > 0:
+                worst = max(worst, a[m] / (C_lin * q_lin ** (m - l) * a[l]))
+    return worst
+
+
+def test_max_rlinear_violation_matches_all_pairs():
+    rng = np.random.default_rng(3)
+    cases = [np.zeros(7), np.array([2.0]), np.array([0.0]),
+             np.array([0.0, 0.0, 1.0, 3.0])]
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        a = rng.uniform(0, 2, n) * 0.7 ** np.arange(n)
+        a[rng.random(n) < 0.3] = 0.0
+        cases.append(a)
+    for a in cases:
+        C, q = 1.5, 0.6
+        assert math.isclose(max_rlinear_violation(a, C, q),
+                            _max_rlinear_violation_all_pairs(a, C, q),
+                            rel_tol=1e-12)
+    assert max_rlinear_violation(np.zeros(7), 1.0, 0.5) == 0.0
+    assert max_rlinear_violation(np.array([2.0]), 1.0, 0.5) == 0.0
+
+
+def test_tail_equivalence_ok_is_the_violation_tolerance():
+    eq = tailsum_rlinear_equivalence(0.5 ** np.arange(40))
+    assert eq.ok()
+    for field in ("violation_rlinear", "violation_tail"):
+        assert dataclasses.replace(eq, **{field: 1 + 1e-9}).ok()
+        assert not dataclasses.replace(eq, **{field: 1 + 2e-9}).ok()
+        assert dataclasses.replace(eq, **{field: 1 + 2e-9}).ok(tol=1e-8)
 
 
 def test_criterion_sublinear_delta():

@@ -252,15 +252,6 @@ def test_out_of_range_config_value_is_usage_error(tmp_path):
     assert "argument --theta" in proc.stderr
 
 
-def test_bad_thread_cap_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("AFEM_LAB_THREADS", "two")
-    monkeypatch.setattr("afem_lab.cli.execute_run", None)
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--problem", "kellogg"])
-    assert exc.value.code == 2
-    assert "AFEM_LAB_THREADS" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_seed_is_a_verify_flag_only(monkeypatch, capsys, command):
     # run and sweep are deterministic; only verify draws random instances

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from afem_lab.fem import (DiscreteFunction, Nonlinearity, ProblemDef, Space,
                           UnsupportedFormError, assemble_a, assemble_b,
@@ -7,8 +8,8 @@ from afem_lab.fem import (DiscreteFunction, Nonlinearity, ProblemDef, Space,
                           interpolate, load_vector,
                           nonlinear_energy, nonlinear_form, prolongate,
                           prolongation_matrix, solve_galerkin_exact)
-from afem_lab.mesh import Mesh, refine, uniform_refine
-from afem_lab.problems import kellogg, zshape_nonlinear
+from afem_lab.mesh import Mesh, ancestor_map, refine, uniform_refine
+from afem_lab.problems import by_name, kellogg, zshape_nonlinear
 
 POISSON = ProblemDef(load=lambda x: np.ones(len(x)))
 
@@ -100,6 +101,61 @@ def test_prolongation_checks_the_degree_before_its_cache():
     assert P.shape == (fine.n_dofs, mesh.n_vertices)
     with pytest.raises(ValueError):
         prolongation_matrix(Space(mesh, 2), fine)
+
+
+def _prolongation_reference(coarse, fine):
+    """The matrix computed from every fine element's node coordinates, one
+    node per DOF picked by ``np.unique``."""
+    amap = ancestor_map(fine.mesh, coarse.mesh)
+    phys = fine.physical_points(fine.ref.nodes)
+    loc = np.einsum("eij,enj->eni", coarse.inv_jac[amap],
+                    phys - coarse.origin[amap][:, None, :])
+    flat_rows = fine.elem_dofs.ravel()
+    _, first = np.unique(flat_rows, return_index=True)
+    e_idx, l_idx = np.divmod(first, fine.ref.n_local)
+    vals = coarse.ref.eval(loc[e_idx, l_idx])
+    vals[np.abs(vals) < 1e-13] = 0.0
+    rows = np.repeat(flat_rows[first], coarse.ref.n_local)
+    cols = coarse.elem_dofs[amap[e_idx]].ravel()
+    P = sp.coo_matrix((vals.ravel(), (rows, cols)),
+                      shape=(fine.n_dofs, coarse.n_dofs)).tocsr()
+    P.eliminate_zeros()
+    return P
+
+
+@pytest.mark.parametrize("name", ["kellogg", "zshape-nonlinear",
+                                  "lshape-convection"])
+def test_prolongation_matches_the_per_element_reference(name):
+    _, mesh = by_name(name)
+    rng = np.random.default_rng(4)
+    meshes = [mesh]
+    for step in range(5):
+        m = meshes[-1]
+        m = refine(m, rng.choice(m.n_elements, max(1, m.n_elements // 4),
+                                 replace=False))
+        meshes.append(uniform_refine(m) if step == 2 else m)
+    pairs = list(zip(meshes, meshes[1:])) + [(meshes[0], meshes[-1])]
+    for p, tol in ((1, 0.0), (2, 0.0), (3, 1e-12)):
+        for coarse_mesh, fine_mesh in pairs:
+            coarse, fine = Space(coarse_mesh, p), Space(fine_mesh, p)
+            P = prolongation_matrix(coarse, fine)
+            ref = _prolongation_reference(coarse, fine)
+            if tol == 0.0:
+                assert (P != ref).nnz == 0
+            else:
+                assert abs(P - ref).max() <= tol
+
+
+def test_prolongation_leaves_an_unused_dof_row_empty():
+    _, mesh = kellogg()
+    with_unused = Mesh(np.vstack([mesh.vertices, [[0.25, 0.3]]]),
+                       mesh.elements, mesh.boundary_edges)
+    coarse = Space(with_unused, 1)
+    fine = Space(refine(with_unused, [0, 3]), 1)
+    P = prolongation_matrix(coarse, fine)
+    unused = mesh.n_vertices
+    assert P[unused].nnz == 0
+    assert (P != _prolongation_reference(coarse, fine)).nnz == 0
 
 
 def test_problem_objects_are_frozen():

@@ -8,8 +8,8 @@ from scipy.sparse.linalg import spsolve_triangular
 
 from afem_lab import solvers
 from afem_lab.fem import ProblemDef, Space, prolongation_matrix
-from afem_lab.mesh import refine, uniform_refine
-from afem_lab.problems import kellogg
+from afem_lab.mesh import Mesh, refine, uniform_refine
+from afem_lab.problems import by_name, kellogg
 from afem_lab.solvers import (NonContractiveError, SolverError,
                               certify_contraction, extend_solver, setup_solver,
                               solve_direct, solver_step)
@@ -133,6 +133,48 @@ def test_extend_solver_leaves_its_argument_alone(square2):
     assert new.space is fine and new.levels[:-1] == levels
     assert state.space is space and state.levels == levels
     assert space.mesh.edge_tables() is edges
+
+
+def _new_dof_block_reference(coarse_space, fine_space):
+    """The new vertices and their edge neighbours, from the edge table."""
+    mesh = fine_space.mesh
+    edges, _, _ = mesh.edge_tables()
+    is_new = np.zeros(mesh.n_vertices, dtype=bool)
+    is_new[coarse_space.mesh.n_vertices:] = True
+    touched = is_new.copy()
+    touched[edges[is_new[edges[:, 0]] | is_new[edges[:, 1]]].ravel()] = True
+    full = np.nonzero(touched & ~fine_space.dirichlet_mask)[0]
+    pos = np.full(fine_space.n_dofs, -1, dtype=np.int64)
+    pos[fine_space.free] = np.arange(fine_space.n_free)
+    return pos[full]
+
+
+@pytest.mark.parametrize("name", ["kellogg", "zshape-nonlinear"])
+def test_smoothing_block_is_the_edge_neighbour_patch(name):
+    _, mesh = by_name(name)
+    rng = np.random.default_rng(6)
+    spaces = [Space(mesh, 1)]
+    for _ in range(12):
+        mesh = refine(mesh, rng.choice(mesh.n_elements,
+                                       max(1, mesh.n_elements // 5),
+                                       replace=False))
+        spaces.append(Space(mesh, 1))
+    for coarse, fine in zip(spaces, spaces[1:]):
+        block = solvers._new_dof_block(coarse, fine)
+        assert len(block)
+        assert np.array_equal(block, _new_dof_block_reference(coarse, fine))
+
+
+def test_extend_solver_does_not_read_the_edge_tables(monkeypatch):
+    prob, mesh = kellogg()
+    state = setup_solver("local_multigrid", Space(mesh, 1), prob)
+    fine = Space(refine(mesh, [0, 3]), 1)
+    calls = []
+    edge_tables = Mesh.edge_tables
+    monkeypatch.setattr(Mesh, "edge_tables",
+                        lambda self: calls.append(self) or edge_tables(self))
+    extend_solver(state, fine)
+    assert calls == []
 
 
 def test_setup_rejects_non_spd(square2):
