@@ -167,9 +167,9 @@ class TailEquivalence:
     violation_rlinear: float
     violation_tail: float
 
-    def ok(self, tol=1e-9):
-        return (self.violation_rlinear <= 1.0 + tol
-                and self.violation_tail <= 1.0 + tol)
+    def ok(self):
+        return all(v <= 1.0 + 1e-9
+                   for v in (self.violation_rlinear, self.violation_tail))
 
 
 def tailsum_rlinear_equivalence(a, m=1.0):

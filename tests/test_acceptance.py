@@ -139,8 +139,7 @@ def test_criterion_7_sequence_lemma_suites():
         a, b, q, C1, C2, delta = random_criterion_instance(rng)
         fit = rlinear_constants_from_criterion(a, b, q, C1, C2, delta)
         eq = tailsum_rlinear_equivalence(a)
-        if not (fit.ok() and eq.violation_rlinear <= 1 + 1e-9
-                and eq.violation_tail <= 1 + 1e-9):
+        if not (fit.ok() and eq.ok()):
             violations += 1
     # closed-form geometric case: C1 = q/(1-q) = 1, C_lin = 1 + C1 = 2
     geo = tailsum_rlinear_equivalence(0.5 ** np.arange(120))
