@@ -34,6 +34,9 @@ __all__ = ["RLinearFit", "rlinear_constants_from_criterion",
            "fit_rate_loglog", "verify_axioms", "quasi_error_sequence",
            "CriterionError"]
 
+RLINEAR_TOL = 1e-9  # rounding slack of a certified bound, in every ok()
+
+
 class CriterionError(ValueError):
     """A hypothesis of the summability criterion fails on the given data."""
 
@@ -44,8 +47,8 @@ class RLinearFit:
     q_lin: float
     max_violation: float
 
-    def ok(self, tol=1e-9):
-        return self.max_violation <= 1.0 + tol
+    def ok(self):
+        return self.max_violation <= 1.0 + RLINEAR_TOL
 
 
 def max_rlinear_violation(a, C_lin, q_lin):
@@ -168,7 +171,7 @@ class TailEquivalence:
     violation_tail: float
 
     def ok(self):
-        return all(v <= 1.0 + 1e-9
+        return all(v <= 1.0 + RLINEAR_TOL
                    for v in (self.violation_rlinear, self.violation_tail))
 
 

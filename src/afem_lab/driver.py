@@ -76,8 +76,6 @@ class History:
         self.algo = algo
         self.meta = meta or {}
         self.records = []
-        self.k_stop = {}
-        self.j_stop = {}
         self.cumulative_cost = 0
 
     def append(self, ell, k=None, j=None, *, n_elem, n_dof, eta,
@@ -95,6 +93,17 @@ class History:
 
     def __len__(self):
         return len(self.records)
+
+    @property
+    def k_stop(self):
+        """The last k of each level, {ell: k}, read from the records."""
+        return {r["ell"]: r["k"] for r in self.records if r["k"] is not None}
+
+    @property
+    def j_stop(self):
+        """The last j of each (ell, k), read from the records."""
+        return {(r["ell"], r["k"]): r["j"] for r in self.records
+                if r["j"] is not None}
 
     def column(self, name):
         vals = [r[name] for r in self.records]
@@ -152,16 +161,17 @@ class History:
             require(prev is None or key > prev,
                     f"records out of lexicographic order at {r}")
             prev = key
+        # a solver run stops its outer loop on the last record of each
+        # level and its inner loop on the last j of each (ell, k)
         for r, rec in enumerate(self.records):
-            ell, k, j = rec["ell"], rec["k"], rec["j"]
-            if k is not None:
-                is_last_outer = (k == self.k_stop.get(ell) and (
-                    j is None or j == self.j_stop.get((ell, k))))
-                require(rec["stop_outer"] == is_last_outer,
-                        f"outer stop flag inconsistent at record {r}")
-            if j is not None:
-                require(rec["stop_inner"] == (j == self.j_stop.get((ell, k))),
-                        f"inner stop flag inconsistent at record {r}")
+            nxt = self.records[r + 1] if r + 1 < len(self.records) else None
+            last_of_level = nxt is None or nxt["ell"] != rec["ell"]
+            last_of_k = last_of_level or nxt["k"] != rec["k"]
+            require(rec["stop_outer"] == (rec["k"] is not None
+                                          and last_of_level),
+                    f"outer stop flag inconsistent at record {r}")
+            require(rec["stop_inner"] == (rec["j"] is not None and last_of_k),
+                    f"inner stop flag inconsistent at record {r}")
         return True
 
 
@@ -366,7 +376,6 @@ def run_single(prob, mesh0, theta, lam, p=1, solver_kind="local_multigrid",
             if store_artifacts:
                 history.meta.setdefault("iterates", []).append(u.copy())
             if stop:
-                history.k_stop[ell] = k
                 return u, ind
 
     return _adapt(history, prob, mesh0, p, theta, solve_level, max_dofs,
@@ -418,13 +427,11 @@ def run_nested(prob, mesh0, theta, cfg, p=1, solver_kind="local_multigrid",
                 if store_artifacts:
                     history.meta.setdefault("iterates", []).append(u.copy())
                 if stop_in:
-                    history.j_stop[(ell, k)] = j
                     break
             stop_out = outer_stop(outer_inc, ind.total, cfg.lambda_sym)
             history.records[-1]["stop_outer"] = stop_out
             art["outer"].append(u)
             if stop_out:
-                history.k_stop[ell] = k
                 return u, ind
 
     return _adapt(history, prob, mesh0, p, theta, solve_level, max_dofs,

@@ -146,7 +146,7 @@ def _build_edge_geometry(mesh, nq):
     d = mesh.vertices[edges[:, 1]] - pa
     lengths = np.linalg.norm(d, axis=1)
     normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
-    dirichlet = np.sort(mesh.edge_ids(mesh.boundary_edges[:, :2]))
+    dirichlet = np.sort(mesh.edge_ids(mesh.boundary_edges))
     # edge points on the Dirichlet edges, where the data oscillation is read
     phys = pa[dirichlet, None, :] + t[None, :, None] * d[dirichlet, None, :]
     return dict(edges=edges, owners=edge_elems, pair=pair, t=t, w=w,

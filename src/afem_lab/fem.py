@@ -181,7 +181,10 @@ class ProblemDef:
     diffusion returns the scalar coefficient a(x), shape (n,), of the
     isotropic diffusion a(x) I; None means 1.  Assembly and the exact energy
     error integrate a(x) at quadrature points; the residual estimator takes
-    it as constant inside each element and reads it at the centroids.
+    it as constant inside each element and reads it at the centroids.  The
+    diffusion is constant per element because every mesh comes from the
+    initial meshes of ``problems``, which resolve the Kellogg interfaces,
+    and NVB only splits elements, so it keeps them resolved.
     """
     diffusion: callable = None
     convection: callable = None
@@ -272,11 +275,10 @@ class Space:
         pts[dof.ravel()] = self.physical_points(ref.nodes).reshape(-1, 2)
         self.dof_points = pts
 
-        # Dirichlet classification: all boundary segments carry Dirichlet data
+        # Dirichlet classification: every boundary edge carries Dirichlet data
         mask = np.zeros(self.n_dofs, dtype=bool)
-        bedges = mesh.boundary_edges[:, :2]
-        mask[bedges.ravel()] = True
-        eids = mesh.edge_ids(bedges)
+        mask[mesh.boundary_edges.ravel()] = True
+        eids = mesh.edge_ids(mesh.boundary_edges)
         for t in range(p - 1):
             mask[nv + eids * (p - 1) + t] = True
         self.dirichlet_mask = mask
@@ -530,7 +532,8 @@ def solve_galerkin_exact(space, prob):
     """Galerkin solution; nonlinear problems by damped Zarantonello iteration.
 
     The nonlinear fixed point uses delta = 1/L and iterates until the energy
-    norm of the increment drops below 1e-11 (a test-only reference quantity).
+    norm of the increment drops below 1e-11 max(1, |||u|||), with |||u||| the
+    energy norm of the current iterate (a test-only reference quantity).
     """
     lift = dirichlet_values(space, prob)
     if not prob.is_nonlinear:
@@ -552,7 +555,8 @@ def solve_galerkin_exact(space, prob):
         coeffs[space.free] += step
         inc = np.zeros(space.n_dofs)
         inc[space.free] = step
-        if np.sqrt(inc @ (G @ inc)) <= 1e-11 * max(1.0, np.linalg.norm(coeffs)):
+        norm_u = np.sqrt(coeffs @ (G @ coeffs))
+        if np.sqrt(inc @ (G @ inc)) <= 1e-11 * max(1.0, norm_u):
             return DiscreteFunction(space, coeffs)
     raise SolverError("Zarantonello fixed point did not converge")
 

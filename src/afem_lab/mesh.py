@@ -17,19 +17,9 @@ first.  Children keep their parents' order, ``(v2, v0, m)`` first; a split
 boundary edge ``(a, b)`` becomes ``(a, m)``, ``(m, b)``.  An undirected edge
 is named by one int64 key, ``min * n_vertices + max`` (``_edge_keys``).
 
-Plain-text dump format (``afem-mesh v1``)::
-
-    afem-mesh v1
-    <n_vertices> <n_elements>
-    x y                          one line per vertex
-    v0 v1 v2 ref_edge generation one line per element (ref_edge: local index)
-    v0 v1 segment_id             one line per boundary edge, until EOF
-
 Meshes are immutable after construction; ``refine`` returns a new Mesh that
 keeps a reference to its parent and a per-element parent map.
 """
-
-import io
 
 import numpy as np
 
@@ -39,33 +29,28 @@ __all__ = ["Mesh", "refine", "uniform_refine", "check_conforming"]
 class Mesh:
     """Conforming 2D triangulation with per-element reference edge."""
 
-    def __init__(self, vertices, elements, boundary_edges, generation=None,
-                 parent_mesh=None, parent_elements=None):
+    def __init__(self, vertices, elements, boundary_edges, parent_mesh=None,
+                 parent_elements=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.elements = np.ascontiguousarray(elements, dtype=np.int64)
         boundary_edges = np.asarray(boundary_edges, dtype=np.int64)
         if boundary_edges.size == 0:
-            boundary_edges = boundary_edges.reshape(0, 3)
+            boundary_edges = boundary_edges.reshape(0, 2)
         self.boundary_edges = np.ascontiguousarray(boundary_edges)
-        if generation is None:
-            generation = np.zeros(len(self.elements), dtype=np.int64)
-        self.generation = np.ascontiguousarray(generation, dtype=np.int64)
         self.parent_mesh = parent_mesh
         self.parent_elements = (None if parent_elements is None
                                 else np.asarray(parent_elements, dtype=np.int64))
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
-            raise ValueError("vertices must be an (n, 2) array")
-        if self.elements.ndim != 2 or self.elements.shape[1] != 3:
-            raise ValueError("elements must be an (n, 3) array")
-        if len(self.generation) != len(self.elements):
-            raise ValueError("generation length mismatch")
+        for name, a, cols in (("vertices", self.vertices, 2),
+                              ("elements", self.elements, 3),
+                              ("boundary_edges", self.boundary_edges, 2)):
+            if a.ndim != 2 or a.shape[1] != cols:
+                raise ValueError(f"{name} must be an (n, {cols}) array")
         for name, ids in (("element", self.elements),
-                          ("boundary edge", self.boundary_edges[:, :2])):
+                          ("boundary edge", self.boundary_edges)):
             if ids.size and (ids.min() < 0 or ids.max() >= self.n_vertices):
                 raise ValueError(f"{name} vertex index outside "
                                  f"[0, {self.n_vertices})")
-        for a in (self.vertices, self.elements, self.boundary_edges,
-                  self.generation):
+        for a in (self.vertices, self.elements, self.boundary_edges):
             a.setflags(write=False)
         self._edge_cache = None
 
@@ -148,62 +133,6 @@ class Mesh:
         """Drop the cached edge tables; ``edge_tables`` rebuilds them."""
         self._edge_cache = None
 
-    # -- serialization -----------------------------------------------------
-
-    def dump(self, fileobj=None):
-        """Write the plain-text ``afem-mesh v1`` format; return str if no file."""
-        out = fileobj if fileobj is not None else io.StringIO()
-        out.write("afem-mesh v1\n")
-        out.write(f"{self.n_vertices} {self.n_elements}\n")
-        for x, y in self.vertices:
-            out.write(f"{x:.17g} {y:.17g}\n")
-        for (v0, v1, v2), g in zip(self.elements, self.generation):
-            out.write(f"{v0} {v1} {v2} 0 {g}\n")
-        for v0, v1, seg in self.boundary_edges:
-            out.write(f"{v0} {v1} {seg}\n")
-        return out.getvalue() if fileobj is None else None
-
-    @classmethod
-    def load(cls, source):
-        """Read the ``afem-mesh v1`` format from a string or file object; a
-        malformed line raises ValueError naming its number."""
-        text = source if isinstance(source, str) else source.read()
-        lines = text.splitlines()
-        header = lines[0].strip() if lines else ""
-        if header != "afem-mesh v1":
-            raise ValueError(f"unrecognized mesh header: {header!r}")
-
-        def row(n, count, convert=int, vertex_ids=0):
-            if n > len(lines):
-                raise ValueError(f"line {n}: the file ends before the counts "
-                                 "of its header are read")
-            try:
-                vals = [convert(t) for t in lines[n - 1].split()]
-            except ValueError:
-                vals = []
-            if len(vals) != count:
-                raise ValueError(f"line {n}: expected {count} numbers, got "
-                                 f"{lines[n - 1]!r}")
-            if not all(0 <= v < nv for v in vals[:vertex_ids]):
-                raise ValueError(f"line {n}: vertex index outside [0, {nv})")
-            return vals
-
-        nv, ne = row(2, 2)
-        verts = np.array([row(n, 2, float) for n in range(3, 3 + nv)])
-        elems = np.zeros((ne, 3), dtype=np.int64)
-        gen = np.zeros(ne, dtype=np.int64)
-        for i, n in enumerate(range(3 + nv, 3 + nv + ne)):
-            *tri, ref, gen[i] = row(n, 5, vertex_ids=3)
-            if ref not in (0, 1, 2):
-                raise ValueError(f"line {n}: ref_edge {ref} is not 0, 1 or 2")
-            # rotate so the stored reference edge becomes local edge 0
-            elems[i] = np.roll(tri, -ref)
-        rest = range(3 + nv + ne, len(lines) + 1)
-        bnd = [row(n, 3, vertex_ids=2) for n in rest if lines[n - 1].strip()]
-        return cls(verts.reshape(nv, 2), elems,
-                   np.array(bnd, dtype=np.int64).reshape(-1, 3),
-                   generation=gen)
-
 
 def element_indices(indices, n_elements):
     """``indices`` (any iterable of integer element indices) as an int64
@@ -252,33 +181,32 @@ def refine(mesh, marked):
     # two rounds of one bisection; the children of round one bisect on the
     # parent's local edges 2 and 1, which closure splits only if edge 0 splits
     mid = midpoint_of[elem_edges]
-    elems, gen, parent = _bisect(mesh.elements, mesh.generation,
-                                 np.arange(mesh.n_elements), mid[:, 0])
+    elems, parent = _bisect(mesh.elements, np.arange(mesh.n_elements),
+                            mid[:, 0])
     mid = _in_pairs(mid[:, 2], mid[:, 1], mid[:, 0] >= 0)
-    elems, gen, parent = _bisect(elems, gen, parent, mid)
+    elems, parent = _bisect(elems, parent, mid)
 
     # split boundary edges whose midpoint was created: (a, b) -> (a, m), (m, b)
     bnd = mesh.boundary_edges
-    m = midpoint_of[mesh.edge_ids(bnd[:, :2])]
+    m = midpoint_of[mesh.edge_ids(bnd)]
     split = m >= 0
-    a, b, seg = bnd.T
-    first = np.where(split[:, None], np.column_stack([a, m, seg]), bnd)
-    new_bnd = _in_pairs(first, np.column_stack([m, b, seg]), split)
+    a, b = bnd.T
+    first = np.where(split[:, None], np.column_stack([a, m]), bnd)
+    new_bnd = _in_pairs(first, np.column_stack([m, b]), split)
 
-    return Mesh(new_vertices, elems, new_bnd, generation=gen,
-                parent_mesh=mesh, parent_elements=parent)
+    return Mesh(new_vertices, elems, new_bnd, parent_mesh=mesh,
+                parent_elements=parent)
 
 
-def _bisect(elems, gen, parent, mid):
+def _bisect(elems, parent, mid):
     """One round of NVB: row ``(v0, v1, v2)`` with ``mid >= 0`` becomes
     ``(v2, v0, mid)`` and ``(v1, v2, mid)``; the others stay.  Returns the
-    new rows with their generation and parent."""
+    new rows with their parents."""
     split = mid >= 0
     v0, v1, v2 = elems.T
     first = np.where(split[:, None], np.column_stack([v2, v0, mid]), elems)
-    n_kids = 1 + split
     return (_in_pairs(first, np.column_stack([v1, v2, mid]), split),
-            np.repeat(gen + split, n_kids), np.repeat(parent, n_kids))
+            np.repeat(parent, 1 + split))
 
 
 def _in_pairs(first, second, keep_second):
@@ -320,7 +248,7 @@ def check_conforming(mesh):
     catches hanging vertices).
     """
     e, nv = mesh.elements, mesh.n_vertices
-    bnd = mesh.boundary_edges[:, :2]
+    bnd = mesh.boundary_edges
     ids = np.concatenate([e.ravel(), bnd.ravel()])
     if ids.size and (ids.min() < 0 or ids.max() >= nv):
         return False

@@ -53,11 +53,9 @@ def _criss_cross(squares, extra=()):
         elements.append([v(*tri[0]), v(*tri[1]), v(*tri[2])])
     elements = np.array(elements, dtype=np.int64)
 
-    # boundary = edges of one element, one Dirichlet segment (id 0)
+    # boundary = edges of one element, all Dirichlet
     edges, _, owners = Mesh(verts, elements, []).edge_tables()
-    bnd = edges[owners[:, 1] < 0]
-    return Mesh(verts, elements,
-                np.column_stack([bnd, np.zeros(len(bnd), np.int64)]))
+    return Mesh(verts, elements, edges[owners[:, 1] < 0])
 
 
 # ---------------------------------------------------------------------------

@@ -11,5 +11,5 @@ def square2():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     a, b, c, d = 0, 1, 2, 3
     elements = np.array([[c, a, b], [a, c, d]])
-    boundary = np.array([[a, b, 0], [b, c, 0], [c, d, 0], [d, a, 0]])
+    boundary = np.array([[a, b], [b, c], [c, d], [d, a]])
     return Mesh(verts, elements, boundary)

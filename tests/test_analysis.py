@@ -60,12 +60,17 @@ def test_max_rlinear_violation_matches_all_pairs():
 
 
 def test_tail_equivalence_ok_is_the_violation_tolerance():
-    eq = tailsum_rlinear_equivalence(0.5 ** np.arange(40))
-    assert eq.ok()
-    for field in ("violation_rlinear", "violation_tail"):
-        assert dataclasses.replace(eq, **{field: 1 + 1e-9}).ok()
-        assert not dataclasses.replace(eq, **{field: 1 + 2e-9}).ok()
-        assert not dataclasses.replace(eq, **{field: math.nan}).ok()
+    # TailEquivalence and RLinearFit hold their violations to one tolerance
+    a = 0.5 ** np.arange(40)
+    eq = tailsum_rlinear_equivalence(a)
+    fit = rlinear_constants_from_criterion(a, np.zeros(40), 0.5, C1=1.0,
+                                           C2=1.0, delta=1.0)
+    assert eq.ok() and fit.ok()
+    for result, field in ((eq, "violation_rlinear"), (eq, "violation_tail"),
+                          (fit, "max_violation")):
+        assert dataclasses.replace(result, **{field: 1 + 1e-9}).ok()
+        assert not dataclasses.replace(result, **{field: 1 + 2e-9}).ok()
+        assert not dataclasses.replace(result, **{field: math.nan}).ok()
 
 
 def test_criterion_sublinear_delta():

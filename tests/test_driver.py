@@ -331,6 +331,31 @@ def _corrupted_history():
     return hist
 
 
+@pytest.mark.parametrize("entry", ["single", "nested"])
+def test_ledger_rejects_a_record_after_the_last_stop(entry):
+    # one more step after the final level stopped: its flags stay false,
+    # so the stop no longer falls on the level's last record
+    from afem_lab.driver import LedgerError
+    prob, mesh = kellogg()
+    cfg = ZarantonelloConfig(delta=0.5, lambda_sym=0.7, lambda_alg=0.7)
+    if entry == "single":
+        hist = run_single(prob, mesh, theta=0.5, lam=0.1,
+                          solver_kind="direct", max_dofs=100)
+    else:
+        hist = run_nested(prob, mesh, theta=0.5, cfg=cfg,
+                          solver_kind="direct", max_dofs=100)
+    assert hist.check_invariants()
+    last = hist.records[-1]
+    step = (last["k"] + 1,) if entry == "single" else (last["k"],
+                                                       last["j"] + 1)
+    hist.append(last["ell"], *step, n_elem=last["n_elem"],
+                n_dof=last["n_dof"], eta=last["eta"], increment=0.0)
+    with pytest.raises(LedgerError, match="stop flag inconsistent"):
+        hist.check_invariants()
+    # the stop indices follow the records
+    assert hist.k_stop[last["ell"]] == step[0]
+
+
 def test_ledger_violation_raises_ledger_error():
     from afem_lab.driver import LedgerError
     assert issubclass(LedgerError, AssertionError)

@@ -18,7 +18,7 @@ def one_element_mesh():
     # the upper triangle of the 2-triangle square, as its own mesh
     verts = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
     elements = np.array([[0, 1, 2]])
-    boundary = np.array([[0, 1, 0], [1, 2, 0], [2, 0, 0]])
+    boundary = np.array([[0, 1], [1, 2], [2, 0]])
     return Mesh(verts, elements, boundary)
 
 

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +22,9 @@ def test_refine_both_marked_gives_four(square2):
     # hand enumeration: one new vertex, the diagonal midpoint
     assert fine.n_vertices == 5
     assert np.allclose(fine.vertices[4], [0.5, 0.5])
-    assert (fine.generation == 1).all()
+    # each element bisected once: half its parent's area
+    parents = fine.parent_elements
+    assert np.allclose(fine.areas(), 0.5 * square2.areas()[parents])
 
 
 def test_refine_empty_is_noop(square2):
@@ -60,7 +60,9 @@ def test_uniform_refine_counts_and_generation(square2):
     fine = uniform_refine(square2)
     assert fine.n_elements == 8
     assert check_conforming(fine)
-    assert (fine.generation == 2).all()
+    # each element bisected twice: a quarter of its ancestor's area
+    ancestors = ancestor_map(fine, square2)
+    assert np.allclose(fine.areas(), 0.25 * square2.areas()[ancestors])
 
 
 def test_refine_all_growth_factor_bounds(square2):
@@ -77,7 +79,7 @@ def test_check_conforming_detects_hanging_vertex():
                       [0.5, 0.5]])
     a, b, c, d, m = range(5)
     elements = np.array([[c, a, b], [a, m, d], [m, c, d]])
-    boundary = np.array([[a, b, 0], [b, c, 0], [c, d, 0], [d, a, 0]])
+    boundary = np.array([[a, b], [b, c], [c, d], [d, a]])
     bad = Mesh(verts, elements, boundary)
     assert not check_conforming(bad)
 
@@ -89,7 +91,7 @@ def test_check_conforming_detects_negative_orientation(square2):
     assert not check_conforming(bad)
 
 
-@pytest.mark.parametrize("row", [[1, 0, 0], [1, 3, 0], [2, 0, 0]],
+@pytest.mark.parametrize("row", [[1, 0], [1, 3], [2, 0]],
                          ids=["listed-twice", "not-an-edge", "interior"])
 def test_check_conforming_rejects_bad_boundary_edge(square2, row):
     assert check_conforming(square2)
@@ -104,7 +106,7 @@ def test_check_conforming_rejects_directed_edge_used_twice():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
     a, b, c, d = range(4)
     elements = np.array([[a, b, c], [a, b, d]])
-    boundary = np.array([[b, c, 0], [c, a, 0], [b, d, 0], [d, a, 0]])
+    boundary = np.array([[b, c], [c, a], [b, d], [d, a]])
     assert not check_conforming(Mesh(verts, elements, boundary))
 
 
@@ -113,8 +115,7 @@ def test_check_conforming_rejects_edge_in_three_elements():
                       [0.5, 2.0]])
     a, b, c, d, e = range(5)
     elements = np.array([[a, b, c], [b, a, d], [a, b, e]])
-    boundary = np.array([[b, c, 0], [c, a, 0], [a, d, 0], [d, b, 0],
-                         [b, e, 0], [e, a, 0]])
+    boundary = np.array([[b, c], [c, a], [a, d], [d, b], [b, e], [e, a]])
     assert not check_conforming(Mesh(verts, elements, boundary))
 
 
@@ -127,7 +128,16 @@ def test_mesh_rejects_element_vertex_out_of_range():
 def test_mesh_rejects_boundary_vertex_out_of_range():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match=r"boundary edge vertex index"):
-        Mesh(verts, [[0, 1, 2]], [[0, -1, 0]])
+        Mesh(verts, [[0, 1, 2]], [[0, -1]])
+
+
+@pytest.mark.parametrize("boundary", [[[0, 1, 0]], [0, 1]],
+                         ids=["segment-column", "flat"])
+def test_mesh_rejects_boundary_edges_not_n_by_2(boundary):
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError,
+                       match=r"boundary_edges must be an \(n, 2\) array"):
+        Mesh(verts, [[0, 1, 2]], boundary)
 
 
 def _refine_by_loop(mesh, marked):
@@ -148,48 +158,44 @@ def _refine_by_loop(mesh, marked):
     midpoints = 0.5 * (mesh.vertices[edges[new_edge_ids, 0]]
                        + mesh.vertices[edges[new_edge_ids, 1]])
 
-    elems, gen = mesh.elements, mesh.generation
     em = marked_edge[elem_edges]
-    new_elems, new_gen, parent = [], [], []
+    new_elems, parent = [], []
 
-    def emit(tri, g, p):
+    def emit(tri, p):
         new_elems.append(tri)
-        new_gen.append(g)
         parent.append(p)
 
     for i in range(mesh.n_elements):
-        v0, v1, v2 = elems[i]
+        v0, v1, v2 = mesh.elements[i]
         if not em[i, 0]:
-            emit((v0, v1, v2), gen[i], i)
+            emit((v0, v1, v2), i)
             continue
         m0 = midpoint_of[elem_edges[i, 0]]
-        g1 = gen[i] + 1
         if em[i, 2]:
             m2 = midpoint_of[elem_edges[i, 2]]
-            emit((m0, v2, m2), g1 + 1, i)
-            emit((v0, m0, m2), g1 + 1, i)
+            emit((m0, v2, m2), i)
+            emit((v0, m0, m2), i)
         else:
-            emit((v2, v0, m0), g1, i)
+            emit((v2, v0, m0), i)
         if em[i, 1]:
             m1 = midpoint_of[elem_edges[i, 1]]
-            emit((m0, v1, m1), g1 + 1, i)
-            emit((v2, m0, m1), g1 + 1, i)
+            emit((m0, v1, m1), i)
+            emit((v2, m0, m1), i)
         else:
-            emit((v1, v2, m0), g1, i)
+            emit((v1, v2, m0), i)
 
     edge_id = {tuple(r): k for k, r in enumerate(edges.tolist())}
     bnd = []
-    for a, b, seg in mesh.boundary_edges.tolist():
+    for a, b in mesh.boundary_edges.tolist():
         m = midpoint_of[edge_id[min(a, b), max(a, b)]]
         if m < 0:
-            bnd.append((a, b, seg))
+            bnd.append((a, b))
         else:
-            bnd.append((a, m, seg))
-            bnd.append((m, b, seg))
+            bnd.append((a, m))
+            bnd.append((m, b))
     return (np.vstack([mesh.vertices, midpoints]),
             np.array(new_elems, dtype=np.int64),
-            np.array(bnd, dtype=np.int64).reshape(-1, 3),
-            np.array(new_gen, dtype=np.int64),
+            np.array(bnd, dtype=np.int64).reshape(-1, 2),
             np.array(parent, dtype=np.int64))
 
 
@@ -205,7 +211,7 @@ def test_refine_matches_loop_reference(square2, name):
         expected = _refine_by_loop(mesh, marked)
         mesh = refine(mesh, marked)
         got = (mesh.vertices, mesh.elements, mesh.boundary_edges,
-               mesh.generation, mesh.parent_elements)
+               mesh.parent_elements)
         for g, e in zip(got, expected):
             assert g.dtype == e.dtype
             assert np.array_equal(g, e)
@@ -260,7 +266,7 @@ def test_monotone_minimality_and_overlay_tracking(square2):
 def test_closure_idempotence_random_marks(data):
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     elements = np.array([[2, 0, 1], [0, 2, 3]])
-    boundary = np.array([[0, 1, 0], [1, 2, 0], [2, 3, 0], [3, 0, 0]])
+    boundary = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
     mesh = Mesh(verts, elements, boundary)
     for _ in range(data.draw(st.integers(1, 5))):
         marked = data.draw(st.sets(
@@ -282,61 +288,6 @@ def test_shape_regularity_floor(square2):
                             size=max(1, mesh.n_elements // 4), replace=False)
         mesh = refine(mesh, marked)
     assert mesh.min_angle() >= floor - 1e-12
-
-
-def test_dump_load_roundtrip(square2):
-    mesh = refine(square2, {0})
-    text = mesh.dump()
-    assert text.startswith("afem-mesh v1\n")
-    back = Mesh.load(io.StringIO(text))
-    assert np.array_equal(back.elements, mesh.elements)
-    assert np.allclose(back.vertices, mesh.vertices)
-    assert np.array_equal(back.boundary_edges, mesh.boundary_edges)
-    assert np.array_equal(back.generation, mesh.generation)
-    assert check_conforming(back)
-
-
-# one triangle: header, counts, three vertices (lines 3-5), the element
-# (line 6) and one boundary edge (line 7)
-TRIANGLE = "afem-mesh v1\n3 1\n0 0\n1 0\n0 1\n0 1 2 1 0\n0 1 0\n"
-
-
-def test_load_rotates_to_the_stored_reference_edge():
-    assert Mesh.load(TRIANGLE).elements.tolist() == [[1, 2, 0]]
-
-
-def test_load_rejects_reference_edge_out_of_range():
-    with pytest.raises(ValueError, match="line 6: ref_edge 5"):
-        Mesh.load(TRIANGLE.replace("0 1 2 1 0", "0 1 2 5 0"))
-
-
-def test_load_rejects_element_vertex_out_of_range():
-    with pytest.raises(ValueError, match=r"line 6: vertex index outside"):
-        Mesh.load(TRIANGLE.replace("0 1 2 1 0", "0 1 7 1 0"))
-
-
-def test_load_rejects_boundary_vertex_out_of_range():
-    with pytest.raises(ValueError, match=r"line 7: vertex index outside"):
-        Mesh.load(TRIANGLE.replace("0 1 0\n", "0 -1 0\n"))
-
-
-@pytest.mark.parametrize("old, new, line", [
-    ("3 1\n", "3 1 2\n", 2),
-    ("1 0\n0 1\n", "1 0 3\n0 1\n", 4),
-    ("0 1 2 1 0", "0 1 2 1", 6),
-    ("0 1 2 1 0", "0 1 x 1 0", 6),
-    ("0 1 0\n", "0 1\n", 7),
-], ids=["counts", "vertex", "element-short", "element-not-int", "boundary"])
-def test_load_rejects_wrong_field_count(old, new, line):
-    with pytest.raises(ValueError, match=f"line {line}: expected"):
-        Mesh.load(TRIANGLE.replace(old, new))
-
-
-@pytest.mark.parametrize("keep, line", [(1, 2), (4, 5), (5, 6)])
-def test_load_rejects_file_ending_before_header_counts(keep, line):
-    text = "".join(TRIANGLE.splitlines(keepends=True)[:keep])
-    with pytest.raises(ValueError, match=f"line {line}: the file ends"):
-        Mesh.load(text)
 
 
 def _edge_tables_by_rows(mesh):
