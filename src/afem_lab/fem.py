@@ -225,6 +225,11 @@ class Space:
     (ordered from the lower- to the higher-numbered endpoint), then interior
     DOFs per element.  Shared edges/vertices share DOFs, so functions are
     continuous across elements.
+
+    Geometry: ``affine`` (n_elements, 3, 2), C-contiguous, holds per element
+    the rows v1 - v0, v2 - v0 (J^T, with J the Jacobian) and v0, so that
+    ``physical_points`` is one GEMM; ``origin`` is a view of the last row,
+    and ``det`` and ``inv_jac`` (K = J^-1) come from the first two.
     """
 
     def __init__(self, mesh, degree=1):
@@ -257,17 +262,18 @@ class Space:
 
         # geometric data for affine maps
         c = mesh.element_coords()
-        J = np.stack([c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]], axis=2)
-        self.origin = c[:, 0]
-        self.jac = J
-        self.det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        self.affine = np.stack([c[:, 1] - c[:, 0], c[:, 2] - c[:, 0],
+                                c[:, 0]], axis=1)
+        self.origin = self.affine[:, 2]
+        Jt = self.affine[:, :2]
+        self.det = Jt[:, 0, 0] * Jt[:, 1, 1] - Jt[:, 1, 0] * Jt[:, 0, 1]
         if (self.det <= 0).any():
             raise AssemblyError("degenerate or inverted element")
-        inv = np.empty_like(J)
-        inv[:, 0, 0] = J[:, 1, 1]
-        inv[:, 1, 1] = J[:, 0, 0]
-        inv[:, 0, 1] = -J[:, 0, 1]
-        inv[:, 1, 0] = -J[:, 1, 0]
+        inv = np.empty((mesh.n_elements, 2, 2))
+        inv[:, 0, 0] = Jt[:, 1, 1]
+        inv[:, 1, 1] = Jt[:, 0, 0]
+        inv[:, 0, 1] = -Jt[:, 1, 0]
+        inv[:, 1, 0] = -Jt[:, 0, 1]
         self.inv_jac = inv / self.det[:, None, None]
 
         # DOF coordinates
@@ -299,9 +305,11 @@ class Space:
     # -- evaluation helpers -------------------------------------------------
 
     def physical_points(self, ref_pts):
-        """Map reference points to each element, shape (ne, nq, 2)."""
-        return self.origin[:, None, :] \
-            + np.asarray(ref_pts) @ self.jac.transpose(0, 2, 1)
+        """Map reference points to each element, shape (ne, nq, 2): one GEMM
+        of the points (xi, eta, 1) with ``affine``, so the origin is added
+        inside the product and not by a broadcast over a length-2 axis."""
+        ref_pts = np.asarray(ref_pts, dtype=float)
+        return np.column_stack([ref_pts, np.ones(len(ref_pts))]) @ self.affine
 
     def wdet(self, w):
         """Quadrature weights times |det J| per element, shape (ne, nq)."""
@@ -484,42 +492,54 @@ def assemble_rhs(space, prob):
     return rhs
 
 
+def _gradient_rule(space, pts, w):
+    """The rule (pts, w) for an integrand that reads only grad v.  At p = 1
+    grad v is constant on each element, so one point with the summed
+    weight integrates it; at p >= 2 the rule itself."""
+    if space.degree == 1:
+        return pts[:1], w.sum(keepdims=True)
+    return pts, w
+
+
 def nonlinear_form(space, prob, coeffs):
     """Vector of <A(grad u), grad phi_i> + <c u, phi_i> for the monotone op:
     the flux a(|grad u|^2) grad u w det, pulled back by K^T, and c u w det,
-    each times a reference table in one GEMM."""
+    each times a reference table in one GEMM.  The flux reads only grad u,
+    so at p = 1 it is evaluated once per element (``_gradient_rule``); the
+    reaction term keeps the full rule."""
     nl = prob.nonlinearity
     if nl is None:
         raise UnsupportedFormError("problem has no nonlinearity")
     pts, w = triangle_rule(2 * space.degree + 4)
     ne, n_local = space.mesh.n_elements, space.ref.n_local
-    wdet = space.wdet(w)
-    g = space.function_gradients(coeffs, pts)
-    flux = (nl.a((g ** 2).sum(axis=2)) * wdet)[:, :, None] * g
-    dN = space.ref.table("grad", pts).transpose(0, 2, 1).reshape(-1, n_local)
+    gpts, gw = _gradient_rule(space, pts, w)
+    g = space.function_gradients(coeffs, gpts)
+    flux = (nl.a((g ** 2).sum(axis=2)) * space.wdet(gw))[:, :, None] * g
+    dN = space.ref.table("grad", gpts).transpose(0, 2, 1).reshape(-1, n_local)
     local = (flux @ space.inv_jac.transpose(0, 2, 1)).reshape(ne, -1) @ dN
     if prob.reaction is not None:
         phys = space.physical_points(pts).reshape(-1, 2)
         c = np.asarray(prob.reaction(phys)).reshape(ne, -1)
         u = space.function_values(coeffs, pts)
-        local += (c * u * wdet) @ space.ref.table("eval", pts)
+        local += (c * u * space.wdet(w)) @ space.ref.table("eval", pts)
     out = np.zeros(space.n_dofs)
     np.add.at(out, space.elem_dofs.ravel(), local.ravel())
     return out
 
 
 def nonlinear_energy(space, prob, coeffs):
-    """E(v) = 1/2 int B(|grad v|^2) + 1/2 int c v^2 - F(v), with B' = a."""
+    """E(v) = 1/2 int B(|grad v|^2) + 1/2 int c v^2 - F(v), with B' = a; the
+    B term reads only grad v and takes ``_gradient_rule``."""
     nl = prob.nonlinearity
     pts, w = triangle_rule(2 * space.degree + 4)
-    g = space.function_gradients(coeffs, pts)
-    wdet = space.wdet(w)
-    E = 0.5 * (nl.integral((g ** 2).sum(axis=2)) * wdet).sum()
+    gpts, gw = _gradient_rule(space, pts, w)
+    g = space.function_gradients(coeffs, gpts)
+    E = 0.5 * (nl.integral((g ** 2).sum(axis=2)) * space.wdet(gw)).sum()
     if prob.reaction is not None:
         phys = space.physical_points(pts).reshape(-1, 2)
         c = np.asarray(prob.reaction(phys)).reshape(space.mesh.n_elements, -1)
         u = space.function_values(coeffs, pts)
-        E += 0.5 * (c * u ** 2 * wdet).sum()
+        E += 0.5 * (c * u ** 2 * space.wdet(w)).sum()
     F = load_vector(space, prob)
     return E - F @ coeffs
 

@@ -407,10 +407,63 @@ def test_nonlinear_form_matches_the_per_point_contraction(p):
     assert err <= 1e-13 * np.abs(ref).max()
 
 
+def _nonlinear_energy_reference(space, prob, coeffs):
+    # reference: B(|grad v|^2) and c v^2 summed over every point of the rule
+    from afem_lab.quadrature import triangle_rule
+    pts, w = triangle_rule(2 * space.degree + 4)
+    g = space.function_gradients(coeffs, pts)
+    wdet = space.wdet(w)
+    phys = space.physical_points(pts).reshape(-1, 2)
+    c = np.asarray(prob.reaction(phys)).reshape(space.mesh.n_elements, -1)
+    u = space.function_values(coeffs, pts)
+    E = 0.5 * (prob.nonlinearity.integral((g ** 2).sum(axis=2)) * wdet).sum()
+    E += 0.5 * (c * u ** 2 * wdet).sum()
+    return E - load_vector(space, prob) @ coeffs
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_nonlinear_energy_matches_the_per_point_sum(p):
+    prob, mesh = zshape_nonlinear()
+    space = Space(uniform_refine(uniform_refine(mesh)), p)
+    v = _smooth_field(space)
+    ref = _nonlinear_energy_reference(space, prob, v)
+    assert abs(nonlinear_energy(space, prob, v) - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_p1_nonlinearity_is_evaluated_once_per_element(p):
+    # a P1 gradient is constant on each element, so a and its antiderivative
+    # are read at one point per element; at p >= 2 at every point of the rule
+    from dataclasses import replace
+    from afem_lab.quadrature import triangle_rule
+    prob, mesh = zshape_nonlinear()
+    counts = {"a": 0, "integral": 0}
+
+    def counted(name):
+        fn = getattr(prob.nonlinearity, name)
+
+        def wrapper(t):
+            counts[name] += np.size(t)
+            return fn(t)
+        return wrapper
+
+    prob = replace(prob, nonlinearity=replace(
+        prob.nonlinearity, a=counted("a"), integral=counted("integral")))
+    space = Space(uniform_refine(mesh), p)
+    v = _smooth_field(space)
+    nonlinear_form(space, prob, v)
+    nonlinear_energy(space, prob, v)
+    nq = 1 if p == 1 else len(triangle_rule(2 * p + 4)[1])
+    assert counts == {"a": space.mesh.n_elements * nq,
+                      "integral": space.mesh.n_elements * nq}
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_nonlinear_form_peak_memory_has_no_local_dof_axis(p):
     # the traced peak of one call, in units of one (elements x points x 2)
-    # float64 array, must not grow with the number of local DOFs
+    # float64 array, must not grow with the number of local DOFs; at p = 1
+    # the flux has one point per element, so only the reaction term reads
+    # the full rule
     import tracemalloc
     from afem_lab.quadrature import triangle_rule
     prob, mesh = zshape_nonlinear()
@@ -427,7 +480,8 @@ def test_nonlinear_form_peak_memory_has_no_local_dof_axis(p):
         tracemalloc.stop()
     nq = len(triangle_rule(2 * p + 4)[1])
     assert mesh.n_elements == 895
-    assert peak <= 8 * mesh.n_elements * nq * 2 * 8
+    units = 4.5 if p == 1 else 8
+    assert peak <= units * mesh.n_elements * nq * 2 * 8
 
 
 def test_p3_reproduces_harmonic_cubic(square2):
@@ -468,6 +522,29 @@ def test_space_nested_dof_counts(square2):
         expected = fine.n_vertices + len(edges) * (p - 1) \
             + fine.n_elements * n_int
         assert space.n_dofs == expected
+
+
+@pytest.mark.parametrize("name", ["kellogg", "zshape-nonlinear"])
+def test_physical_points_equal_the_two_step_map(name):
+    # the affine map as origin + xi J^T, written from the element vertices;
+    # the one GEMM with the (xi, eta, 1) rows must give the same bits
+    from afem_lab.fem import reference_element
+    from afem_lab.quadrature import triangle_rule
+    _, mesh = by_name(name)
+    rng = np.random.default_rng(7)
+    mesh = uniform_refine(mesh)
+    for _ in range(3):
+        mesh = refine(mesh, rng.choice(mesh.n_elements,
+                                       mesh.n_elements // 4, replace=False))
+    c = mesh.element_coords()
+    J = np.stack([c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]], axis=2)
+    space = Space(mesh, 1)
+    point_sets = [reference_element(p).nodes for p in (1, 2, 3)]
+    point_sets += [triangle_rule(2)[0], triangle_rule(6)[0],
+                   np.full((1, 2), 1.0 / 3.0)]
+    for pts in point_sets:
+        expected = c[:, 0][:, None, :] + pts @ J.transpose(0, 2, 1)
+        assert np.array_equal(space.physical_points(pts), expected)
 
 
 def distorted_mesh(square2, seed):
