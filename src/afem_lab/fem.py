@@ -387,8 +387,38 @@ def _scatter(space, local):
     return M.tocsr()
 
 
+def submatrix(M, rows=None, cols=None):
+    """``M[rows][:, cols]`` of a CSR matrix M for integer index arrays,
+    ``None`` taking every row or every column, with the arrays scipy's
+    fancy indexing gives but without its per-call work: the rows are
+    gathered by ``indptr``, and each keeps its entries in the selected
+    columns, in their order, renumbered through a position map.  ``cols``
+    must not repeat a column."""
+    indptr, indices, data = M.indptr, M.indices, M.data
+    n_rows, n_cols = M.shape
+    if rows is not None:
+        start = indptr[rows]
+        lengths = indptr[rows + 1] - start
+        indptr = np.zeros(len(rows) + 1, dtype=indptr.dtype)
+        np.cumsum(lengths, out=indptr[1:])
+        take = np.repeat(start - indptr[:-1], lengths) \
+            + np.arange(indptr[-1])
+        indices, data = indices[take], data[take]
+        n_rows = len(rows)
+    if cols is not None:
+        pos = np.full(n_cols, -1, dtype=indices.dtype)
+        pos[cols] = np.arange(len(cols))
+        indices = pos[indices]
+        keep = indices >= 0
+        kept = np.zeros(len(keep) + 1, dtype=indptr.dtype)
+        np.cumsum(keep, out=kept[1:])
+        indptr, indices, data = kept[indptr], indices[keep], data[keep]
+        n_cols = len(cols)
+    return sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
+
+
 def _reduce(space, M):
-    return M[space.free][:, space.free]
+    return submatrix(M, space.free, space.free)
 
 
 def assemble_a(space, prob, reduced=True):

@@ -27,14 +27,21 @@ K of ``_sweep_matrix`` (L on the diagonal blocks, U below them) on r[S]
 repeated m times, and the correction is the last block.  As A is
 symmetric, the m backward sweeps are the transposed solve with K, whose
 correction is the first block.  A level visit thus makes two SuperLU calls,
-and the residual updates r - A[:, S] z and r[S] - A[S, :] c are a transpose
-and a plain product with ``rows``, both looping over the |S| block rows.
+each on r[S] repeated m times, gathered by one index array, and the
+residual updates r - A[:, S] z and r[S] - A[S, :] c are a transpose and a
+plain product with ``rows``, both looping over the |S| block rows.  A level
+is built from A's CSR arrays: ``fem.submatrix`` cuts W, ``rows`` and
+A[S, S] by gathers, and K is assembled in one call from the entries of
+A[S, S].
 
 ``refine`` appends the new vertices and keeps the Dirichlet status of the
 old ones, so the coarse free DOFs come first on the fine level, in order,
 and the reduced prolongation is P = [I; W], with at most two weights 1/2
-per row of W.  Restriction P' r = r[:n_c] + W' r[n_c:] and prolongation
-P c = [c; W c] thus touch only the refinement patch.
+per row of W.  The cycle runs in place on prefixes: restriction adds
+W' r[n_c:] into r[:n_c], after r[S] is saved for the ascent, and the
+coarse level corrects the prefix c = corr[:n_c] of one zeroed vector,
+whose tail prolongation fills with W c, so that corr = P c.  The transfers
+thus touch only the refinement patch and copy no vector.
 
 The V-cycle is linear in the residual it is handed, so from the finest level
 k with at most ``DENSE_BOTTOM`` free DOFs down it is one dense matrix B_k:
@@ -46,9 +53,12 @@ iterates are those of the sparse recursion up to rounding.
 
 All vectors are reduced (free DOFs only); the energy norm of a reduced error
 vector e is (e' A e)^(1/2) with A the reduced SPD matrix.  Every sparse
-product of a solver step goes through ``_matvec``, which calls the compiled
-kernel that ``M @ x`` or ``M.T @ x`` ends in without scipy's per-call
-dispatch, so the operators of a ``_Level`` must be CSR.
+product of a solver step calls the compiled kernel that ``M @ x`` or
+``M.T @ x`` ends in, without scipy's per-call dispatch, so the operators of
+a ``_Level`` must be CSR.  Products with A check their shapes on each call
+(``_matvec``); the V-cycle's products with W and the block rows do not
+(``_product``), as ``_new_state`` checks W's shape against the level below
+once, when it builds the level.
 
 Certification measures the norm of the error propagator E (a step with
 right-hand side 0), which is self-adjoint in the energy product, by at most
@@ -75,7 +85,7 @@ from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu
 
 from .fem import (SolverError, assemble_a, factorize, prolongation_matrix,
-                  solve_direct)
+                  solve_direct, submatrix)
 
 __all__ = ["SolverState", "setup_solver", "extend_solver", "solver_step",
            "certify_contraction", "solve_direct", "SolverError",
@@ -93,9 +103,13 @@ class _Level:
     level, ``solve``, its exact solve; on the others ``new_rows`` = W, the
     rows of the reduced prolongation P = [I; W] from the level below for
     the free DOFs the refinement created; the smoothing block S, ``rows`` =
-    A[S, :] and ``smoother``, the SuperLU factor of the sweep matrix K of
-    A[S, S] in the natural ordering without pivoting, which is pure
-    substitution: no fill, L has K's pattern and U is K's diagonal."""
+    A[S, :], ``sweeps``, S repeated ``SMOOTH_SWEEPS`` times, and
+    ``smoother``, the SuperLU factor of the sweep matrix K of A[S, S] in
+    the natural ordering without pivoting, which is pure substitution: no
+    fill, L has K's pattern and U is K's diagonal.  The block rows and
+    A[S, S] are cut from A's CSR arrays by ``fem.submatrix``.
+    ``new_rows_op`` and ``rows_op`` are W and the block rows as
+    ``_product`` takes them, over the same arrays."""
 
     def __init__(self, matrix, new_rows=None, smooth_dofs=None):
         for op in (matrix, new_rows):
@@ -105,14 +119,17 @@ class _Level:
         self.new_rows = new_rows
         self.smooth_dofs = smooth_dofs
         self.solve = factorize(matrix) if new_rows is None else None
-        self.smoother = self.rows = None
+        self.new_rows_op = None if new_rows is None else _csr_args(new_rows)
+        self.smoother = self.rows = self.rows_op = self.sweeps = None
         if smooth_dofs is not None and len(smooth_dofs):
-            self.rows = matrix[smooth_dofs]
+            self.rows = submatrix(matrix, smooth_dofs)
+            self.rows_op = _csr_args(self.rows)
+            self.sweeps = np.tile(smooth_dofs, SMOOTH_SWEEPS)
             # K is triangular, so no column updates another: panels of one
             # column factor it in half the time, with smaller work arrays
-            self.smoother = splu(_sweep_matrix(self.rows[:, smooth_dofs]),
-                                 permc_spec="NATURAL", diag_pivot_thresh=0,
-                                 panel_size=1)
+            self.smoother = splu(
+                _sweep_matrix(submatrix(self.rows, cols=smooth_dofs)),
+                permc_spec="NATURAL", diag_pivot_thresh=0, panel_size=1)
         self.ritz = None          # dominant Ritz vector, set by certification
 
 
@@ -141,9 +158,19 @@ class SolverState:
 
 
 def _check_spd(matrix):
+    """Rejects a CSR matrix with an entry of A - A' above 1e-12 times
+    max(max |A|, 1), or with a nonpositive diagonal entry."""
     if matrix.nnz == 0:
         return
-    if (abs(matrix - matrix.T)).max() > 1e-12 * max(abs(matrix).max(), 1.0):
+    T = matrix.tocsc()  # A' in CSR arrays, canonical if A is
+    if (matrix.has_canonical_format and np.array_equal(matrix.indptr, T.indptr)
+            and np.array_equal(matrix.indices, T.indices)):
+        # one pattern: entry k of A and of A' is the same (i, j)
+        gap = np.abs(matrix.data - T.data).max()
+        top = np.abs(matrix.data).max()
+    else:
+        gap, top = abs(matrix - matrix.T).max(), abs(matrix).max()
+    if gap > 1e-12 * max(top, 1.0):
         raise SolverError("solver needs a symmetric operator")
     d = matrix.diagonal()
     if (d <= 0).any():
@@ -156,7 +183,8 @@ def _new_rows(coarse_space, fine_space):
     DOFs start with the coarse ones, in order, and interpolate them
     exactly."""
     P = prolongation_matrix(coarse_space, fine_space)
-    return P[fine_space.free[coarse_space.n_free:]][:, coarse_space.free]
+    return submatrix(P, fine_space.free[coarse_space.n_free:],
+                     coarse_space.free)
 
 
 def _new_dof_block(coarse_space, fine_space):
@@ -191,8 +219,12 @@ def _new_state(kind, prob, space, coarser=None):
     _check_spd(A)
     if kind == "local_multigrid" and coarser is not None:
         prev = coarser.space
-        lvl = _Level(A, new_rows=_new_rows(prev, space),
-                     smooth_dofs=_new_dof_block(prev, space))
+        W, n_c = _new_rows(prev, space), coarser.matrix.shape[0]
+        if W.shape != (A.shape[0] - n_c, n_c):
+            # the V-cycle's unchecked products rely on these sizes
+            raise ValueError(f"prolongation rows {W.shape} do not map "
+                             f"{n_c} onto {A.shape[0]} DOFs")
+        lvl = _Level(A, new_rows=W, smooth_dofs=_new_dof_block(prev, space))
         state = SolverState(kind, prob, space, coarser.levels + [lvl],
                             bottom=coarser.bottom)
         j = len(state.levels) - 1
@@ -230,38 +262,53 @@ def _matvec(M, x, transpose=False, out=None):
         # the kernel writes through a flat view: a copy would lose the sum
         raise ValueError(f"out must be a C-contiguous float64 array of "
                          f"shape {shape}, not {out.dtype} {out.shape}")
+    return _product(_csr_args(M), x, out, transpose)
+
+
+def _csr_args(M):
+    """A CSR matrix M as scipy's compiled kernels read it: (n_row, n_col,
+    indptr, indices, data)."""
+    return M.shape + (M.indptr, M.indices, M.data)
+
+
+def _product(op, x, out, transpose=False):
+    """``out += M @ x``, or ``M.T @ x`` if ``transpose``, as ``_matvec``
+    but for M given as ``_csr_args(M)`` and unchecked: the caller
+    guarantees the shapes and a C-contiguous float64 ``out``, which is
+    returned.  The V-cycle calls it on levels whose shapes ``_new_state``
+    checked when it built them."""
+    n_row, n_col, indptr, indices, data = op
+    if transpose:
+        n_row, n_col = n_col, n_row
     if x.ndim == 1:
         kernel = (_sparsetools.csc_matvec if transpose
                   else _sparsetools.csr_matvec)
-        kernel(n_row, n_col, M.indptr, M.indices, M.data, x, out)
+        kernel(n_row, n_col, indptr, indices, data, x, out)
     else:
         kernel = (_sparsetools.csc_matvecs if transpose
                   else _sparsetools.csr_matvecs)
-        kernel(n_row, n_col, x.shape[1], M.indptr, M.indices, M.data,
-               x.ravel(), out.ravel())
+        kernel(n_row, n_col, x.shape[1], indptr, indices, data, x.ravel(),
+               out.ravel())
     return out
 
 
-def _restrict(lvl, r):
-    """P' r = r[:n_c] + W' r[n_c:] for level ``lvl``'s P = [I; W], for one
-    residual or, in the columns of r, several."""
-    n_c = lvl.new_rows.shape[1]
-    return _matvec(lvl.new_rows, r[n_c:], transpose=True, out=r[:n_c].copy())
-
-
-def _prolongate(lvl, c):
-    """P c = [c; W c] for level ``lvl``'s P = [I; W]."""
-    return np.concatenate([c, _matvec(lvl.new_rows, c)])
-
-
 def _sweep_matrix(block):
-    """K, in CSC, of the ``SMOOTH_SWEEPS`` = m Gauss-Seidel sweeps on
-    ``block`` = A[S, S]: block lower bidiagonal, with L = tril(block) on the
-    m diagonal blocks and U = triu(block, 1) on the m - 1 blocks below."""
-    low, up = sp.tril(block), sp.triu(block, 1)
-    return sp.bmat([[low if i == j else up if i == j + 1 else None
-                     for j in range(SMOOTH_SWEEPS)]
-                    for i in range(SMOOTH_SWEEPS)], format="csc")
+    """K, in CSC, of the ``SMOOTH_SWEEPS`` = m Gauss-Seidel sweeps on the
+    CSR ``block`` = A[S, S]: block lower bidiagonal, with L = tril(block) on
+    the m diagonal blocks and U = triu(block, 1) on the m - 1 blocks below,
+    built in one call from the block's entries."""
+    s, m = block.shape[0], SMOOTH_SWEEPS
+    i = np.repeat(np.arange(s), np.diff(block.indptr))
+    j, low = block.indices, block.indices <= i
+    up = ~low
+    shift = s * np.arange(m)[:, None]
+    rows = np.concatenate([(i[low] + shift).ravel(),
+                           (i[up] + shift[1:]).ravel()])
+    cols = np.concatenate([(j[low] + shift).ravel(),
+                           (j[up] + shift[:-1]).ravel()])
+    data = np.concatenate([np.tile(block.data[low], m),
+                           np.tile(block.data[up], m - 1)])
+    return sp.csc_matrix((data, (rows, cols)), shape=(m * s, m * s))
 
 
 def solver_step(state, rhs, iterate):
@@ -283,34 +330,40 @@ def solver_step(state, rhs, iterate):
 
 def _vcycle(state, j, x, r):
     """Level j's V-cycle on x with residual r, for one residual or, in the
-    columns of r, several; x is corrected in place and returned.  The one
-    base case is the bottom level k, which adds B_k r, or level 0's exact
-    solve for k = 0."""
-    # r is carried along and updated after each local correction.  Levels
-    # below the top start from x = 0 with the restricted residual, so a
-    # level costs one product with W and one with its transpose, one
-    # forward and one transposed solve with its smoother and one product
-    # with its block rows and one with their transpose
+    columns of r, several; x is corrected in place and returned, and r,
+    C-contiguous, is used up.  The one base case is the bottom level k,
+    which adds B_k r, or level 0's exact solve for k = 0."""
+    # r is updated in place after each local correction, and restriction
+    # leaves the coarse residual in its prefix.  Levels below the top start
+    # from x = 0, the prefix of a zeroed correction, so a level costs one
+    # product with W and one with its transpose, one forward and one
+    # transposed solve with its smoother and one product with its block
+    # rows and one with their transpose
     k, B = state.bottom
     if j == k:
         x += state.levels[0].solve(r) if k == 0 else B @ r
         return x
     lvl = state.levels[j]
-    S = lvl.smooth_dofs
+    S, n_c = lvl.smooth_dofs, lvl.new_rows_op[1]  # W is (n - n_c) x n_c
     if lvl.smoother is not None:
-        z = lvl.smoother.solve(np.concatenate([r[S]] * SMOOTH_SWEEPS))
+        z = lvl.smoother.solve(r[lvl.sweeps])
         z = z[-len(S):]  # the last block sums the corrections of all sweeps
         x[S] += z
-        _matvec(lvl.rows, -z, transpose=True, out=r)
-    c = _restrict(lvl, r)
-    corr = _prolongate(lvl, _vcycle(state, j - 1, np.zeros_like(c), c))
+        _product(lvl.rows_op, -z, r, transpose=True)
+        # r[S] once per sweep, saved before restriction overwrites r[:n_c]
+        post = r[lvl.sweeps]
+    # P' r = r[:n_c] + W' r[n_c:], in place
+    _product(lvl.new_rows_op, r[n_c:], r[:n_c], transpose=True)
+    corr = np.zeros(r.shape)
+    _vcycle(state, j - 1, corr[:n_c], r[:n_c])
+    _product(lvl.new_rows_op, corr[:n_c], corr[n_c:])  # P c = [c; W c]
     x += corr
     if lvl.smoother is not None:
         # the block rows only from here on
-        r_S = r[S]
-        r_S -= _matvec(lvl.rows, corr)
-        z = lvl.smoother.solve(np.concatenate([r_S] * SMOOTH_SWEEPS),
-                               trans="T")
+        Ac = _product(lvl.rows_op, corr, np.zeros((len(S),) + r.shape[1:]))
+        copies = post.reshape((-1,) + Ac.shape)  # one per sweep
+        copies -= Ac
+        z = lvl.smoother.solve(post, trans="T")
         x[S] += z[:len(S)]
     return x
 
@@ -366,7 +419,10 @@ def _warm_start(state):
     levels = state.levels
     if len(levels) < 2 or levels[-2].ritz is None:
         return None
-    v = _prolongate(levels[-1], levels[-2].ritz)
+    ritz, n_c = levels[-2].ritz, len(levels[-2].ritz)
+    v = np.zeros(state.matrix.shape[0])
+    v[:n_c] = ritz
+    _matvec(levels[-1].new_rows, ritz, out=v[n_c:])  # P c = [c; W c]
     return v / state.energy_norm(v)
 
 

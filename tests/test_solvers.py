@@ -7,7 +7,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve_triangular
 
 from afem_lab import solvers
-from afem_lab.fem import ProblemDef, Space, prolongation_matrix
+from afem_lab.fem import (ProblemDef, Space, assemble_a, prolongation_matrix,
+                          submatrix)
 from afem_lab.mesh import Mesh, refine, uniform_refine
 from afem_lab.problems import by_name, kellogg
 from afem_lab.solvers import (NonContractiveError, SolverError,
@@ -177,6 +178,40 @@ def test_extend_solver_does_not_read_the_edge_tables(monkeypatch):
     assert calls == []
 
 
+def test_check_spd_verdicts():
+    # tridiagonal SPD with max |A| = 2: the symmetry tolerance is 2e-12
+    n = 6
+    base = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
+                    [-1, 0, 1], format="csr")
+    solvers._check_spd(base)
+
+    def perturbed(gap):
+        A = base.tolil()
+        A[0, 1] += gap
+        return A.tocsr()
+
+    solvers._check_spd(perturbed(0.9 * 2e-12))
+    with pytest.raises(SolverError, match="symmetric"):
+        solvers._check_spd(perturbed(1.1 * 2e-12))
+    # an entry without its mirror entry
+    A = base.tolil()
+    A[0, 3] = 1e-3
+    with pytest.raises(SolverError, match="symmetric"):
+        solvers._check_spd(A.tocsr())
+    for d in (0.0, -1.0):
+        A = base.tolil()
+        A[2, 2] = d
+        with pytest.raises(SolverError, match="positive definite"):
+            solvers._check_spd(A.tocsr())
+    # [[4, 3], [3, 4]] with each 3 stored as two duplicates: the transpose
+    # has the same index arrays, but its values in another order
+    dup = sp.csr_matrix((np.array([4.0, 1.0, 2.0, 2.0, 1.0, 4.0]),
+                         np.array([0, 1, 1, 0, 0, 1]),
+                         np.array([0, 3, 6])), shape=(2, 2))
+    assert not dup.has_canonical_format
+    solvers._check_spd(dup)
+
+
 def test_setup_rejects_non_spd(square2):
     # convection makes the b-form nonsymmetric; the SPD solver must refuse it
     space = Space(uniform_refine(uniform_refine(square2)), 1)
@@ -242,11 +277,12 @@ def test_vcycle_matches_x_form(square2, steps, monkeypatch):
             x = x0.copy()
             for _ in range(solvers.CYCLES_PER_STEP):
                 x = _vcycle_x_form(state, spaces, top, x, rhs)
-            x0_before = x0.copy()
+            kept = rhs.tobytes(), x0.tobytes()
             step = solver_step(state, rhs, x0)
             assert state.energy_norm(step - x) \
                 <= 1e-14 * state.energy_norm(x)
-            assert np.array_equal(x0, x0_before)  # the iterate is kept
+            # the cycle uses up its residual, not the caller's arrays
+            assert (rhs.tobytes(), x0.tobytes()) == kept
 
 
 def _forbid_factorization(monkeypatch):
@@ -341,8 +377,12 @@ def test_certificate_bounds_the_propagator_norm_from_a_cold_start():
 
 def test_certification_starts_from_the_level_below():
     states = list(_kellogg_states(steps=6))
-    for state in states:
-        certify_contraction(state)
+    certify_contraction(states[0])
+    for coarse, fine in zip(states, states[1:]):
+        kept = coarse.levels[-1].ritz.tobytes()
+        certify_contraction(fine)
+        # the warm start prolongates the Ritz vector below into a new array
+        assert coarse.levels[-1].ritz.tobytes() == kept
     for coarse, fine in zip(states, states[1:]):
         assert fine.levels[-2] is coarse.levels[-1]
         ritz = fine.levels[-1].ritz
@@ -429,6 +469,59 @@ def test_matvec_matches_matmul_bit_for_bit(square2):
     for bad in (np.zeros(matrix.shape[1] - 1), np.zeros((matrix.shape[1], 1))):
         with pytest.raises(ValueError):
             solver_step(state, np.zeros(matrix.shape[0]), bad)
+
+
+def _same_arrays(got, want):
+    """Equal shape and byte-equal index and value arrays, dtypes included."""
+    return got.shape == want.shape and all(
+        a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                     (got.data, want.data)))
+
+
+def test_submatrix_matches_fancy_indexing(square2):
+    state, spaces = build_hierarchy(square2, "local_multigrid")
+    coarse, fine = spaces[-2:]
+    lvl = state.levels[-1]
+    S = lvl.smooth_dofs
+    full = assemble_a(fine, POISSON, reduced=False)
+    P = prolongation_matrix(coarse, fine)
+    new = fine.free[coarse.n_free:]
+    none = np.array([], dtype=np.int64)
+    # row 0 keeps none of the columns off its pattern, the last row some
+    off = np.setdiff1d(np.arange(full.shape[1]), full[[0]].indices)
+    cases = [(full, fine.free, fine.free), (P, new, coarse.free),
+             (lvl.matrix, S, None), (lvl.rows, None, S),
+             (full, none, fine.free), (full, none, None),
+             (full, np.array([0, full.shape[0] - 1]), off),
+             (full, fine.free, none), (full, None, none)]
+    for M, rows, cols in cases:
+        want = M if rows is None else M[rows]
+        want = want if cols is None else want[:, cols]
+        assert _same_arrays(submatrix(M, rows, cols), want)
+    assert full[[0]][:, off].nnz == 0 < full[[-1]][:, off].nnz
+    # the level holds what scipy's indexing gives
+    assert _same_arrays(lvl.new_rows, P[new][:, coarse.free])
+    assert _same_arrays(lvl.rows, lvl.matrix[S])
+
+
+def _sweep_matrix_reference(block, m):
+    """K from scipy's triangles and block assembly."""
+    low, up = sp.tril(block), sp.triu(block, 1)
+    return sp.bmat([[low if i == j else up if i == j + 1 else None
+                     for j in range(m)] for i in range(m)], format="csc")
+
+
+@pytest.mark.parametrize("sweeps", [1, 2, 3])
+def test_sweep_matrix_equals_the_block_form(sweeps, monkeypatch):
+    monkeypatch.setattr(solvers, "SMOOTH_SWEEPS", sweeps)
+    state = list(_kellogg_states(steps=12))[-1]
+    for lvl in state.levels[1:]:
+        block = lvl.rows[:, lvl.smooth_dofs]
+        K = solvers._sweep_matrix(block)
+        want = _sweep_matrix_reference(block, sweeps)
+        want.sort_indices()
+        assert K.format == "csc" and _same_arrays(K, want)
 
 
 def test_levels_hold_each_operator_once(square2):
@@ -558,6 +651,20 @@ def test_dense_bottom_certifies_as_the_sparse_cycle(monkeypatch):
                 for s in _sparse_kellogg_states(monkeypatch)]
     assert max(q) > 0.3
     assert np.allclose(q, q_sparse, rtol=1e-12, atol=0)
+
+
+def test_steps_and_certification_leave_the_dense_bottom_alone():
+    rng = np.random.default_rng(11)
+    for state in _kellogg_states():
+        B = state.bottom[1]
+        if B is None:
+            continue
+        data = B.tobytes()
+        n = state.matrix.shape[0]
+        solver_step(state, *rng.standard_normal((2, n)))
+        certify_contraction(state)
+        assert state.bottom[1] is B and not B.flags.writeable
+        assert B.tobytes() == data
 
 
 def test_extend_solver_leaves_the_dense_bottom_alone():
