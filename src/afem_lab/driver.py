@@ -20,14 +20,19 @@ the recorded iterate, OR-ed with "the solver step was exact" (certified
 contraction factor 0), in which case one step settles the algebraic system
 and further iterations would only duplicate it.
 
-Timing: solve and estimate are timed per step; mark and refine (building the
-next level's space and carrying the iterate over included) land on a level's
-last record, and so do the setup (``t_setup``: ``extend_solver``, which for
-the ``direct`` kind factors the level's matrix) and the certification
-(``t_certify``) of the next level's solver.  The initial level's
-``setup_solver`` and certification land on the first record.
+Timing: every phase of the loop runs under ``History.clock``, which charges
+its time to the next record appended, so a record's time columns hold all
+the loop's work since the previous record.  Record 0 carries the initial
+space (``t_refine``), the initial lift's estimate (``t_estimate``), the
+solver setup (``t_setup``: ``setup_solver``, which for the ``direct`` kind
+factors the level's matrix) and its certification (``t_certify``).  The
+first record of each later level carries the transition to it: marking,
+refining, building its space and carrying the iterate over, extending the
+solver and certifying it.  The cumulative time at a level's last record is
+thus the time of a run that stops at that level.
 """
 
+import contextlib
 import itertools
 import math
 import time
@@ -70,26 +75,46 @@ class LedgerError(AssertionError):
 
 
 class History:
-    """Ordered (ell, k, j) ledger of one adaptive run."""
+    """Ordered (ell, k, j) ledger of one adaptive run.
+
+    Records are only appended.  Time spent under ``clock(column)`` is held
+    until the next ``append``, which adds it to that record's ``column``.
+    """
 
     def __init__(self, algo, meta=None):
         self.algo = algo
         self.meta = meta or {}
         self.records = []
         self.cumulative_cost = 0
+        self._pending = dict.fromkeys(TIME_COLUMNS, 0.0)
+
+    @contextlib.contextmanager
+    def clock(self, column):
+        """A context manager that adds the wall time of the block it wraps
+        to the time column ``column`` of the next record appended."""
+        start = time.perf_counter()
+        yield
+        self._pending[column] += time.perf_counter() - start
 
     def append(self, ell, k=None, j=None, *, n_elem, n_dof, eta,
                increment=None, stop_outer=False, stop_inner=False,
                t_solve=0.0, t_estimate=0.0, t_mark=0.0, t_refine=0.0):
+        """Append the record of one step; each time column is the given
+        ``t_*`` value plus the time clocked to it since the last append."""
         self.cumulative_cost += int(n_elem)
+        t = self._pending
         self.records.append(dict(
             ell=ell, k=k, j=j, n_elem=int(n_elem), n_dof=int(n_dof),
             eta=float(eta),
             increment=None if increment is None else float(increment),
             stop_outer=bool(stop_outer), stop_inner=bool(stop_inner),
-            t_solve=float(t_solve), t_estimate=float(t_estimate),
-            t_mark=float(t_mark), t_refine=float(t_refine),
-            cum_cost=self.cumulative_cost, t_setup=0.0, t_certify=0.0))
+            t_solve=t["t_solve"] + float(t_solve),
+            t_estimate=t["t_estimate"] + float(t_estimate),
+            t_mark=t["t_mark"] + float(t_mark),
+            t_refine=t["t_refine"] + float(t_refine),
+            cum_cost=self.cumulative_cost, t_setup=t["t_setup"],
+            t_certify=t["t_certify"]))
+        t.update(dict.fromkeys(t, 0.0))
 
     def __len__(self):
         return len(self.records)
@@ -178,10 +203,10 @@ class History:
 def _stop_reason(n_dof, eta, max_dofs, eta_tol):
     if eta == 0.0:
         return "converged"
-    if max_dofs is not None and n_dof >= max_dofs:
-        return "max_dofs"
     if eta_tol is not None and eta <= eta_tol:
         return "eta_tol"
+    if max_dofs is not None and n_dof >= max_dofs:
+        return "max_dofs"
     return None
 
 
@@ -200,22 +225,22 @@ def _adapt(history, prob, mesh, p, theta, solve_level, max_dofs, eta_tol,
     solved exactly: there is no solver state and no iterate to carry over.
     With ``theta=None`` every level is refined uniformly.
     """
-    space = Space(mesh, p)
-    state = u = None
-    initial = dict(t_setup=0.0, t_certify=0.0)  # charged to the first record
+    with history.clock("t_refine"):
+        space = Space(mesh, p)
+        u = None if solver_kind is None else dirichlet_values(space, prob)
+    state = None
     if solver_kind is not None:
-        state, initial["t_setup"] = _timed(setup_solver, solver_kind, space,
-                                           prob)
-        _, initial["t_certify"] = _timed(_certify, history, state, cfg)
-        u = dirichlet_values(space, prob)
-        history.meta["eta_initial"] = compute_indicators(space, u, prob).total
+        with history.clock("t_setup"):
+            state = setup_solver(solver_kind, space, prob)
+        with history.clock("t_certify"):
+            _certify(history, state, cfg)
+        with history.clock("t_estimate"):
+            history.meta["eta_initial"] = compute_indicators(
+                space, u, prob).total
     artifacts = []
     for ell in itertools.count():
         art = dict(space=space)
         u, ind = solve_level(ell, space, state, u, art)
-        if ell == 0:
-            for name, t in initial.items():
-                history.records[0][name] += t
         eta = ind.total
         history.meta.setdefault("eta_initial", eta)
         if store_artifacts:
@@ -226,43 +251,29 @@ def _adapt(history, prob, mesh, p, theta, solve_level, max_dofs, eta_tol,
         if reason is not None:
             history.meta["stop_reason"] = reason
             break
-        t0 = time.perf_counter()
-        t_mark = 0.0
-        if theta is None:
-            mesh = uniform_refine(mesh)
-        else:
-            marked = doerfler_mark(ind, theta)
-            t_mark = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            mesh = refine(mesh, marked)
-        new_space = Space(mesh, p)
+        if theta is not None:
+            with history.clock("t_mark"):
+                marked = doerfler_mark(ind, theta)
+        with history.clock("t_refine"):
+            mesh = uniform_refine(mesh) if theta is None \
+                else refine(mesh, marked)
+            new_space = Space(mesh, p)
+            if state is not None:
+                u = prolongation_matrix(space, new_space) @ u
+                u[new_space.dirichlet_mask] = dirichlet_values(
+                    new_space, prob)[new_space.dirichlet_mask]
+            # the superseded mesh stays alive through the refinement chain,
+            # but nothing consults its edge tables again
+            space.mesh.release_edge_tables()
         if state is not None:
-            u = prolongation_matrix(space, new_space) @ u
-            u[new_space.dirichlet_mask] = dirichlet_values(
-                new_space, prob)[new_space.dirichlet_mask]
-        t_refine = time.perf_counter() - t0
-        last = history.records[-1]
-        last["t_mark"] += t_mark
-        last["t_refine"] += t_refine
-        # the superseded mesh stays alive through the refinement chain, but
-        # nothing consults its edge tables again
-        space.mesh.release_edge_tables()
-        if state is not None:
-            state, t_setup = _timed(extend_solver, state, new_space)
-            _, t_certify = _timed(_certify, history, state, cfg)
-            last["t_setup"] += t_setup
-            last["t_certify"] += t_certify
+            with history.clock("t_setup"):
+                state = extend_solver(state, new_space)
+            with history.clock("t_certify"):
+                _certify(history, state, cfg)
         space = new_space
     if store_artifacts:
         history.meta["artifacts"] = artifacts
     return history
-
-
-def _timed(fn, *args):
-    """``fn(*args)`` and the time it took."""
-    t0 = time.perf_counter()
-    out = fn(*args)
-    return out, time.perf_counter() - t0
 
 
 def _steps(loop):
@@ -282,11 +293,6 @@ def _solver_step(state, rhs, space, u):
     return u, increment
 
 
-def _estimate(space, u, prob):
-    """Indicators of ``u`` and the time they took."""
-    return _timed(compute_indicators, space, u, prob)
-
-
 def _certify(history, state, cfg):
     """Certify the solver of the current level.  With a Zarantonello
     ``cfg``, recheck q_sym < 1 of the inexact iteration against the running
@@ -304,7 +310,7 @@ def _certify(history, state, cfg):
         star = (1.0 - q_alg) * (1.0 - cfg.q_sym_star) / (4.0 * q_alg)
         warnings.warn(f"lambda_alg = {cfg.lambda_alg:g} >= lambda_alg* = "
                       f"{star:.3g}: the inexact Zarantonello iteration need "
-                      f"not contract (q_sym = {q_sym:.3f})", stacklevel=5)
+                      f"not contract (q_sym = {q_sym:.3f})", stacklevel=4)
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +337,12 @@ def run_uniform(prob, mesh0, p=1, max_dofs=5e4, eta_tol=None,
 
 def _exact_level(history, prob):
     def solve_level(ell, space, state, u, art):
-        t0 = time.perf_counter()
-        u = solve_galerkin_exact(space, prob).coeffs
-        t_solve = time.perf_counter() - t0
-        ind, t_estimate = _estimate(space, u, prob)
+        with history.clock("t_solve"):
+            u = solve_galerkin_exact(space, prob).coeffs
+        with history.clock("t_estimate"):
+            ind = compute_indicators(space, u, prob)
         history.append(ell, n_elem=space.mesh.n_elements, n_dof=space.n_free,
-                       eta=ind.total, t_solve=t_solve, t_estimate=t_estimate)
+                       eta=ind.total)
         return u, ind
     return solve_level
 
@@ -359,20 +365,17 @@ def run_single(prob, mesh0, theta, lam, p=1, solver_kind="local_multigrid",
 
     def solve_level(ell, space, state, u, art):
         art["initial"] = u
-        t0 = time.perf_counter()
-        rhs = assemble_rhs(space, prob)
-        t_assemble = time.perf_counter() - t0
+        with history.clock("t_solve"):
+            rhs = assemble_rhs(space, prob)
         for k in _steps(f"solver loop on level {ell}"):
-            t0 = time.perf_counter()
-            u, inc = _solver_step(state, rhs, space, u)
-            t_solve = time.perf_counter() - t0 + t_assemble
-            t_assemble = 0.0
-            ind, t_estimate = _estimate(space, u, prob)
+            with history.clock("t_solve"):
+                u, inc = _solver_step(state, rhs, space, u)
+            with history.clock("t_estimate"):
+                ind = compute_indicators(space, u, prob)
             stop = outer_stop(inc, ind.total, lam) or state.certified_q == 0
             history.append(ell, k, n_elem=space.mesh.n_elements,
                            n_dof=space.n_free, eta=ind.total, increment=inc,
-                           stop_outer=stop, t_solve=t_solve,
-                           t_estimate=t_estimate)
+                           stop_outer=stop)
             if store_artifacts:
                 history.meta.setdefault("iterates", []).append(u.copy())
             if stop:
@@ -400,36 +403,36 @@ def run_nested(prob, mesh0, theta, cfg, p=1, solver_kind="local_multigrid",
     outer_increments = history.meta["outer_increments"] = []
 
     def solve_level(ell, space, state, u, art):
-        lift = u * space.dirichlet_mask
-        lift_term = (energy_gram(space, prob) @ lift)[space.free]
+        with history.clock("t_solve"):
+            lift = u * space.dirichlet_mask
+            lift_term = (energy_gram(space, prob) @ lift)[space.free]
         art.update(initial=u, outer=[])
         for k in _steps(f"symmetrization loop on level {ell}"):
             u_prev = u
-            t0 = time.perf_counter()
-            rhs = zarantonello_rhs(space, prob, cfg.delta, u)[space.free] \
-                - lift_term
-            t_assemble = time.perf_counter() - t0
+            with history.clock("t_solve"):
+                rhs = zarantonello_rhs(space, prob, cfg.delta,
+                                       u)[space.free] - lift_term
             for j in _steps(f"algebraic loop on level {ell}, outer step {k}"):
-                t0 = time.perf_counter()
-                u, inc = _solver_step(state, rhs, space, u)
-                outer_inc = state.energy_norm(
-                    u[space.free] - u_prev[space.free])
-                t_solve = time.perf_counter() - t0 + t_assemble
-                t_assemble = 0.0
-                ind, t_estimate = _estimate(space, u, prob)
+                with history.clock("t_solve"):
+                    u, inc = _solver_step(state, rhs, space, u)
+                    outer_inc = state.energy_norm(
+                        u[space.free] - u_prev[space.free])
+                with history.clock("t_estimate"):
+                    ind = compute_indicators(space, u, prob)
                 stop_in = inner_stop(inc, ind.total, outer_inc, cfg) \
                     or state.certified_q == 0
+                # the outer test reads the iterate that ends the inner loop
+                stop_out = stop_in and outer_stop(outer_inc, ind.total,
+                                                  cfg.lambda_sym)
                 history.append(ell, k, j, n_elem=space.mesh.n_elements,
                                n_dof=space.n_free, eta=ind.total,
-                               increment=inc, stop_inner=stop_in,
-                               t_solve=t_solve, t_estimate=t_estimate)
+                               increment=inc, stop_outer=stop_out,
+                               stop_inner=stop_in)
                 outer_increments.append(outer_inc)
                 if store_artifacts:
                     history.meta.setdefault("iterates", []).append(u.copy())
                 if stop_in:
                     break
-            stop_out = outer_stop(outer_inc, ind.total, cfg.lambda_sym)
-            history.records[-1]["stop_outer"] = stop_out
             art["outer"].append(u)
             if stop_out:
                 return u, ind
@@ -449,7 +452,9 @@ def weighted_cost_table(histories, eta_stop_factor):
     run the first level whose final estimator drops below
     eta_stop_factor * eta_initial defines the entry
     eta * (cumulative time)  and  eta * (cumulative cost); runs that never
-    reach the threshold are marked incomplete (None entries).
+    reach the threshold are marked incomplete (None entries).  The
+    cumulative time is the ledger time up to that level's last record: the
+    time of the run that stops at that level, with no work on the next.
     """
     entries = {}
     for key, hist in histories.items():

@@ -56,9 +56,10 @@ vector e is (e' A e)^(1/2) with A the reduced SPD matrix.  Every sparse
 product of a solver step calls the compiled kernel that ``M @ x`` or
 ``M.T @ x`` ends in, without scipy's per-call dispatch, so the operators of
 a ``_Level`` must be CSR.  Products with A check their shapes on each call
-(``_matvec``); the V-cycle's products with W and the block rows do not
-(``_product``), as ``_new_state`` checks W's shape against the level below
-once, when it builds the level.
+(``_matvec``); the products with W and the block rows, in the V-cycle and
+in the warm start of certification, do not (``_product``), as
+``_new_state`` checks W's shape against the level below once, when it
+builds the level.
 
 Certification measures the norm of the error propagator E (a step with
 right-hand side 0), which is self-adjoint in the energy product, by at most
@@ -243,26 +244,17 @@ FLOOR = 1e-8   # a Lanczos residual this small spans an invariant subspace
 WARM_NOISE = 0.1  # weight of the random part of a warm start
 
 
-def _matvec(M, x, transpose=False, out=None):
+def _matvec(M, x, transpose=False):
     """``M @ x``, or ``M.T @ x`` if ``transpose``, for a CSR matrix M and a
     float vector or column block x, bit for bit: the compiled kernel that
     scipy's product ends in (M.T is M's arrays read as CSC), without its
-    per-call dispatch.  With ``out``, a C-contiguous float array of the
-    product's shape, the product is added into ``out``, which is
-    returned."""
+    per-call dispatch."""
     n_row, n_col = M.shape[::-1] if transpose else M.shape
     if x.ndim not in (1, 2) or x.shape[0] != n_col:
         # the kernel does not check: it would read past the end of x
         raise ValueError(f"dimension mismatch: {(n_row, n_col)} @ {x.shape}")
-    shape = (n_row,) + x.shape[1:]
-    if out is None:
-        out = np.zeros(shape)
-    elif (out.shape != shape or out.dtype != np.float64
-          or not out.flags.c_contiguous):
-        # the kernel writes through a flat view: a copy would lose the sum
-        raise ValueError(f"out must be a C-contiguous float64 array of "
-                         f"shape {shape}, not {out.dtype} {out.shape}")
-    return _product(_csr_args(M), x, out, transpose)
+    return _product(_csr_args(M), x, np.zeros((n_row,) + x.shape[1:]),
+                    transpose)
 
 
 def _csr_args(M):
@@ -275,8 +267,8 @@ def _product(op, x, out, transpose=False):
     """``out += M @ x``, or ``M.T @ x`` if ``transpose``, as ``_matvec``
     but for M given as ``_csr_args(M)`` and unchecked: the caller
     guarantees the shapes and a C-contiguous float64 ``out``, which is
-    returned.  The V-cycle calls it on levels whose shapes ``_new_state``
-    checked when it built them."""
+    returned.  The V-cycle and the warm start call it on levels whose shapes
+    ``_new_state`` checked when it built them."""
     n_row, n_col, indptr, indices, data = op
     if transpose:
         n_row, n_col = n_col, n_row
@@ -422,7 +414,7 @@ def _warm_start(state):
     ritz, n_c = levels[-2].ritz, len(levels[-2].ritz)
     v = np.zeros(state.matrix.shape[0])
     v[:n_c] = ritz
-    _matvec(levels[-1].new_rows, ritz, out=v[n_c:])  # P c = [c; W c]
+    _product(levels[-1].new_rows_op, ritz, v[n_c:])  # P c = [c; W c]
     return v / state.energy_norm(v)
 
 

@@ -1,12 +1,14 @@
 import io
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from afem_lab.analysis import quasi_error_sequence, tailsum_rlinear_equivalence
-from afem_lab.driver import (CSV_HEADER, run_exact, run_nested,
-                             run_single, run_uniform, weighted_cost_table)
+from afem_lab.driver import (COLUMNS, CSV_HEADER, TIME_COLUMNS, run_exact,
+                             run_nested, run_single, run_uniform,
+                             weighted_cost_table)
 from afem_lab.fem import (DiscreteFunction, ProblemDef, SolverError,
                           energy_norm, prolongate, solve_galerkin_exact)
 from afem_lab.iteration import ZarantonelloConfig
@@ -196,6 +198,7 @@ def test_lambda_alg_warning_fires_once_when_q_sym_reaches_one():
                           p=1, max_dofs=400)
     assert len(caught) == 1
     assert "lambda_alg*" in str(caught[0].message)
+    assert caught[0].filename == __file__
     assert hist.meta["q_sym"] >= 1.0
     assert not hist.meta["lambda_constraint_ok"]
     # the classical product bound rejected lambda = 0.7; q_sym < 1 holds
@@ -254,23 +257,58 @@ def test_csv_schema(square2, tmp_path):
     assert row[1] == "" and row[2] == ""  # k and j blank for run_exact
 
 
-def test_setup_and_certification_land_where_refinement_does():
+@pytest.mark.parametrize("entry", ["exact", "uniform", "single", "nested"])
+def test_each_record_carries_the_work_since_the_previous_one(entry):
     prob, mesh = kellogg()
-    hist = run_single(prob, mesh, theta=0.5, lam=0.1, p=1,
-                      solver_kind="local_multigrid", max_dofs=300)
-    last = {rec["ell"]: r for r, rec in enumerate(hist.records)}
-    charged = {0} | {r for ell, r in last.items() if ell < max(last)}
-    assert len(charged) >= 3
-    for r, rec in enumerate(hist.records):
-        assert (rec["t_setup"] > 0) == (rec["t_certify"] > 0) \
-            == (r in charged), r
-    times = sum(hist.column(name) for name in (
-        "t_solve", "t_estimate", "t_mark", "t_refine", "t_setup",
-        "t_certify"))
-    assert np.allclose(hist.cumulative_times(), np.cumsum(times))
-    exact = run_exact(prob, mesh, theta=0.5, p=1, max_dofs=300)
-    assert not exact.column("t_setup").any()
-    assert not exact.column("t_certify").any()
+    cfg = ZarantonelloConfig(delta=0.5, lambda_sym=0.1, lambda_alg=0.1)
+    run = dict(
+        exact=lambda **stop: run_exact(prob, mesh, theta=0.5, **stop),
+        uniform=lambda **stop: run_uniform(prob, mesh, **stop),
+        single=lambda **stop: run_single(prob, mesh, theta=0.5, lam=0.01,
+                                         solver_kind="local_multigrid",
+                                         **stop),
+        nested=lambda **stop: run_nested(prob, mesh, theta=0.5, cfg=cfg,
+                                         solver_kind="local_multigrid",
+                                         **stop))[entry]
+    start = time.perf_counter()
+    hist = run(max_dofs=300)
+    wall = time.perf_counter() - start
+    ell = hist.column("ell")
+    first = np.r_[True, ell[1:] != ell[:-1]]
+    solver = entry in ("single", "nested")
+    assert first.all() != solver  # a solver run takes several steps somewhere
+    # the transition to a level, and for level 0 the initial space, lands on
+    # the level's first record
+    assert ((hist.column("t_refine") > 0) == first).all()
+    marked = first & (ell > 0) & (entry != "uniform")
+    assert ((hist.column("t_mark") > 0) == marked).all()
+    for name in ("t_setup", "t_certify"):
+        assert ((hist.column(name) > 0) == (first & solver)).all()
+    ledger = sum(hist.column(name).sum() for name in TIME_COLUMNS)
+    assert 0.9 * wall <= ledger <= wall
+    # a run stopped by eta_tol at the eta of a level does the longer run's
+    # work up to that level
+    lv = hist.level_summary()
+    stop = max(e for e in lv["ell"][1:-1]
+               if lv["eta"][e] < lv["eta"][:e].min())
+    short = run(max_dofs=300, eta_tol=lv["eta"][stop])
+    assert short.meta["stop_reason"] == "eta_tol"
+    assert short.records[-1]["ell"] == stop
+    fields = [name for name, _ in COLUMNS if name not in TIME_COLUMNS]
+    assert [[r[f] for f in fields] for r in short.records] \
+        == [[r[f] for f in fields] for r in hist.records[:len(short)]]
+    assert hist.records[len(short)]["ell"] == stop + 1
+
+
+def test_tolerance_met_at_the_dof_cap_stops_by_eta_tol():
+    prob, mesh = kellogg()
+    capped = run_exact(prob, mesh, theta=0.5, max_dofs=300)
+    assert capped.meta["stop_reason"] == "max_dofs"
+    eta = capped.level_summary()["eta"]
+    assert eta[-1] < eta[:-1].min()  # no earlier level meets the tolerance
+    hist = run_exact(prob, mesh, theta=0.5, max_dofs=300, eta_tol=eta[-1])
+    assert hist.meta["stop_reason"] == "eta_tol"
+    assert len(hist) == len(capped)
 
 
 def test_inexact_zarantonello_contraction_lemma():
