@@ -51,13 +51,22 @@ class RLinearFit:
         return self.max_violation <= 1.0 + RLINEAR_TOL
 
 
+def _finite(x, what):
+    """``x`` as a float array; raises ValueError on a NaN or inf entry: a
+    NaN fails every comparison, so the checks below would let it pass."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite")
+    return x
+
+
 def max_rlinear_violation(a, C_lin, q_lin):
     """max over pairs m > l of a[m] / (C q^(m-l) a[l]); skips a[l] = 0.
 
     Uses the prefix-minimum of log a[l] - l log q, so the all-pairs check
     runs in linear time.
     """
-    a = np.asarray(a, dtype=float)
+    a = _finite(a, "sequence")
     if (a < 0).any():
         raise ValueError("sequence must be nonnegative")
     logq = math.log(q_lin)
@@ -86,8 +95,8 @@ def rlinear_constants_from_criterion(a, b, q, C1, C2, delta):
     on the finite input (raising CriterionError with the first failing pair)
     and then runs the proof pipeline.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = _finite(a, "sequence")
+    b = _finite(b, "perturbation sequence")
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
     if not 0.0 < delta <= 1.0:
@@ -186,7 +195,7 @@ def tailsum_rlinear_equivalence(a, m=1.0):
     """
     if m <= 0:
         raise ValueError("exponent must be positive")
-    a = np.asarray(a, dtype=float)
+    a = _finite(a, "sequence")
     am = a ** m
     tails = np.concatenate([np.cumsum(am[::-1])[::-1][1:], [0.0]])
     pos = am > 0
@@ -266,8 +275,7 @@ def rates_equals_complexity(history, s):
 
 def fit_rate_loglog(x, y):
     """Least-squares slope of log y vs log x over the trailing half."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _finite(x, "abscissae"), _finite(y, "values")
     if len(x) != len(y) or len(x) < 3:
         raise ValueError("need at least 3 points")
     if (x <= 0).any() or (y <= 0).any():

@@ -9,18 +9,22 @@ verify  axiom suite, sequence-lemma property suites, and contraction checks;
 
 The run summary and the verify report are each one JSON object, values at
 full precision and keys sorted, printed to stdout and also written to the
-path of ``run --summary`` or ``verify --out``.
+path of ``run --summary`` or ``verify --out``.  A value that is not a
+finite number (an unbounded q_sym) is written as null, so the text is
+valid JSON.
 
 Configuration precedence: command-line flags > config file (simple
 ``key=value`` lines, keys named like the long flags) > built-in defaults.
 A config line that is not ``key=value`` or names no flag of the subcommand
 is a usage error.
-Flag and config values are range-checked while parsing, before any run.
+Flag and config values are range-checked while parsing, before any run;
+float values must be finite.
 Exit codes: 0 success, 1 run failure, 2 usage error.
 """
 
 import argparse
 import json
+import math
 import resource
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -50,8 +54,8 @@ def _typed(kind, ok, what):
 
 
 _theta = _typed(float, lambda v: 0 < v <= 1, "in (0, 1]")
-_positive = _typed(float, lambda v: v > 0, "> 0")
-_nonnegative = _typed(float, lambda v: v >= 0, ">= 0")
+_positive = _typed(float, lambda v: 0 < v < math.inf, "finite and > 0")
+_nonnegative = _typed(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 _count = _typed(int, lambda v: v >= 1, ">= 1")
 _count0 = _typed(int, lambda v: v >= 0, ">= 0")
 
@@ -203,10 +207,21 @@ def _summarize(hist):
     return facts
 
 
+def _finite_or_null(value):
+    """``value`` with each float that is not finite, in lists too, as None:
+    JSON has no inf or NaN."""
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _write_json(facts, path):
-    """Write ``facts`` as one JSON object to stdout and, if ``path`` is
-    given, to that file."""
-    text = json.dumps(facts, indent=2, sort_keys=True) + "\n"
+    """Write ``facts`` as one JSON object, non-finite floats as null, to
+    stdout and, if ``path`` is given, to that file."""
+    facts = {key: _finite_or_null(value) for key, value in facts.items()}
+    text = json.dumps(facts, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)

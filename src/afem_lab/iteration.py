@@ -66,8 +66,6 @@ def zarantonello_rhs(space, prob, delta, u):
     coeffs = u.coeffs if hasattr(u, "coeffs") else np.asarray(u, dtype=float)
     A = energy_gram(space, prob)
     G = A @ coeffs
-    if delta == 0.0:
-        return G
     F = load_vector(space, prob)
     if prob.is_nonlinear:
         Bu = nonlinear_form(space, prob, coeffs)

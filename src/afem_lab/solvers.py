@@ -37,11 +37,14 @@ A[S, S].
 ``refine`` appends the new vertices and keeps the Dirichlet status of the
 old ones, so the coarse free DOFs come first on the fine level, in order,
 and the reduced prolongation is P = [I; W], with at most two weights 1/2
-per row of W.  The cycle runs in place on prefixes: restriction adds
-W' r[n_c:] into r[:n_c], after r[S] is saved for the ascent, and the
-coarse level corrects the prefix c = corr[:n_c] of one zeroed vector,
-whose tail prolongation fills with W c, so that corr = P c.  The transfers
-thus touch only the refinement patch and copy no vector.
+per row of W.  Every level's cycle, the top included, has one contract: it
+is handed a zeroed x and a residual r and leaves in x its correction for
+r.  It runs in place on prefixes: restriction adds W' r[n_c:] into
+r[:n_c], after r[S] is saved for the ascent, the coarse level writes its
+correction c straight into x[:n_c], and prolongation fills x[n_c:] with
+W c, so that x = P c before the smoothing corrections are added.  The
+transfers thus touch only the refinement patch, and no level below the top
+allocates, copies or adds a vector of its length.
 
 The V-cycle is linear in the residual it is handed, so from the finest level
 k with at most ``DENSE_BOTTOM`` free DOFs down it is one dense matrix B_k:
@@ -53,13 +56,13 @@ iterates are those of the sparse recursion up to rounding.
 
 All vectors are reduced (free DOFs only); the energy norm of a reduced error
 vector e is (e' A e)^(1/2) with A the reduced SPD matrix.  Every sparse
-product of a solver step calls the compiled kernel that ``M @ x`` or
-``M.T @ x`` ends in, without scipy's per-call dispatch, so the operators of
-a ``_Level`` must be CSR.  Products with A check their shapes on each call
-(``_matvec``); the products with W and the block rows, in the V-cycle and
-in the warm start of certification, do not (``_product``), as
-``_new_state`` checks W's shape against the level below once, when it
-builds the level.
+product of a solver step is ``_product``, which calls the compiled kernel
+that ``M @ x`` or ``M.T @ x`` ends in on the CSR arrays of M, without
+scipy's per-call dispatch, so the operators of a ``_Level`` must be CSR.
+It checks no shape: the kernel would read past the end of a short vector.
+So shapes are checked where a vector enters from outside, by
+``solver_step`` and ``SolverState.energy_norm``, and ``_new_state`` checks
+W's shape against the level below once, when it builds the level.
 
 Certification measures the norm of the error propagator E (a step with
 right-hand side 0), which is self-adjoint in the energy product, by at most
@@ -108,9 +111,8 @@ class _Level:
     ``smoother``, the SuperLU factor of the sweep matrix K of A[S, S] in
     the natural ordering without pivoting, which is pure substitution: no
     fill, L has K's pattern and U is K's diagonal.  The block rows and
-    A[S, S] are cut from A's CSR arrays by ``fem.submatrix``.
-    ``new_rows_op`` and ``rows_op`` are W and the block rows as
-    ``_product`` takes them, over the same arrays."""
+    A[S, S] are cut from A's CSR arrays by ``fem.submatrix``, and
+    ``_product`` reads the CSR arrays of A, W and the block rows."""
 
     def __init__(self, matrix, new_rows=None, smooth_dofs=None):
         for op in (matrix, new_rows):
@@ -120,11 +122,9 @@ class _Level:
         self.new_rows = new_rows
         self.smooth_dofs = smooth_dofs
         self.solve = factorize(matrix) if new_rows is None else None
-        self.new_rows_op = None if new_rows is None else _csr_args(new_rows)
-        self.smoother = self.rows = self.rows_op = self.sweeps = None
+        self.smoother = self.rows = self.sweeps = None
         if smooth_dofs is not None and len(smooth_dofs):
             self.rows = submatrix(matrix, smooth_dofs)
-            self.rows_op = _csr_args(self.rows)
             self.sweeps = np.tile(smooth_dofs, SMOOTH_SWEEPS)
             # K is triangular, so no column updates another: panels of one
             # column factor it in half the time, with smaller work arrays
@@ -155,7 +155,13 @@ class SolverState:
         return self.levels[-1].matrix
 
     def energy_norm(self, e):
-        return float(np.sqrt(max(e @ _matvec(self.matrix, e), 0.0)))
+        n = self.matrix.shape[0]
+        e = np.asarray(e, dtype=float)
+        if e.shape != (n,):
+            # the kernel does not check: it would read past the end of e
+            raise ValueError(f"energy norm on {n} DOFs got {e.shape}")
+        return float(np.sqrt(max(e @ _product(self.matrix, e, np.zeros(n)),
+                                 0.0)))
 
 
 def _check_spd(matrix):
@@ -244,43 +250,23 @@ FLOOR = 1e-8   # a Lanczos residual this small spans an invariant subspace
 WARM_NOISE = 0.1  # weight of the random part of a warm start
 
 
-def _matvec(M, x, transpose=False):
-    """``M @ x``, or ``M.T @ x`` if ``transpose``, for a CSR matrix M and a
-    float vector or column block x, bit for bit: the compiled kernel that
-    scipy's product ends in (M.T is M's arrays read as CSC), without its
-    per-call dispatch."""
+def _product(M, x, out, transpose=False):
+    """``out += M @ x``, or ``M.T @ x`` if ``transpose``, for a CSR matrix M
+    and a float vector or column block x, bit for bit with scipy's product
+    when ``out`` is zero: the compiled kernel that it ends in (M.T is M's
+    arrays read as CSC), without its per-call dispatch.  Unchecked: the
+    caller guarantees the shapes and a C-contiguous float64 ``out``, which
+    is returned."""
     n_row, n_col = M.shape[::-1] if transpose else M.shape
-    if x.ndim not in (1, 2) or x.shape[0] != n_col:
-        # the kernel does not check: it would read past the end of x
-        raise ValueError(f"dimension mismatch: {(n_row, n_col)} @ {x.shape}")
-    return _product(_csr_args(M), x, np.zeros((n_row,) + x.shape[1:]),
-                    transpose)
-
-
-def _csr_args(M):
-    """A CSR matrix M as scipy's compiled kernels read it: (n_row, n_col,
-    indptr, indices, data)."""
-    return M.shape + (M.indptr, M.indices, M.data)
-
-
-def _product(op, x, out, transpose=False):
-    """``out += M @ x``, or ``M.T @ x`` if ``transpose``, as ``_matvec``
-    but for M given as ``_csr_args(M)`` and unchecked: the caller
-    guarantees the shapes and a C-contiguous float64 ``out``, which is
-    returned.  The V-cycle and the warm start call it on levels whose shapes
-    ``_new_state`` checked when it built them."""
-    n_row, n_col, indptr, indices, data = op
-    if transpose:
-        n_row, n_col = n_col, n_row
+    args = (M.indptr, M.indices, M.data)
     if x.ndim == 1:
         kernel = (_sparsetools.csc_matvec if transpose
                   else _sparsetools.csr_matvec)
-        kernel(n_row, n_col, indptr, indices, data, x, out)
+        kernel(n_row, n_col, *args, x, out)
     else:
         kernel = (_sparsetools.csc_matvecs if transpose
                   else _sparsetools.csr_matvecs)
-        kernel(n_row, n_col, x.shape[1], indptr, indices, data, x.ravel(),
-               out.ravel())
+        kernel(n_row, n_col, x.shape[1], *args, x.ravel(), out.ravel())
     return out
 
 
@@ -316,43 +302,44 @@ def solver_step(state, rhs, iterate):
         return state.levels[0].solve(rhs)
     x = x.copy()
     for _ in range(CYCLES_PER_STEP):
-        _vcycle(state, top, x, rhs - _matvec(state.matrix, x))
+        r = rhs - _product(state.matrix, x, np.zeros(n))
+        x += _vcycle(state, top, np.zeros(n), r)
     return x
 
 
 def _vcycle(state, j, x, r):
-    """Level j's V-cycle on x with residual r, for one residual or, in the
-    columns of r, several; x is corrected in place and returned, and r,
+    """Level j's V-cycle for one residual r or, in its columns, several: x,
+    zero on entry, leaves holding the correction and is returned, and r,
     C-contiguous, is used up.  The one base case is the bottom level k,
-    which adds B_k r, or level 0's exact solve for k = 0."""
+    which writes B_k r, or level 0's exact solve for k = 0."""
     # r is updated in place after each local correction, and restriction
-    # leaves the coarse residual in its prefix.  Levels below the top start
-    # from x = 0, the prefix of a zeroed correction, so a level costs one
-    # product with W and one with its transpose, one forward and one
-    # transposed solve with its smoother and one product with its block
-    # rows and one with their transpose
+    # leaves the coarse residual in its prefix, for which the coarse level
+    # writes its correction into x's prefix.  So a level costs one product
+    # with W and one with its transpose, one forward and one transposed
+    # solve with its smoother and one product with its block rows and one
+    # with their transpose
     k, B = state.bottom
     if j == k:
-        x += state.levels[0].solve(r) if k == 0 else B @ r
+        x[...] = state.levels[0].solve(r) if k == 0 else B @ r
         return x
     lvl = state.levels[j]
-    S, n_c = lvl.smooth_dofs, lvl.new_rows_op[1]  # W is (n - n_c) x n_c
+    S, W = lvl.smooth_dofs, lvl.new_rows
+    n_c = W.shape[1]
     if lvl.smoother is not None:
         z = lvl.smoother.solve(r[lvl.sweeps])
         z = z[-len(S):]  # the last block sums the corrections of all sweeps
-        x[S] += z
-        _product(lvl.rows_op, -z, r, transpose=True)
+        _product(lvl.rows, -z, r, transpose=True)
         # r[S] once per sweep, saved before restriction overwrites r[:n_c]
         post = r[lvl.sweeps]
     # P' r = r[:n_c] + W' r[n_c:], in place
-    _product(lvl.new_rows_op, r[n_c:], r[:n_c], transpose=True)
-    corr = np.zeros(r.shape)
-    _vcycle(state, j - 1, corr[:n_c], r[:n_c])
-    _product(lvl.new_rows_op, corr[:n_c], corr[n_c:])  # P c = [c; W c]
-    x += corr
+    _product(W, r[n_c:], r[:n_c], transpose=True)
+    _vcycle(state, j - 1, x[:n_c], r[:n_c])
+    _product(W, x[:n_c], x[n_c:])  # x = P c = [c; W c]
     if lvl.smoother is not None:
-        # the block rows only from here on
-        Ac = _product(lvl.rows_op, corr, np.zeros((len(S),) + r.shape[1:]))
+        # the block rows only from here on; A[S, :] P c is the coarse
+        # correction's residual, taken before z joins x
+        Ac = _product(lvl.rows, x, np.zeros((len(S),) + r.shape[1:]))
+        x[S] += z
         copies = post.reshape((-1,) + Ac.shape)  # one per sweep
         copies -= Ac
         z = lvl.smoother.solve(post, trans="T")
@@ -414,7 +401,7 @@ def _warm_start(state):
     ritz, n_c = levels[-2].ritz, len(levels[-2].ritz)
     v = np.zeros(state.matrix.shape[0])
     v[:n_c] = ritz
-    _product(levels[-1].new_rows_op, ritz, v[n_c:])  # P c = [c; W c]
+    _product(levels[-1].new_rows, ritz, v[n_c:])  # P c = [c; W c]
     return v / state.energy_norm(v)
 
 
@@ -433,12 +420,12 @@ def _lanczos(state, v, settle):
     # Lanczos vectors and their images under A, one per row
     V = np.empty((LANCZOS_STEPS, len(v)))
     AV = np.empty_like(V)
-    V[0], AV[0] = v, _matvec(A, v)
+    V[0], AV[0] = v, _product(A, v, np.zeros(len(v)))
     alpha, beta = [], []
     worst = top = 0.0
     for k in range(LANCZOS_STEPS):
         w = solver_step(state, zero, V[k])
-        Aw = _matvec(A, w)
+        Aw = _product(A, w, np.zeros(len(w)))
         ratio = float(np.sqrt(max(w @ Aw, 0.0)))
         # full reorthogonalization in the energy product, done twice
         coef = np.zeros(k + 1)

@@ -173,6 +173,33 @@ def test_fit_rate_loglog():
         fit_rate_loglog([1.0, 2.0], [1.0, 2.0])
 
 
+_GEOMETRIC = [1.0, 0.5, 0.25, 0.125]
+
+
+def _with(value, at=1):
+    seq = list(_GEOMETRIC)
+    seq[at] = value
+    return seq
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda v: max_rlinear_violation(_with(v), 1.0, 0.5),
+    lambda v: rlinear_constants_from_criterion(_with(v), np.zeros(4), 0.5,
+                                               1.0, 1.0, 1.0),
+    lambda v: rlinear_constants_from_criterion(_GEOMETRIC, _with(v, 2), 0.5,
+                                               1.0, 1.0, 1.0),
+    lambda v: tailsum_rlinear_equivalence(_with(v)),
+    lambda v: fit_rate_loglog([1.0, 2.0, 3.0, 4.0], _with(v)),
+    lambda v: fit_rate_loglog(_with(v), _GEOMETRIC),
+], ids=["violation", "criterion-a", "criterion-b", "tailsum", "fit-y",
+        "fit-x"])
+def test_sequence_inputs_must_be_finite(call, bad):
+    # a NaN fails every comparison, so it passed each check as if it were 0
+    with pytest.raises(ValueError, match="finite"):
+        call(bad)
+
+
 def test_criterion_property_sample():
     from afem_lab.analysis import random_criterion_instance
     rng = np.random.default_rng(42)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import time
 import pytest
 
 from afem_lab import solvers
-from afem_lab.cli import SOLVER_FLAGS, main
+from afem_lab.cli import SOLVER_FLAGS, _write_json, main
 from afem_lab.driver import CSV_HEADER
 
 
@@ -63,6 +64,32 @@ def test_run_summary_is_one_json_object(tmp_path, capsys):
     assert facts["peak_rss_mb"] > 0
     assert isinstance(facts["final_dofs"], int)
     assert text == json.dumps(facts, indent=2, sort_keys=True) + "\n"
+
+
+def _strict_json(text):
+    """``json.loads`` that refuses the non-standard Infinity and NaN."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_non_finite_values_are_written_as_null(tmp_path, capsys):
+    # t >= 1 leaves q_sym unbounded, and the run warns about lambda_alg
+    summary = tmp_path / "s.json"
+    with pytest.warns(UserWarning, match="need not contract"):
+        code = main(["run", "--problem", "zshape-nonlinear", "--algo",
+                     "nested", "--lambda-alg", "100", "--max-dofs", "300",
+                     "--summary", str(summary)])
+    assert code == 0
+    facts = _strict_json(summary.read_text())
+    assert facts["q_sym"] is None and facts["final_eta"] > 0
+    # inside lists too
+    out = tmp_path / "o.json"
+    _write_json({"levels": [0.5, math.inf, -math.inf], "q": math.nan,
+                 "n": 3}, out)
+    assert _strict_json(out.read_text()) == {"levels": [0.5, None, None],
+                                             "q": None, "n": 3}
+    assert capsys.readouterr().out.endswith(out.read_text())
 
 
 def test_run_nested_parses_paper_parameters(tmp_path):
@@ -229,11 +256,20 @@ def test_bad_config_line_is_usage_error(tmp_path, line):
     ["run", "--p", "0"],
     ["run", "--max-dofs", "-5"],
     ["run", "--eta-tol", "0"],
+    ["run", "--delta", "inf"],
+    ["run", "--max-dofs", "inf"],
+    ["run", "--eta-tol", "inf"],
+    ["run", "--lambda", "inf"],
+    ["run", "--lambda-sym", "inf"],
+    ["run", "--lambda-alg", "inf"],
     ["sweep", "--thetas", "0.5,x"],
     ["sweep", "--thetas", "0.5,1.2"],
     ["sweep", "--lambdas", "0.1,0"],
+    ["sweep", "--lambdas", "0.1,inf"],
+    ["sweep", "--eta-stop-factor", "inf"],
     ["sweep", "--jobs", "0"],
     ["verify", "--instances", "-3"],
+    ["verify", "--max-dofs", "inf"],
 ])
 def test_out_of_range_flag_is_usage_error(monkeypatch, capsys, args):
     # a run would fail the test: the value must be refused while parsing
@@ -246,10 +282,12 @@ def test_out_of_range_flag_is_usage_error(monkeypatch, capsys, args):
 
 def test_out_of_range_config_value_is_usage_error(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("theta=1.5\n")
-    proc = run_cli(["run", "--problem", "kellogg", "--config", str(cfg)])
-    assert proc.returncode == 2
-    assert "argument --theta" in proc.stderr
+    for line, flag in (("theta=1.5", "--theta"), ("delta=inf", "--delta"),
+                       ("max_dofs=inf", "--max-dofs")):
+        cfg.write_text(line + "\n")
+        proc = run_cli(["run", "--problem", "kellogg", "--config", str(cfg)])
+        assert proc.returncode == 2
+        assert f"argument {flag}" in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

@@ -422,7 +422,7 @@ def test_certification_steps_per_level():
     assert counts["steps"] <= 3.0 * counts["levels"]
 
 
-def test_matvec_matches_matmul_bit_for_bit(square2):
+def test_product_matches_matmul_bit_for_bit(square2):
     state, _ = build_hierarchy(square2, "local_multigrid")
     rng = np.random.default_rng(7)
     ops = [state.levels[0].matrix]
@@ -436,32 +436,58 @@ def test_matvec_matches_matmul_bit_for_bit(square2):
             for shape in ((), (1,), (5,)):
                 X = rng.standard_normal((ref.shape[1],) + shape)
                 want = ref @ X
-                Y = solvers._matvec(op, X, transpose=transpose)
-                assert Y.shape == want.shape
-                assert Y.tobytes() == want.tobytes()
                 # _product adds the product into out and returns it
                 out = np.zeros(want.shape)
-                Y = solvers._product(solvers._csr_args(op), X, out,
-                                     transpose)
-                assert Y is out and Y.tobytes() == want.tobytes()
+                Y = solvers._product(op, X, out, transpose)
+                assert Y is out and Y.shape == want.shape
+                assert Y.tobytes() == want.tobytes()
                 base = rng.standard_normal(want.shape)
                 out = base.copy()
-                Y = solvers._product(solvers._csr_args(op), X, out,
-                                     transpose)
+                Y = solvers._product(op, X, out, transpose)
                 assert Y is out
                 assert np.abs(Y - (base + want)).max(initial=0.0) \
                     <= 1e-15 * np.abs(base + want).max(initial=1.0)
-    for bad in (np.zeros(matrix.shape[1] - 1), np.zeros(()),
-                np.zeros((matrix.shape[1], 1, 1))):
+    # _product checks no shape: vectors are checked where they enter
+    n = matrix.shape[0]
+    for bad in (np.zeros(n - 1), np.zeros(()), np.zeros((n, 1)),
+                np.zeros((n, 1, 1))):
         with pytest.raises(ValueError):
-            solvers._matvec(matrix, bad)
-    W = state.levels[-1].new_rows
-    assert W.shape[0] != W.shape[1]
-    with pytest.raises(ValueError):
-        solvers._matvec(W, np.zeros(W.shape[1]), transpose=True)
-    for bad in (np.zeros(matrix.shape[1] - 1), np.zeros((matrix.shape[1], 1))):
+            state.energy_norm(bad)
         with pytest.raises(ValueError):
-            solver_step(state, np.zeros(matrix.shape[0]), bad)
+            solver_step(state, np.zeros(n), bad)
+        with pytest.raises(ValueError):
+            solver_step(state, bad, np.zeros(n))
+
+
+def test_vcycle_allocates_no_vector_of_a_level_below_the_top():
+    # every level writes its correction into the prefix of the one above,
+    # so a step holds the top level's iterate, residual, correction and one
+    # product, each sparse level's smoothing work (a solve and the saved
+    # r[S], m |S| floats each), the bottom's product and a few small objects
+    # per level: ``budget``.  One vector per sparse level below the top, as
+    # a cycle that zeroes a correction on each level allocates, would add
+    # ``below`` floats; the peak stays within half of that
+    import tracemalloc
+
+    state = list(_kellogg_states(steps=80))[-1]
+    k, top = state.bottom[0], len(state.levels) - 1
+    sizes = [lvl.matrix.shape[0] for lvl in state.levels]
+    below = sum(sizes[k + 1:top])
+    smooth = sum(len(lvl.smooth_dofs) for lvl in state.levels[k + 1:])
+    budget = (4 * sizes[top] + 2 * solvers.SMOOTH_SWEEPS * smooth + sizes[k]
+              + 128 * (top - k))
+    assert top - k > 50 and below > budget
+    rhs, x0 = np.random.default_rng(12).standard_normal((2, sizes[top]))
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            solver_step(state, rhs, x0)
+            peak = (tracemalloc.get_traced_memory()[1] - base) / 8  # floats
+            assert peak - budget < below / 2
+    finally:
+        tracemalloc.stop()
 
 
 def _same_arrays(got, want):
