@@ -27,7 +27,7 @@ import numpy as np
 from .estimator import Q_RED, compute_indicators, estimator_total
 from .fem import (DiscreteFunction, Space, energy_error_exact, energy_norm,
                   prolongate, solve_galerkin_exact)
-from .mesh import uniform_refine
+from .mesh import ancestor_map, uniform_refine
 
 __all__ = ["RLinearFit", "rlinear_constants_from_criterion",
            "tailsum_rlinear_equivalence", "rates_equals_complexity",
@@ -332,12 +332,10 @@ def verify_axioms(history, prob, rng=None):
         vf = prolongate(v, fine)
         ind_c = coarse_art["ind"]
         ind_f = compute_indicators(fine, vf, prob)
-        parents = fine.mesh.parent_elements
-        refined = np.nonzero(np.bincount(
-            parents, minlength=coarse.mesh.n_elements) > 1)[0]
-        new_elems = np.nonzero(np.isin(parents, refined))[0]
-        num = estimator_total(ind_f, new_elems)
-        den = estimator_total(ind_c, refined)
+        parents = ancestor_map(fine.mesh, coarse.mesh)
+        split = np.bincount(parents, minlength=coarse.mesh.n_elements) > 1
+        num = estimator_total(ind_f, np.flatnonzero(split[parents]))
+        den = estimator_total(ind_c, np.flatnonzero(split))
         if den > 0:
             a2_worst = max(a2_worst, num / den)
     report["a2_worst"] = a2_worst

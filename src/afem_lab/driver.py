@@ -44,8 +44,8 @@ from .estimator import compute_indicators
 from .fem import (DiscreteFunction, SolverError, Space, assemble_rhs,
                   dirichlet_values, energy_gram, prolongation_matrix,
                   solve_galerkin_exact)
-from .iteration import (check_lambda_constraint, inner_stop, outer_stop,
-                        zarantonello_rhs)
+from .iteration import (check_lambda_constraint, inner_stop,
+                        lambda_alg_star, outer_stop, zarantonello_rhs)
 from .marking import doerfler_mark
 from .mesh import refine, uniform_refine
 from .solvers import (certify_contraction, extend_solver, setup_solver,
@@ -262,9 +262,6 @@ def _adapt(history, prob, mesh, p, theta, solve_level, max_dofs, eta_tol,
                 u = prolongation_matrix(space, new_space) @ u
                 u[new_space.dirichlet_mask] = dirichlet_values(
                     new_space, prob)[new_space.dirichlet_mask]
-            # the superseded mesh stays alive through the refinement chain,
-            # but nothing consults its edge tables again
-            space.mesh.release_edge_tables()
         if state is not None:
             with history.clock("t_setup"):
                 state = extend_solver(state, new_space)
@@ -307,7 +304,7 @@ def _certify(history, state, cfg):
     history.meta["q_sym"] = q_sym
     history.meta["lambda_constraint_ok"] = ok
     if was_ok and not ok:
-        star = (1.0 - q_alg) * (1.0 - cfg.q_sym_star) / (4.0 * q_alg)
+        star = lambda_alg_star(cfg, q_alg)
         warnings.warn(f"lambda_alg = {cfg.lambda_alg:g} >= lambda_alg* = "
                       f"{star:.3g}: the inexact Zarantonello iteration need "
                       f"not contract (q_sym = {q_sym:.3f})", stacklevel=4)

@@ -680,9 +680,8 @@ def prolongation_matrix(coarse, fine):
     """
     if fine.degree != coarse.degree:
         raise ValueError("prolongation requires matching polynomial degree")
-    # keyed on the coarse mesh, which the refinement chain keeps alive, so
-    # the key cannot be reused; the coarse space itself is not pinned
-    return fine.cached(("prol", coarse.mesh), None,
+    # a mesh token is never reused, and it pins neither mesh nor space
+    return fine.cached(("prol", coarse.mesh.token), None,
                        lambda: _prolongation(coarse, fine))
 
 

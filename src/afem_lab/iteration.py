@@ -23,7 +23,7 @@ from .fem import assemble_b, energy_gram, load_vector, nonlinear_form
 
 __all__ = ["ZarantonelloConfig", "zarantonello_rhs",
            "zarantonello_contraction_bound", "inner_stop", "outer_stop",
-           "check_lambda_constraint"]
+           "check_lambda_constraint", "lambda_alg_star"]
 
 
 def zarantonello_contraction_bound(alpha, L, delta):
@@ -91,8 +91,7 @@ def check_lambda_constraint(cfg, q_alg):
     q_sym = (q_sym* + t) / (1 - t) with t = 2 q_alg lambda_alg / (1 - q_alg)
     bounds the outer contraction when each Phi step is solved by an
     algebraic solver with contraction q_alg stopped by ``inner_stop``.
-    q_sym < 1 holds exactly when
-    lambda_alg < lambda_alg* = (1 - q_alg)(1 - q_sym*) / (4 q_alg).
+    q_sym < 1 holds exactly when lambda_alg < ``lambda_alg_star``.
     """
     if cfg.q_sym_star is None:
         raise ValueError("config carries no contraction bound; set alpha/L "
@@ -105,3 +104,9 @@ def check_lambda_constraint(cfg, q_alg):
         return math.inf, False
     q_sym = (cfg.q_sym_star + t) / (1.0 - t)
     return q_sym, q_sym < 1.0
+
+
+def lambda_alg_star(cfg, q_alg):
+    """The bound lambda_alg* = (1 - q_alg)(1 - q_sym*) / (4 q_alg)."""
+    return math.inf if q_alg == 0.0 else \
+        (1.0 - q_alg) * (1.0 - cfg.q_sym_star) / (4.0 * q_alg)

@@ -17,8 +17,8 @@ first.  Children keep their parents' order, ``(v2, v0, m)`` first; a split
 boundary edge ``(a, b)`` becomes ``(a, m)``, ``(m, b)``.  An undirected edge
 is named by one int64 key, ``min * n_vertices + max`` (``_edge_keys``).
 
-Meshes are immutable after construction; ``refine`` returns a new Mesh that
-keeps a reference to its parent and a per-element parent map.
+Meshes are immutable after construction.  A refined Mesh's ``lineage`` holds
+a (token, parent map) pair per ancestor generation, not the ancestors.
 """
 
 import numpy as np
@@ -37,9 +37,6 @@ class Mesh:
         if boundary_edges.size == 0:
             boundary_edges = boundary_edges.reshape(0, 2)
         self.boundary_edges = np.ascontiguousarray(boundary_edges)
-        self.parent_mesh = parent_mesh
-        self.parent_elements = (None if parent_elements is None
-                                else np.asarray(parent_elements, dtype=np.int64))
         for name, a, cols in (("vertices", self.vertices, 2),
                               ("elements", self.elements, 3),
                               ("boundary_edges", self.boundary_edges, 2)):
@@ -53,6 +50,19 @@ class Mesh:
         for a in (self.vertices, self.elements, self.boundary_edges):
             a.setflags(write=False)
         self._edge_cache = None
+        self.token = object()  # identifies the mesh while anyone holds it
+        self.parent_elements, self.lineage = None, ()
+        if parent_mesh is not None or parent_elements is not None:
+            parents = np.asarray(parent_elements)
+            if parent_mesh is None or parents.shape != (self.n_elements,) \
+                    or parents.dtype.kind not in "iu" or not np.all(
+                        (0 <= parents) & (parents < parent_mesh.n_elements)):
+                raise ValueError("parent_mesh needs parent_elements: one "
+                                 "index in [0, parent.n_elements) per element")
+            self.parent_elements = parents.astype(np.int64, copy=False)
+            self.parent_elements.setflags(write=False)
+            self.lineage = ((parent_mesh.token, self.parent_elements),
+                            *parent_mesh.lineage)
 
     # -- basic quantities --------------------------------------------------
 
@@ -129,10 +139,6 @@ class Mesh:
             raise ValueError("edge not found in mesh")
         return pos
 
-    def release_edge_tables(self):
-        """Drop the cached edge tables; ``edge_tables`` rebuilds them."""
-        self._edge_cache = None
-
 
 def element_indices(indices, n_elements):
     """``indices`` (any iterable of integer element indices) as an int64
@@ -152,7 +158,7 @@ def element_indices(indices, n_elements):
 def refine(mesh, marked):
     """Coarsest conforming NVB refinement bisecting all marked elements.
 
-    Returns a new Mesh with parent links; ``marked`` is checked by
+    Returns a new Mesh with its parent map; ``marked`` is checked by
     `element_indices`.  An empty ``marked`` returns ``mesh`` unchanged.
     """
     marked = np.unique(element_indices(marked, mesh.n_elements))
@@ -194,8 +200,7 @@ def refine(mesh, marked):
     first = np.where(split[:, None], np.column_stack([a, m]), bnd)
     new_bnd = _in_pairs(first, np.column_stack([m, b]), split)
 
-    return Mesh(new_vertices, elems, new_bnd, parent_mesh=mesh,
-                parent_elements=parent)
+    return Mesh(new_vertices, elems, new_bnd, mesh, parent)
 
 
 def _bisect(elems, parent, mid):
@@ -272,16 +277,13 @@ def check_conforming(mesh):
 def ancestor_map(fine, coarse):
     """Map fine element indices to their ancestor elements in ``coarse``.
 
-    Walks the parent chain; raises if ``coarse`` is not on it.
+    Composes ``fine``'s lineage up to ``coarse``; raises if it is not on it.
     """
-    chain = []
-    m = fine
-    while m is not coarse:
-        if m.parent_mesh is None:
-            raise ValueError("meshes are not related by refinement")
-        chain.append(m.parent_elements)
-        m = m.parent_mesh
     amap = np.arange(fine.n_elements)
-    for parents in chain:
+    if fine is coarse:
+        return amap
+    for token, parents in fine.lineage:
         amap = parents[amap]
-    return amap
+        if token is coarse.token:
+            return amap
+    raise ValueError("meshes are not related by refinement")

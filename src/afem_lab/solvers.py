@@ -374,9 +374,7 @@ def certify_contraction(state, ceiling=None):
     if state.kind == "direct" or n == 0:
         state.certified_q = 0.0
         return 0.0
-    # the second of two standard normal draws, as recorded certificates
-    # were measured from this start
-    v = np.random.default_rng(0).standard_normal((2, n))[1]
+    v = np.random.default_rng(0).standard_normal(n)
     v /= state.energy_norm(v)
     warm = _warm_start(state)
     if warm is not None:

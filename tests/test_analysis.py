@@ -241,6 +241,16 @@ def test_verify_axioms_nonlinear_a4():
     assert report["a2_pass"], report["a2_worst"]
 
 
+def test_verify_axioms_on_a_uniform_run():
+    # a uniform level is two refine calls, so its parent is no artifact
+    from afem_lab.driver import run_uniform
+    from afem_lab.problems import kellogg
+    prob, mesh = kellogg()
+    hist = run_uniform(prob, mesh, max_dofs=300, store_artifacts=True)
+    report = verify_axioms(hist, prob)
+    assert report["a2_pass"], report["a2_worst"]
+    assert 0.0 < report["a2_worst"] < 1.0
+
 def test_broken_estimator_fails_a2(monkeypatch):
     # mutation check: inflating the indicators on finer meshes must be
     # caught by the reduction axiom

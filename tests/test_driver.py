@@ -1,6 +1,7 @@
 import io
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -439,3 +440,29 @@ def test_nested_run_factorizes_only_the_coarsest_level(monkeypatch):
     # only the coarsest level holds an exact solve
     assert [lvl.solve is not None for lvl in levels] \
         == [True] + [False] * (len(levels) - 1)
+
+
+@pytest.mark.parametrize("entry", ["single", "nested"])
+def test_the_loop_frees_superseded_meshes(entry, monkeypatch):
+    # a mesh holds its ancestors' parent maps, not the ancestors, so at
+    # each refinement at most the mesh being refined and its parent live
+    from afem_lab import driver
+    refine, refined, alive = driver.refine, [], []
+
+    def tracked(mesh, marked):
+        alive.append(sum(r() is not None for r in refined))
+        fine = refine(mesh, marked)
+        refined.append(weakref.ref(fine))
+        return fine
+
+    monkeypatch.setattr(driver, "refine", tracked)
+    if entry == "single":
+        prob, mesh = kellogg()
+        run_single(prob, mesh, theta=0.5, lam=0.01,
+                   solver_kind="local_multigrid", max_dofs=2000)
+    else:
+        prob, mesh = zshape_nonlinear()
+        run_nested(prob, mesh, theta=0.3, cfg=_zshape_config(prob, 0.7),
+                   max_dofs=2000)
+    assert len(refined) >= 20
+    assert max(alive) <= 2, alive

@@ -4,7 +4,7 @@ import pytest
 from afem_lab.fem import (DiscreteFunction, ProblemDef, Space, energy_gram,
                           energy_norm, solve_galerkin_exact)
 from afem_lab.iteration import (ZarantonelloConfig, check_lambda_constraint,
-                                inner_stop, outer_stop,
+                                inner_stop, lambda_alg_star, outer_stop,
                                 zarantonello_contraction_bound,
                                 zarantonello_rhs)
 from afem_lab.mesh import uniform_refine
@@ -81,6 +81,20 @@ def test_check_lambda_constraint_examples():
     q_sym, ok = check_lambda_constraint(cfg, q_alg=0.5)
     assert np.isclose(q_sym, 0.7 / 0.8)
     assert ok
+
+
+def test_lambda_alg_star_is_the_threshold_of_the_constraint():
+    cfg = ZarantonelloConfig(delta=1.0, lambda_sym=0.3, lambda_alg=0.0,
+                             q_sym_star=0.8)
+    assert np.isclose(lambda_alg_star(cfg, 0.5), 0.05)
+    assert lambda_alg_star(cfg, 0.0) == np.inf
+    rng = np.random.default_rng(4)
+    for q_alg, q_star in rng.uniform(0.01, 0.99, size=(50, 2)):
+        cfg.q_sym_star = q_star
+        star = lambda_alg_star(cfg, q_alg)
+        for factor, expected in ((1 - 1e-6, True), (1 + 1e-6, False)):
+            cfg.lambda_alg = factor * star
+            assert check_lambda_constraint(cfg, q_alg)[1] == expected
 
 
 def test_zarantonello_fixed_point_linear(square2):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -322,3 +324,39 @@ def test_edge_tables_match_row_unique_on_random_nvb_meshes(square2):
     for pair in ([0, nv], [0, a * nv + b], [-1, 0]):
         with pytest.raises(ValueError):
             mesh.edge_ids(np.array([pair]))
+
+
+def test_ancestor_map_rejects_siblings_and_unrelated_meshes(square2):
+    left, right = refine(square2, [0]), refine(square2, [1])
+    twin = Mesh(square2.vertices, square2.elements, square2.boundary_edges)
+    for fine, coarse in ((left, right), (right, left), (left, twin),
+                         (twin, square2), (square2, left)):
+        with pytest.raises(ValueError, match="not related by refinement"):
+            ancestor_map(fine, coarse)
+    assert np.array_equal(ancestor_map(left, left), np.arange(4))
+
+
+
+def test_lineage_holds_the_maps_not_the_meshes(square2):
+    # every intermediate mesh is freed, yet the maps across it compose
+    mesh, parents, alive = square2, [], []
+    for _ in range(3):
+        mesh = refine(mesh, np.arange(mesh.n_elements))
+        parents.append(mesh.parent_elements)
+        alive.append(weakref.ref(mesh))
+    assert [m() is not None for m in alive] == [False, False, True]
+    assert np.array_equal(ancestor_map(mesh, square2),
+                          parents[0][parents[1][parents[2]]])
+
+
+@pytest.mark.parametrize("parent, parents", [
+    (True, None), (False, [0, 0, 1, 1]), (True, [0, 0, 1]),
+    (True, [[0, 0], [1, 1]]), (True, [0, 0, 1, 2]), (True, [-1, 0, 1, 1]),
+    (True, [0.0, 0.0, 1.0, 1.0])])
+def test_mesh_checks_its_parent_map(square2, parent, parents):
+    fine = refine(square2, [0, 1])
+    args = fine.vertices, fine.elements, fine.boundary_edges
+    assert Mesh(*args, square2, fine.parent_elements).lineage[0][0] \
+        is square2.token
+    with pytest.raises(ValueError, match="parent_elements"):
+        Mesh(*args, square2 if parent else None, parents)
