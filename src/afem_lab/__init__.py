@@ -13,9 +13,9 @@ from .analysis import (RLinearFit, fit_rate_loglog, rates_equals_complexity,
 from .driver import (History, run_exact, run_nested, run_single, run_uniform,
                      weighted_cost_table)
 from .estimator import Indicators, compute_indicators, estimator_total
-from .fem import (DiscreteFunction, Nonlinearity, ProblemDef, Space,
-                  assemble_a, assemble_b, assemble_rhs, energy_inner,
-                  energy_norm, prolongate, solve_galerkin_exact)
+from .fem import (Nonlinearity, ProblemDef, Space, assemble_a, assemble_b,
+                  assemble_rhs, energy_inner, energy_norm,
+                  solve_galerkin_exact)
 from .iteration import (ZarantonelloConfig, check_lambda_constraint,
                         inner_stop, outer_stop,
                         zarantonello_contraction_bound, zarantonello_rhs)

@@ -61,8 +61,14 @@ _count0 = _typed(int, lambda v: v >= 0, ">= 0")
 
 
 def _listed(item):
-    """argparse ``type=``: a comma-separated list of ``item`` values."""
-    return lambda text: [item(t) for t in text.split(",")]
+    """argparse ``type=``: a comma-separated list of distinct ``item``
+    values."""
+    def parse(text):
+        values = [item(t) for t in text.split(",")]
+        if len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
+        return values
+    return parse
 
 
 def _add_common(p):

@@ -41,9 +41,8 @@ import warnings
 import numpy as np
 
 from .estimator import compute_indicators
-from .fem import (DiscreteFunction, SolverError, Space, assemble_rhs,
-                  dirichlet_values, energy_gram, prolongation_matrix,
-                  solve_galerkin_exact)
+from .fem import (SolverError, Space, assemble_rhs, dirichlet_values,
+                  energy_gram, prolongation_matrix, solve_galerkin_exact)
 from .iteration import (check_lambda_constraint, inner_stop,
                         lambda_alg_star, outer_stop, zarantonello_rhs)
 from .marking import doerfler_mark
@@ -244,7 +243,7 @@ def _adapt(history, prob, mesh, p, theta, solve_level, max_dofs, eta_tol,
         eta = ind.total
         history.meta.setdefault("eta_initial", eta)
         if store_artifacts:
-            art.update(final=DiscreteFunction(space, u), ind=ind)
+            art.update(final=u, ind=ind)
             artifacts.append(art)
 
         reason = _stop_reason(space.n_free, eta, max_dofs, eta_tol)
@@ -335,7 +334,7 @@ def run_uniform(prob, mesh0, p=1, max_dofs=5e4, eta_tol=None,
 def _exact_level(history, prob):
     def solve_level(ell, space, state, u, art):
         with history.clock("t_solve"):
-            u = solve_galerkin_exact(space, prob).coeffs
+            u = solve_galerkin_exact(space, prob)
         with history.clock("t_estimate"):
             ind = compute_indicators(space, u, prob)
         history.append(ell, n_elem=space.mesh.n_elements, n_dof=space.n_free,

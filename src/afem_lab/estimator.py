@@ -70,10 +70,8 @@ def estimator_total(ind, subset=None):
 
 
 def compute_indicators(space, v, prob):
-    """Residual indicators for a discrete function on its space."""
-    coeffs = v.coeffs if hasattr(v, "coeffs") else np.asarray(v, dtype=float)
-    if len(coeffs) != space.n_dofs:
-        raise ValueError("function does not live on the given space")
+    """Residual indicators for a coefficient vector on its space."""
+    coeffs = space.coefficients(v)
     eta2 = _volume_terms(space, coeffs, prob)
     _edge_terms(space, coeffs, prob, eta2)
     return Indicators(eta2)

@@ -11,6 +11,10 @@ nodal interpolation of the boundary data, and reduced systems act on the
 free degrees of freedom only.  The energy norm |||v||| = a(v, v)^(1/2) is
 evaluated with the full (unreduced) symmetric Gram matrix, so it measures
 the true weighted H1 seminorm of the represented function.
+
+A discrete function is its full coefficient vector: one float per DOF,
+Dirichlet values included.  ``Space.coefficients`` checks a vector where it
+enters a routine.
 """
 
 import math
@@ -25,9 +29,9 @@ from .mesh import ancestor_map
 from .quadrature import triangle_rule
 
 __all__ = [
-    "Space", "ProblemDef", "Nonlinearity", "DiscreteFunction",
+    "Space", "ProblemDef", "Nonlinearity",
     "assemble_a", "assemble_b", "assemble_rhs", "solve_galerkin_exact",
-    "prolongate", "prolongation_matrix", "energy_norm", "energy_inner",
+    "prolongation_matrix", "energy_norm", "energy_inner",
     "factorize", "solve_direct", "SolverError",
 ]
 
@@ -302,6 +306,16 @@ class Space:
         self._cache[key] = (prob, out)
         return out
 
+    def coefficients(self, v):
+        """``v`` as a discrete function on this space: a float array of one
+        value per DOF, Dirichlet values included; ValueError for any other
+        shape."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.n_dofs,):
+            raise ValueError(f"coefficient vector of shape {v.shape} on a "
+                             f"space of {self.n_dofs} DOFs")
+        return v
+
     # -- evaluation helpers -------------------------------------------------
 
     def physical_points(self, ref_pts):
@@ -343,35 +357,6 @@ def contract(local, table):
     nq, nl, c = table.shape
     flat = table.transpose(1, 0, 2).reshape(nl, nq * c)
     return (local @ flat).reshape(-1, nq, c)
-
-
-@dataclass
-class DiscreteFunction:
-    space: Space
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape != (self.space.n_dofs,):
-            raise ValueError("coefficient vector does not match space size")
-
-    def eval(self, points):
-        """Point evaluation (brute-force element lookup; for tests/plots)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        space = self.space
-        vals = np.full(len(points), np.nan)
-        loc = np.einsum("eij,epj->epi", space.inv_jac,
-                        points[None, :, :] - space.origin[:, None, :])
-        lam = np.concatenate([1 - loc.sum(axis=2, keepdims=True), loc], axis=2)
-        inside = (lam > -1e-10).all(axis=2)
-        for pidx in range(len(points)):
-            owners = np.nonzero(inside[:, pidx])[0]
-            if len(owners) == 0:
-                continue
-            e = owners[0]
-            N = space.ref.eval(loc[e, pidx][None, :])
-            vals[pidx] = N[0] @ self.coeffs[space.elem_dofs[e]]
-        return vals if len(vals) > 1 else float(vals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +564,8 @@ def nonlinear_energy(space, prob, coeffs):
 
 
 def solve_galerkin_exact(space, prob):
-    """Galerkin solution; nonlinear problems by damped Zarantonello iteration.
+    """Coefficient vector of the Galerkin solution; nonlinear problems by
+    damped Zarantonello iteration.
 
     The nonlinear fixed point uses delta = 1/L and iterates until the energy
     norm of the increment drops below 1e-11 max(1, |||u|||), with |||u||| the
@@ -590,7 +576,7 @@ def solve_galerkin_exact(space, prob):
         coeffs = lift
         coeffs[space.free] = solve_direct(assemble_b(space, prob),
                                           assemble_rhs(space, prob))
-        return DiscreteFunction(space, coeffs)
+        return coeffs
 
     if prob.L is None:
         raise SolverError("nonlinear problem needs monotonicity constants")
@@ -607,7 +593,7 @@ def solve_galerkin_exact(space, prob):
         inc[space.free] = step
         norm_u = np.sqrt(coeffs @ (G @ coeffs))
         if np.sqrt(inc @ (G @ inc)) <= 1e-11 * max(1.0, norm_u):
-            return DiscreteFunction(space, coeffs)
+            return coeffs
     raise SolverError("Zarantonello fixed point did not converge")
 
 
@@ -657,12 +643,8 @@ def energy_gram(space, prob):
 
 
 def energy_inner(space, prob, v, w):
-    cv = v.coeffs if isinstance(v, DiscreteFunction) else np.asarray(v)
-    cw = w.coeffs if isinstance(w, DiscreteFunction) else np.asarray(w)
-    if len(cv) != space.n_dofs or len(cw) != space.n_dofs:
-        raise ValueError("coefficient vector does not match space")
     G = energy_gram(space, prob)
-    return float(cv @ (G @ cw))
+    return float(space.coefficients(v) @ (G @ space.coefficients(w)))
 
 
 def energy_norm(space, prob, v):
@@ -705,20 +687,8 @@ def _prolongation(coarse, fine):
     return P
 
 
-def prolongate(coarse_fn, fine_space):
-    """Represent a coarse DiscreteFunction exactly in a finer space."""
-    P = prolongation_matrix(coarse_fn.space, fine_space)
-    return DiscreteFunction(fine_space, P @ coarse_fn.coeffs)
-
-
-def interpolate(space, func):
-    """Nodal interpolation of a callable on all DOF points."""
-    return DiscreteFunction(space, np.asarray(func(space.dof_points),
-                                              dtype=float))
-
-
-def energy_error_exact(space, prob, fn):
-    """|||u_exact - fn||| by quadrature with the analytic gradient."""
+def energy_error_exact(space, prob, u):
+    """|||u_exact - u||| by quadrature with the analytic gradient."""
     if prob.exact_solution is None:
         raise ValueError("problem has no exact solution")
     _, grad_exact = prob.exact_solution
@@ -726,7 +696,7 @@ def energy_error_exact(space, prob, fn):
     phys = space.physical_points(pts)
     ge = np.asarray(grad_exact(phys.reshape(-1, 2))).reshape(
         space.mesh.n_elements, -1, 2)
-    gh = space.function_gradients(fn.coeffs, pts)
+    gh = space.function_gradients(space.coefficients(u), pts)
     a = _diffusion_at(prob, phys.reshape(-1, 2))
     dens = a.reshape(space.mesh.n_elements, -1) * ((ge - gh) ** 2).sum(axis=2)
     return float(np.sqrt(max((dens * space.wdet(w)).sum(), 0.0)))

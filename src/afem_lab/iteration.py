@@ -17,8 +17,6 @@ contract when lambda_alg stays below the bound that
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .fem import assemble_b, energy_gram, load_vector, nonlinear_form
 
 __all__ = ["ZarantonelloConfig", "zarantonello_rhs",
@@ -63,7 +61,7 @@ class ZarantonelloConfig:
 
 def zarantonello_rhs(space, prob, delta, u):
     """Full load vector of the SPD system defining Phi(delta; u)."""
-    coeffs = u.coeffs if hasattr(u, "coeffs") else np.asarray(u, dtype=float)
+    coeffs = space.coefficients(u)
     A = energy_gram(space, prob)
     G = A @ coeffs
     F = load_vector(space, prob)

@@ -42,6 +42,8 @@ class Mesh:
                               ("boundary_edges", self.boundary_edges, 2)):
             if a.ndim != 2 or a.shape[1] != cols:
                 raise ValueError(f"{name} must be an (n, {cols}) array")
+        if not np.isfinite(self.vertices).all():
+            raise ValueError("vertices must be finite")
         for name, ids in (("element", self.elements),
                           ("boundary edge", self.boundary_edges)):
             if ids.size and (ids.min() < 0 or ids.max() >= self.n_vertices):

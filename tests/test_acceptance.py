@@ -14,8 +14,8 @@ from afem_lab.analysis import (fit_rate_loglog, quasi_error_sequence,
                                rlinear_constants_from_criterion,
                                tailsum_rlinear_equivalence, verify_axioms)
 from afem_lab.driver import run_exact, run_nested, run_single, run_uniform
-from afem_lab.fem import (DiscreteFunction, Space, assemble_a, energy_gram,
-                          energy_norm, solve_galerkin_exact)
+from afem_lab.fem import (Space, assemble_a, energy_gram, energy_norm,
+                          solve_galerkin_exact)
 from afem_lab.iteration import (ZarantonelloConfig, zarantonello_rhs,
                                 zarantonello_contraction_bound)
 from afem_lab.mesh import uniform_refine
@@ -122,8 +122,7 @@ def test_criterion_6_full_rlinear_convergence(kellogg_single, lshape_nested,
         space = spaces[rec["n_elem"]]
         if rec["ell"] not in stars:
             stars[rec["ell"]] = solve_galerkin_exact(space, prob)
-        err = energy_norm(space, prob, DiscreteFunction(
-            space, stars[rec["ell"]].coeffs - it))
+        err = energy_norm(space, prob, stars[rec["ell"]] - it)
         H_true.append(err + rec["eta"])
     eq = tailsum_rlinear_equivalence(np.array(H_true))
     ok = eq.q_lin < 1.0 and eq.violation_rlinear <= 1 + 1e-9
@@ -187,16 +186,14 @@ def test_criterion_10_zarantonello_contraction():
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(100):
-        u = u_star.coeffs.copy()
+        u = u_star.copy()
         u[space.free] += rng.standard_normal(space.n_free)
         G = zarantonello_rhs(space, prob, delta, u)
         rhs = (G - A_full @ (u * space.dirichlet_mask))[space.free]
         phi = u.copy()
         phi[space.free] = solve_direct(A_red, rhs)
-        num = energy_norm(space, prob,
-                          DiscreteFunction(space, phi - u_star.coeffs))
-        den = energy_norm(space, prob,
-                          DiscreteFunction(space, u - u_star.coeffs))
+        num = energy_norm(space, prob, phi - u_star)
+        den = energy_norm(space, prob, u - u_star)
         worst = max(worst, num / den)
     ok = worst <= q_star * (1 + 1e-6)
     assert report(10, ok, f"worst ratio={worst:.4f} <= "

@@ -192,8 +192,10 @@ def _with(value, at=1):
     lambda v: tailsum_rlinear_equivalence(_with(v)),
     lambda v: fit_rate_loglog([1.0, 2.0, 3.0, 4.0], _with(v)),
     lambda v: fit_rate_loglog(_with(v), _GEOMETRIC),
+    lambda v: rates_complexity_bounds(_with(v), [1.0, 2.0, 4.0, 8.0], 0.5),
+    lambda v: rates_complexity_bounds(_GEOMETRIC, _with(v), 0.5),
 ], ids=["violation", "criterion-a", "criterion-b", "tailsum", "fit-y",
-        "fit-x"])
+        "fit-x", "rates-a", "rates-t"])
 def test_sequence_inputs_must_be_finite(call, bad):
     # a NaN fails every comparison, so it passed each check as if it were 0
     with pytest.raises(ValueError, match="finite"):

@@ -270,6 +270,8 @@ def test_bad_config_line_is_usage_error(tmp_path, line):
     ["sweep", "--jobs", "0"],
     ["verify", "--instances", "-3"],
     ["verify", "--max-dofs", "inf"],
+    ["sweep", "--thetas", "0.5,0.5"],
+    ["sweep", "--lambdas", "0.1,0.7,0.1"],
 ])
 def test_out_of_range_flag_is_usage_error(monkeypatch, capsys, args):
     # a run would fail the test: the value must be refused while parsing

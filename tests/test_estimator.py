@@ -3,18 +3,23 @@ import pytest
 
 from afem_lab.estimator import (Q_RED, Indicators, compute_indicators,
                                 estimator_total)
-from afem_lab.fem import (DiscreteFunction, ProblemDef, Space, interpolate,
-                          prolongate, solve_galerkin_exact)
+from afem_lab.fem import (ProblemDef, Space, prolongation_matrix,
+                          solve_galerkin_exact)
 from afem_lab.mesh import refine, uniform_refine
 from afem_lab.problems import by_name
 
 POISSON = ProblemDef(load=lambda x: np.ones(len(x)))
 
 
+def smooth_field(space):
+    """The nodal interpolant of sin(x) + y^2 on the space."""
+    x = space.dof_points
+    return np.sin(x[:, 0]) + x[:, 1] ** 2
+
+
 def test_zero_function_zero_data_gives_zero(square2):
     space = Space(square2, 1)
-    ind = compute_indicators(space, DiscreteFunction(
-        space, np.zeros(space.n_dofs)), ProblemDef())
+    ind = compute_indicators(space, np.zeros(space.n_dofs), ProblemDef())
     assert np.allclose(ind.per_element, 0.0)
     assert ind.total == 0.0
 
@@ -24,8 +29,7 @@ def test_p1_constant_load_volume_term(square2):
     # and there are no jumps; indicators equal |T|^2 elementwise
     mesh = uniform_refine(square2)
     space = Space(mesh, 1)
-    ind = compute_indicators(space, DiscreteFunction(
-        space, np.zeros(space.n_dofs)), POISSON)
+    ind = compute_indicators(space, np.zeros(space.n_dofs), POISSON)
     assert np.allclose(ind.per_element, mesh.areas() ** 2, rtol=1e-13)
 
 
@@ -41,7 +45,7 @@ def test_reduction_axiom_a2(square2):
                                 max(1, mesh.n_elements // 4), replace=False))
         fine_mesh = refine(mesh, marked)
         fine = Space(fine_mesh, 1)
-        uf = prolongate(u, fine)
+        uf = prolongation_matrix(space, fine) @ u
         ind_c = compute_indicators(space, u, POISSON)
         ind_f = compute_indicators(fine, uf, POISSON)
         refined = np.nonzero(np.bincount(
@@ -62,7 +66,7 @@ def test_p2_volume_residual_of_quadratic(square2):
     mesh = refine(mesh, rng.choice(mesh.n_elements, 3, replace=False))
     space = Space(mesh, 2)
     prob = ProblemDef(load=lambda x: np.full(len(x), 2.0))
-    v = interpolate(space, lambda x: x[:, 0] ** 2)
+    v = space.dof_points[:, 0] ** 2
     ind = compute_indicators(space, v, prob)
     assert np.allclose(ind.per_element, 16.0 * mesh.areas() ** 2, rtol=1e-12)
 
@@ -105,7 +109,7 @@ def test_p1_indicators_build_no_second_order_tables(monkeypatch):
     for name in ("kellogg", "lshape-convection", "zshape-nonlinear"):
         prob, mesh = by_name(name)
         space = Space(uniform_refine(mesh), 1)
-        v = interpolate(space, lambda x: np.sin(x[:, 0]) + x[:, 1] ** 2)
+        v = smooth_field(space)
         assert np.all(compute_indicators(space, v, prob).per_element > 0)
     kinds = {key[0] for key in ref._tables}
     assert "grad" in kinds and not kinds & {"edge_grad", "hess"}
@@ -128,7 +132,7 @@ def test_diffusion_read_once_per_element(monkeypatch, p):
     prob, mesh = by_name("kellogg")
     mesh = uniform_refine(mesh)
     space = Space(mesh, p)
-    v = interpolate(space, lambda x: np.sin(x[:, 0]) + x[:, 1] ** 2)
+    v = smooth_field(space)
     for problem in (prob, prob, dataclasses.replace(prob)):
         compute_indicators(space, v, problem)
     assert len(reads) == 2
@@ -157,21 +161,18 @@ def test_indicator_caches_follow_the_problem_object(monkeypatch):
         dirichlet=lambda x: np.sin(3 * x[:, 0]) * x[:, 1] ** 2,
         exact_solution=None)
     mesh = uniform_refine(mesh)
-
-    def field(space):
-        return interpolate(space, lambda x: np.sin(x[:, 0]) + x[:, 1] ** 2)
-
     space = Space(mesh, 1)
-    first = compute_indicators(space, field(space), prob).per_element
+    first = compute_indicators(space, smooth_field(space), prob).per_element
     assert list(calls.values()) == [1, 1]
-    again = compute_indicators(space, field(space), prob).per_element
+    again = compute_indicators(space, smooth_field(space), prob).per_element
     assert list(calls.values()) == [1, 1]
     assert again.tobytes() == first.tobytes()
-    switched = compute_indicators(space, field(space), other).per_element
+    switched = compute_indicators(space, smooth_field(space),
+                                  other).per_element
     assert list(calls.values()) == [2, 2]
     fresh = Space(mesh, 1)
     assert switched.tobytes() == compute_indicators(
-        fresh, field(fresh), other).per_element.tobytes()
+        fresh, smooth_field(fresh), other).per_element.tobytes()
     assert not np.allclose(switched, first)
 
 
@@ -187,11 +188,10 @@ def test_stability_a1_recorded_ratio(square2):
         w = np.zeros(space.n_dofs)
         v[space.free] = rng.standard_normal(space.n_free)
         w[space.free] = rng.standard_normal(space.n_free)
-        iv = compute_indicators(space, DiscreteFunction(space, v), POISSON)
-        iw = compute_indicators(space, DiscreteFunction(space, w), POISSON)
+        iv = compute_indicators(space, v, POISSON)
+        iw = compute_indicators(space, w, POISSON)
         num = abs(iv.total - iw.total)
-        den = energy_norm(space, POISSON,
-                          DiscreteFunction(space, v - w))
+        den = energy_norm(space, POISSON, v - w)
         ratios.append(num / den)
     assert max(ratios) < 50.0
 
@@ -211,6 +211,6 @@ def test_oscillation_vanishes_for_linear_data(square2):
     # du_D/ds of an affine function is edgewise constant = its own projection
     space = Space(square2, 1)
     prob = ProblemDef(dirichlet=lambda x: 2.0 * x[:, 0] - x[:, 1])
-    u = interpolate(space, lambda x: 2.0 * x[:, 0] - x[:, 1])
+    u = prob.dirichlet(space.dof_points)
     ind = compute_indicators(space, u, prob)
     assert ind.total <= 1e-10

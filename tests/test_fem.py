@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from afem_lab.fem import (DiscreteFunction, Nonlinearity, ProblemDef, Space,
+from afem_lab.estimator import compute_indicators
+from afem_lab.fem import (Nonlinearity, ProblemDef, Space,
                           UnsupportedFormError, assemble_a, assemble_b,
-                          assemble_rhs, energy_inner, energy_norm,
-                          interpolate, load_vector,
-                          nonlinear_energy, nonlinear_form, prolongate,
-                          prolongation_matrix, solve_galerkin_exact)
+                          assemble_rhs, energy_error_exact, energy_inner,
+                          energy_norm, load_vector, nonlinear_energy,
+                          nonlinear_form, prolongation_matrix,
+                          solve_galerkin_exact)
+from afem_lab.iteration import zarantonello_rhs
 from afem_lab.mesh import Mesh, ancestor_map, refine, uniform_refine
 from afem_lab.problems import by_name, kellogg, zshape_nonlinear
 
@@ -209,7 +211,7 @@ def test_dirichlet_lift_reproduces_linear_solution(square2):
     space = Space(mesh, 1)
     prob = ProblemDef(dirichlet=lambda x: x[:, 0])
     u = solve_galerkin_exact(space, prob)
-    assert np.allclose(u.coeffs, space.dof_points[:, 0], atol=1e-12)
+    assert np.allclose(u, space.dof_points[:, 0], atol=1e-12)
 
 
 def test_galerkin_orthogonality_residual(square2):
@@ -217,7 +219,7 @@ def test_galerkin_orthogonality_residual(square2):
     space = Space(mesh, 1)
     u = solve_galerkin_exact(space, POISSON)
     B = assemble_b(space, POISSON)
-    res = assemble_rhs(space, POISSON) - B @ u.coeffs[space.free]
+    res = assemble_rhs(space, POISSON) - B @ u[space.free]
     assert np.linalg.norm(res) <= 1e-10
 
 
@@ -228,7 +230,55 @@ def test_p2_reproduces_quadratics(square2):
     prob = ProblemDef(load=lambda x: np.full(len(x), -4.0),
                       dirichlet=exact)
     u = solve_galerkin_exact(space, prob)
-    assert np.allclose(u.coeffs, exact(space.dof_points), atol=1e-10)
+    assert np.allclose(u, exact(space.dof_points), atol=1e-10)
+
+
+@pytest.mark.parametrize("name", ["kellogg", "zshape-nonlinear"])
+def test_galerkin_solution_is_its_coefficient_vector(name):
+    prob, mesh = by_name(name)
+    space = Space(mesh, 1)
+    u = solve_galerkin_exact(space, prob)
+    assert type(u) is np.ndarray
+    assert u.shape == (space.n_dofs,) and u.dtype == float
+
+
+@pytest.mark.parametrize("shape", [lambda n: (n + 1,), lambda n: (n - 1,),
+                                   lambda n: (n, 1)],
+                         ids=["long", "short", "column"])
+@pytest.mark.parametrize("call", [
+    lambda space, prob, v: compute_indicators(space, v, prob),
+    lambda space, prob, v: energy_norm(space, prob, v),
+    lambda space, prob, v: zarantonello_rhs(space, prob, 0.5, v),
+    lambda space, prob, v: energy_error_exact(space, prob, v),
+], ids=["indicators", "energy-norm", "zarantonello-rhs", "exact-error"])
+def test_space_rejects_a_coefficient_vector_of_another_shape(call, shape):
+    # a vector that is too long would otherwise be indexed by the DOF map
+    # and its tail ignored
+    prob, mesh = kellogg()
+    space = Space(mesh, 1)
+    v = np.zeros(shape(space.n_dofs))
+    with pytest.raises(ValueError,
+                       match=f"on a space of {space.n_dofs} DOFs"):
+        call(space, prob, v)
+
+
+def _point_values(space, coeffs, points):
+    """Reference point evaluation: each point is looked up by brute force
+    in the first element that holds it (NaN where none does)."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    vals = np.full(len(points), np.nan)
+    loc = np.einsum("eij,epj->epi", space.inv_jac,
+                    points[None, :, :] - space.origin[:, None, :])
+    lam = np.concatenate([1 - loc.sum(axis=2, keepdims=True), loc], axis=2)
+    inside = (lam > -1e-10).all(axis=2)
+    for pidx in range(len(points)):
+        owners = np.nonzero(inside[:, pidx])[0]
+        if len(owners) == 0:
+            continue
+        e = owners[0]
+        N = space.ref.eval(loc[e, pidx][None, :])
+        vals[pidx] = N[0] @ coeffs[space.elem_dofs[e]]
+    return vals
 
 
 def test_prolongation_preserves_function(square2):
@@ -241,15 +291,15 @@ def test_prolongation_preserves_function(square2):
         fine = Space(fine_mesh, p)
         P = prolongation_matrix(coarse, fine)
         assert P.nnz == P.count_nonzero()  # no stored zeros
-        v = DiscreteFunction(coarse, rng.standard_normal(coarse.n_dofs))
-        vf = prolongate(v, fine)
+        v = rng.standard_normal(coarse.n_dofs)
+        vf = P @ v
         nc = energy_norm(coarse, POISSON, v)
         nf = energy_norm(fine, POISSON, vf)
         assert abs(nc - nf) <= 1e-13 * max(nc, 1)
         pts = rng.uniform(0.05, 0.95, size=(100, 2))
-        assert np.allclose(v.eval(pts), vf.eval(pts), atol=1e-12)
-        ones = DiscreteFunction(coarse, np.ones(coarse.n_dofs))
-        assert np.allclose(prolongate(ones, fine).coeffs, 1.0, atol=1e-13)
+        assert np.allclose(_point_values(coarse, v, pts),
+                           _point_values(fine, vf, pts), atol=1e-12)
+        assert np.allclose(P @ np.ones(coarse.n_dofs), 1.0, atol=1e-13)
 
 
 def test_hat_function_dirichlet_energy(square2):
@@ -261,26 +311,25 @@ def test_hat_function_dirichlet_energy(square2):
     center = np.nonzero((space.dof_points == 0.5).all(axis=1))[0][0]
     hat = np.zeros(space.n_dofs)
     hat[center] = 1.0
-    e2 = energy_norm(space, POISSON, DiscreteFunction(space, hat)) ** 2
+    e2 = energy_norm(space, POISSON, hat) ** 2
     assert np.isclose(e2, 4.0, rtol=1e-14)
 
 
 def test_energy_norm_properties(square2):
     mesh = uniform_refine(square2)
     space = Space(mesh, 1)
-    zero = DiscreteFunction(space, np.zeros(space.n_dofs))
-    assert energy_norm(space, POISSON, zero) == 0.0
+    assert energy_norm(space, POISSON, np.zeros(space.n_dofs)) == 0.0
     rng = np.random.default_rng(1)
     for _ in range(20):
         v = rng.standard_normal(space.n_dofs)
         w = rng.standard_normal(space.n_dofs)
-        nv = energy_norm(space, POISSON, DiscreteFunction(space, v))
-        nw = energy_norm(space, POISSON, DiscreteFunction(space, w))
+        nv = energy_norm(space, POISSON, v)
+        nw = energy_norm(space, POISSON, w)
         ip = energy_inner(space, POISSON, v, w)
         assert abs(ip) <= nv * nw * (1 + 1e-12)
         # parallelogram law
-        np_ = energy_norm(space, POISSON, DiscreteFunction(space, v + w))
-        nm = energy_norm(space, POISSON, DiscreteFunction(space, v - w))
+        np_ = energy_norm(space, POISSON, v + w)
+        nm = energy_norm(space, POISSON, v - w)
         assert np.isclose(np_ ** 2 + nm ** 2, 2 * nv ** 2 + 2 * nw ** 2,
                           rtol=1e-12, atol=1e-12)
 
@@ -294,17 +343,15 @@ def test_pythagoras_identity_nested_spaces(square2):
     coarse, fine = Space(coarse_mesh, 1), Space(fine_mesh, 1)
     uH = solve_galerkin_exact(coarse, POISSON)
     uh = solve_galerkin_exact(fine, POISSON)
-    uHf = prolongate(uH, fine)
+    P = prolongation_matrix(coarse, fine)
+    uHf = P @ uH
     for _ in range(5):
         z = np.zeros(coarse.n_dofs)
         z[coarse.free] = rng.standard_normal(coarse.n_free)
-        vH = prolongate(DiscreteFunction(coarse, uH.coeffs + z), fine)
-        lhs = energy_norm(fine, POISSON,
-                          DiscreteFunction(fine, uh.coeffs - vH.coeffs)) ** 2
-        t1 = energy_norm(fine, POISSON,
-                         DiscreteFunction(fine, uh.coeffs - uHf.coeffs)) ** 2
-        t2 = energy_norm(fine, POISSON,
-                         DiscreteFunction(fine, uHf.coeffs - vH.coeffs)) ** 2
+        vH = P @ (uH + z)
+        lhs = energy_norm(fine, POISSON, uh - vH) ** 2
+        t1 = energy_norm(fine, POISSON, uh - uHf) ** 2
+        t2 = energy_norm(fine, POISSON, uHf - vH) ** 2
         assert abs(lhs - (t1 + t2)) <= 1e-9 * lhs
 
 
@@ -332,11 +379,10 @@ def test_nonlinear_monotonicity_and_lipschitz(square2):
         v[space.free] = rng.standard_normal(space.n_free)
         w[space.free] = rng.standard_normal(space.n_free)
         Nu, Nv = nonlinear_form(space, prob, u), nonlinear_form(space, prob, v)
-        duv = DiscreteFunction(space, u - v)
-        nuv = energy_norm(space, prob, duv)
+        nuv = energy_norm(space, prob, u - v)
         mono = (Nu - Nv) @ (u - v)
         assert mono >= TEST_NL_ALPHA * nuv ** 2 * (1 - 1e-10)
-        nw = energy_norm(space, prob, DiscreteFunction(space, w))
+        nw = energy_norm(space, prob, w)
         assert abs((Nu - Nv) @ w) <= TEST_NL_L * nuv * nw * (1 + 1e-10)
 
 
@@ -347,16 +393,16 @@ def test_nonlinear_energy_sandwich_and_decrease(square2):
     coarse, fine = Space(coarse_mesh, 1), Space(fine_mesh, 1)
     uH = solve_galerkin_exact(coarse, prob)
     uh = solve_galerkin_exact(fine, prob)
-    EH = nonlinear_energy(coarse, prob, uH.coeffs)
-    Eh = nonlinear_energy(fine, prob, uh.coeffs)
+    EH = nonlinear_energy(coarse, prob, uH)
+    Eh = nonlinear_energy(fine, prob, uh)
     assert Eh <= EH + 1e-12
     rng = np.random.default_rng(4)
     for _ in range(5):
         z = np.zeros(coarse.n_dofs)
         z[coarse.free] = 0.3 * rng.standard_normal(coarse.n_free)
-        v = uH.coeffs + z
+        v = uH + z
         gap = nonlinear_energy(coarse, prob, v) - EH
-        d = energy_norm(coarse, prob, DiscreteFunction(coarse, z)) ** 2
+        d = energy_norm(coarse, prob, z) ** 2
         assert TEST_NL_ALPHA / 2 * d * (1 - 1e-8) <= gap
         assert gap <= TEST_NL_L / 2 * d * (1 + 1e-8)
 
@@ -367,7 +413,7 @@ def test_nonlinear_galerkin_fixed_point(square2):
     prob = nonlinear_problem()
     u = solve_galerkin_exact(space, prob)
     res = (load_vector(space, prob)
-           - nonlinear_form(space, prob, u.coeffs))[space.free]
+           - nonlinear_form(space, prob, u))[space.free]
     assert np.linalg.norm(res) <= 1e-9
 
 
@@ -494,7 +540,7 @@ def test_p3_reproduces_harmonic_cubic(square2):
     exact = lambda x: x[:, 0] ** 3 - 3 * x[:, 0] * x[:, 1] ** 2
     prob = ProblemDef(dirichlet=exact)
     u = solve_galerkin_exact(space, prob)
-    assert np.allclose(u.coeffs, exact(space.dof_points), atol=1e-9)
+    assert np.allclose(u, exact(space.dof_points), atol=1e-9)
 
 
 def test_p2_hessians_of_quadratic(square2):
@@ -504,10 +550,10 @@ def test_p2_hessians_of_quadratic(square2):
     mesh = uniform_refine(square2)
     mesh = refine(mesh, rng.choice(mesh.n_elements, 3, replace=False))
     space = Space(mesh, 2)
-    v = interpolate(space, lambda x: x[:, 0] ** 2 + 3 * x[:, 0] * x[:, 1]
-                    - 2 * x[:, 1] ** 2)
+    x = space.dof_points
+    v = x[:, 0] ** 2 + 3 * x[:, 0] * x[:, 1] - 2 * x[:, 1] ** 2
     pts, _ = triangle_rule(2)
-    h = space.function_hessians(v.coeffs, pts)
+    h = space.function_hessians(v, pts)
     assert np.allclose(h[..., 0], 2.0, atol=1e-11)
     assert np.allclose(h[..., 1], 3.0, atol=1e-11)
     assert np.allclose(h[..., 2], -4.0, atol=1e-11)
@@ -580,16 +626,16 @@ def test_field_kernels_exact_on_polynomials(square2, p):
         return out
 
     space = Space(distorted_mesh(square2, seed=p), p)
-    v = interpolate(space, poly)
+    v = poly(space.dof_points)
     pts, _ = triangle_rule(2 * p + 2)
     x = space.physical_points(pts).reshape(-1, 2)
     shape = (space.mesh.n_elements, len(pts))
     # 1e-11 relative to the size of each field: the reference basis comes
     # from an inverted Vandermonde matrix, so rounding grows with p (about
     # 5e-11 absolute on the P4 Hessians here, with the earlier kernels too)
-    fields = [(space.function_values(v.coeffs, pts), [(0, 0)]),
-              (space.function_gradients(v.coeffs, pts), [(1, 0), (0, 1)]),
-              (space.function_hessians(v.coeffs, pts),
+    fields = [(space.function_values(v, pts), [(0, 0)]),
+              (space.function_gradients(v, pts), [(1, 0), (0, 1)]),
+              (space.function_hessians(v, pts),
                [(2, 0), (1, 1), (0, 2)])]
     for got, derivs in fields:
         got = got.reshape(shape + (len(derivs),))
@@ -723,15 +769,12 @@ def test_indicators_match_recorded_values(name, p):
     # changed, the values must not
     import json
     from pathlib import Path
-    from afem_lab.estimator import compute_indicators
     from afem_lab.problems import by_name
     recorded = json.loads((Path(__file__).parent / "data"
                            / "indicators_reference.json").read_text())
     prob, mesh = by_name(name)
     space = Space(_indicator_mesh(mesh), p)
-    v = interpolate(space, lambda x: np.sin(2 * x[:, 0] + 1)
-                    * np.cos(3 * x[:, 1]) + x[:, 0] * x[:, 1] ** 2)
-    eta2 = compute_indicators(space, v, prob).per_element
+    eta2 = compute_indicators(space, _smooth_field(space), prob).per_element
     ref = np.array(recorded[f"{name}-p{p}"])
     assert eta2.shape == ref.shape
     assert np.all(np.abs(eta2 - ref) <= 1e-12 * np.abs(ref))

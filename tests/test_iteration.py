@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from afem_lab.fem import (DiscreteFunction, ProblemDef, Space, energy_gram,
-                          energy_norm, solve_galerkin_exact)
+from afem_lab.fem import (ProblemDef, Space, energy_gram, energy_norm,
+                          solve_galerkin_exact)
 from afem_lab.iteration import (ZarantonelloConfig, check_lambda_constraint,
                                 inner_stop, lambda_alg_star, outer_stop,
                                 zarantonello_contraction_bound,
@@ -101,9 +101,8 @@ def test_zarantonello_fixed_point_linear(square2):
     prob, mesh0 = lshape_convection()
     space = Space(mesh0, 1)
     u_star = solve_galerkin_exact(space, prob)
-    phi = zarantonello_apply(space, prob, 0.5, u_star.coeffs)
-    err = energy_norm(space, prob, DiscreteFunction(space,
-                                                    phi - u_star.coeffs))
+    phi = zarantonello_apply(space, prob, 0.5, u_star)
+    err = energy_norm(space, prob, phi - u_star)
     assert err <= 1e-10 * max(1.0, energy_norm(space, prob, u_star))
 
 
@@ -126,7 +125,7 @@ def test_zarantonello_symmetric_delta_one_exact(square2):
     u = np.zeros(space.n_dofs)
     u[space.free] = rng.standard_normal(space.n_free)
     phi = zarantonello_apply(space, prob, 1.0, u)
-    assert np.allclose(phi, u_star.coeffs, atol=1e-11)
+    assert np.allclose(phi, u_star, atol=1e-11)
 
 
 def test_exact_contraction_linear_nonsymmetric():
@@ -141,13 +140,11 @@ def test_exact_contraction_linear_nonsymmetric():
     u_star = solve_galerkin_exact(space, prob)
     rng = np.random.default_rng(2)
     for _ in range(25):
-        u = u_star.coeffs.copy()
+        u = u_star.copy()
         u[space.free] += rng.standard_normal(space.n_free)
         phi = zarantonello_apply(space, prob, delta, u)
-        num = energy_norm(space, prob,
-                          DiscreteFunction(space, phi - u_star.coeffs))
-        den = energy_norm(space, prob,
-                          DiscreteFunction(space, u - u_star.coeffs))
+        num = energy_norm(space, prob, phi - u_star)
+        den = energy_norm(space, prob, u - u_star)
         assert num <= q_star * (1 + 1e-6) * den
 
 
@@ -160,13 +157,11 @@ def test_exact_contraction_nonlinear():
     u_star = solve_galerkin_exact(space, prob)
     rng = np.random.default_rng(3)
     for _ in range(25):
-        u = u_star.coeffs.copy()
+        u = u_star.copy()
         u[space.free] += rng.standard_normal(space.n_free)
         phi = zarantonello_apply(space, prob, delta, u)
-        num = energy_norm(space, prob,
-                          DiscreteFunction(space, phi - u_star.coeffs))
-        den = energy_norm(space, prob,
-                          DiscreteFunction(space, u - u_star.coeffs))
+        num = energy_norm(space, prob, phi - u_star)
+        den = energy_norm(space, prob, u - u_star)
         assert num <= q_star * (1 + 1e-6) * den
 
 

@@ -142,6 +142,18 @@ def test_mesh_rejects_boundary_edges_not_n_by_2(boundary):
         Mesh(verts, [[0, 1, 2]], boundary)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mesh_rejects_non_finite_vertices(bad):
+    # a NaN vertex passed the conformity check and gave NaN determinants,
+    # which ``det <= 0`` lets through; the first error was a singular solve
+    from afem_lab.problems import by_name
+    _, mesh = by_name("kellogg")
+    verts = mesh.vertices.copy()
+    verts[12, 0] = bad
+    with pytest.raises(ValueError, match="vertices must be finite"):
+        Mesh(verts, mesh.elements, mesh.boundary_edges)
+
+
 def _refine_by_loop(mesh, marked):
     """NVB refinement element by element (oracle): the same closure, then
     each element emits its children in turn."""
