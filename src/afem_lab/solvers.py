@@ -32,7 +32,12 @@ residual updates r - A[:, S] z and r[S] - A[S, :] c are a transpose and a
 plain product with ``rows``, both looping over the |S| block rows.  A level
 is built from A's CSR arrays: ``fem.submatrix`` cuts W, ``rows`` and
 A[S, S] by gathers, and K is assembled in one call from the entries of
-A[S, S].
+A[S, S].  The smoother is factored by SuperLU's incomplete (ILU) driver
+with nothing dropped (``_smoother``): as K is lower triangular nothing
+fills in, so the factor is exact and its solves are bit for bit those of
+``splu``'s, but it holds only what L and U take, 20 to 30 bytes of address
+space per nonzero of K, where ``splu`` keeps the workspace it reserved for
+fill, several hundred.
 
 ``refine`` appends the new vertices and keeps the Dirichlet status of the
 old ones, so the coarse free DOFs come first on the fine level, in order,
@@ -86,7 +91,7 @@ which the next level's certification starts.
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spilu
 
 from .fem import (SolverError, assemble_a, factorize, prolongation_matrix,
                   solve_direct, submatrix)
@@ -110,7 +115,9 @@ class _Level:
     A[S, :], ``sweeps``, S repeated ``SMOOTH_SWEEPS`` times, and
     ``smoother``, the SuperLU factor of the sweep matrix K of A[S, S] in
     the natural ordering without pivoting, which is pure substitution: no
-    fill, L has K's pattern and U is K's diagonal.  The block rows and
+    fill, L has K's pattern and U is K's diagonal.  It is a zero-drop
+    incomplete factorization (``_smoother``), exact for triangular K, and
+    holds L and U with no spare workspace.  The block rows and
     A[S, S] are cut from A's CSR arrays by ``fem.submatrix``, and
     ``_product`` reads the CSR arrays of A, W and the block rows."""
 
@@ -126,11 +133,8 @@ class _Level:
         if smooth_dofs is not None and len(smooth_dofs):
             self.rows = submatrix(matrix, smooth_dofs)
             self.sweeps = np.tile(smooth_dofs, SMOOTH_SWEEPS)
-            # K is triangular, so no column updates another: panels of one
-            # column factor it in half the time, with smaller work arrays
-            self.smoother = splu(
-                _sweep_matrix(submatrix(self.rows, cols=smooth_dofs)),
-                permc_spec="NATURAL", diag_pivot_thresh=0, panel_size=1)
+            self.smoother = _smoother(
+                _sweep_matrix(submatrix(self.rows, cols=smooth_dofs)))
         self.ritz = None          # dominant Ritz vector, set by certification
 
 
@@ -287,6 +291,19 @@ def _sweep_matrix(block):
     data = np.concatenate([np.tile(block.data[low], m),
                            np.tile(block.data[up], m - 1)])
     return sp.csc_matrix((data, (rows, cols)), shape=(m * s, m * s))
+
+
+def _smoother(K):
+    """The SuperLU factor of a sweep matrix K, by the incomplete (ILU)
+    driver with nothing dropped, in the natural ordering without pivoting.
+    K is lower triangular, so nothing fills in and the factor is exact: L
+    holds K's entries, U its diagonal, and its solves are bit for bit those
+    of ``splu``'s.  ``splu`` keeps the workspace it reserves for fill, a
+    fixed multiple of K's nonzeros; this driver sizes it by ``fill_factor``
+    = 1, so the factor holds about what L and U take.  No column of K
+    updates another, so panels of one column suffice."""
+    return spilu(K, drop_tol=0.0, fill_factor=1.0, drop_rule="basic",
+                 permc_spec="NATURAL", diag_pivot_thresh=0, panel_size=1)
 
 
 def solver_step(state, rhs, iterate):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve_triangular
+from scipy.sparse.linalg import spilu, splu, spsolve_triangular
 
 from afem_lab import solvers
 from afem_lab.fem import (ProblemDef, Space, assemble_a, prolongation_matrix,
@@ -286,17 +286,26 @@ def test_vcycle_matches_x_form(square2, steps, monkeypatch):
 
 
 def _forbid_factorization(monkeypatch):
+    """Every SuperLU factorization routine that ``fem`` or ``solvers``
+    imports fails the test when called."""
     from afem_lab import fem
 
-    def no_splu(*args, **kwargs):
+    def refuse(*args, **kwargs):
         raise AssertionError("a matrix was factorized after construction")
 
     for module in (fem, solvers):
-        monkeypatch.setattr(module, "splu", no_splu)
+        names = [name for name, value in vars(module).items()
+                 if value is splu or value is spilu]
+        assert names, f"{module.__name__} imports no SuperLU factorization"
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
 
 
 def test_certify_needs_no_reference_factorization(square2, monkeypatch):
+    # a bottom of 3 DOFs leaves sparse levels, whose smoothers the cycles run
+    monkeypatch.setattr(solvers, "DENSE_BOTTOM", 3)
     state, _ = build_hierarchy(square2, "local_multigrid")
+    assert state.bottom[0] < len(state.levels) - 1
     _forbid_factorization(monkeypatch)
     assert 0.0 < certify_contraction(state) < 1.0
 
@@ -564,7 +573,10 @@ def test_levels_hold_each_operator_once(square2):
 
 def test_smoothers_are_pure_substitution():
     # no pivoting, no reordering and no fill: L holds the entries of the
-    # sweep matrix K and U its diagonal
+    # sweep matrix K and U its diagonal, and the zero-drop incomplete
+    # factor solves bit for bit as the complete one, for a vector and for
+    # the column blocks of the dense bottom's cycle
+    rng = np.random.default_rng(4)
     state = list(_kellogg_states(steps=12))[-1]
     for lvl in state.levels[1:]:
         S = lvl.smooth_dofs
@@ -577,6 +589,36 @@ def test_smoothers_are_pure_substitution():
         assert f.L.nnz == K.nnz == K.count_nonzero()
         assert f.U.nnz == N
         assert np.array_equal(f.U.diagonal(), K.diagonal())
+        lu = splu(K, permc_spec="NATURAL", diag_pivot_thresh=0, panel_size=1)
+        for b in (rng.standard_normal(N), rng.standard_normal((N, 3))):
+            for trans in ("N", "T"):
+                assert f.solve(b, trans=trans).tobytes() \
+                    == lu.solve(b, trans=trans).tobytes()
+
+
+def test_smoother_holds_no_spare_workspace():
+    # splu keeps the workspace SuperLU reserves for fill, several hundred
+    # bytes of address space per nonzero of K; the held smoother may take 64
+    status = Path("/proc/self/status")
+    if not status.exists():
+        pytest.skip("needs /proc/self/status")
+
+    def vm_size():
+        for line in status.read_text().splitlines():
+            if line.startswith("VmSize:"):
+                return int(line.split()[1]) * 1024
+        pytest.skip("/proc/self/status has no VmSize")
+
+    T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(194, 194))
+    block = sp.kronsum(T, T, format="csr")  # 5-point Laplacian, 37636 rows
+    # the first SuperLU call of a process maps its BLAS buffer once
+    solvers._smoother(solvers._sweep_matrix(block[:50, :50]))
+    K = solvers._sweep_matrix(block)
+    assert 2.9e5 < K.nnz < 3.1e5
+    before = vm_size()
+    smoother = solvers._smoother(K)
+    assert vm_size() - before <= 64 * K.nnz
+    assert smoother.L.nnz == K.nnz
 
 
 def test_prolongation_is_identity_on_old_free_dofs():
