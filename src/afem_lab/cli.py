@@ -190,9 +190,10 @@ def execute_run(problem, algo, theta, lam, p, solver, max_dofs, eta_tol=None,
 def _summarize(hist):
     """The run's facts: its size, why it stopped, the final estimator, the
     rates against DOFs and cost (from three levels on), the certified
-    contractions (overall and per level), the measured R-linear certificate
-    of the quasi-error, and the peak resident set of the whole process so
-    far, which counts what ran before and is the one irreproducible key."""
+    contractions (overall and per level) and the V-cycles each level's
+    certification took, the measured R-linear certificate of the
+    quasi-error, and the peak resident set of the whole process so far,
+    which counts what ran before and is the one irreproducible key."""
     lv = hist.level_summary()
     cert = analysis.tailsum_rlinear_equivalence(
         analysis.quasi_error_sequence(hist))
@@ -208,7 +209,8 @@ def _summarize(hist):
         facts["rate_vs_dofs"] = analysis.fit_rate_loglog(lv["n_dof"], lv["eta"])
         facts["rate_vs_cost"] = analysis.fit_rate_loglog(lv["cum_cost"],
                                                          lv["eta"])
-    facts.update((k, hist.meta[k]) for k in ("q_alg", "q_alg_levels", "q_sym")
+    facts.update((k, hist.meta[k]) for k in ("q_alg", "q_alg_levels",
+                                             "certify_cycles", "q_sym")
                  if k in hist.meta)
     return facts
 

@@ -295,6 +295,7 @@ def _certify(history, state, cfg):
     maximum q_alg; q_sym can only grow, so warn once, when it reaches 1."""
     q = certify_contraction(state, ceiling=MG_CEILING)
     history.meta.setdefault("q_alg_levels", []).append(q)
+    history.meta.setdefault("certify_cycles", []).append(state.certify_cycles)
     q_alg = history.meta["q_alg"] = max(history.meta["q_alg_levels"])
     if cfg is None or cfg.q_sym_star is None:
         return

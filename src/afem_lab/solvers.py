@@ -8,9 +8,10 @@ Two kinds:
   created on each level plus their edge neighbours (two forward sweeps on
   descent, two backward on ascent, so the cycle is symmetric and contracts
   in the energy norm); the coarsest level is solved exactly.  One solver
-  step applies two V-cycles: checkerboard-type coefficient jumps degrade the
-  single-cycle factor towards the certification ceiling at desk scale, and
-  squaring it buys the needed margin at the same cost per unit of progress.
+  step applies two V-cycles (``_cycle``): checkerboard-type coefficient
+  jumps degrade the single-cycle factor towards the certification ceiling
+  at desk scale, and squaring it buys the needed margin at the same cost
+  per unit of progress.
 A level with no coarser level holds its exact solve from
 ``fem.factorize``, made when the level is built: a state with one level,
 that of the ``direct`` kind and level 0 of local multigrid, steps with it
@@ -69,22 +70,31 @@ So shapes are checked where a vector enters from outside, by
 ``solver_step`` and ``SolverState.energy_norm``, and ``_new_state`` checks
 W's shape against the level below once, when it builds the level.
 
-Certification measures the norm of the error propagator E (a step with
-right-hand side 0), which is self-adjoint in the energy product, by at most
-8 Lanczos steps in that product with full reorthogonalization.  The
-certified factor is ``SAFETY`` times the largest of every measured ratio
-|||E v||| / |||v||| and the Ritz values of largest modulus at both ends of
-the spectrum; each is a lower bound of |||E|||.  The run on a level starts
+Certification measures the norm of the error propagator E of a step (a
+step with right-hand side 0).  A step is ``CYCLES_PER_STEP`` = 2 steps of
+``_cycle``, so E = E1^2 with E1 = I - B A the one-cycle propagator.  The
+V-cycle is symmetric, so E1 is self-adjoint in the energy product, and
+|||E||| = |||E1|||^2.  Lanczos therefore runs on E1 in that product, with
+full reorthogonalization, one V-cycle per step and at most
+``LANCZOS_STEPS`` = 16 steps.  As K_m(E) lies in K_(2m-1)(E1), that
+Krylov space holds the one of 8 steps on E, which take as many V-cycles.
+The orthogonalization coefficients of the k steps so far, with each
+step's residual norm below them, form a (k+1) x k matrix H with
+E1 V = V H, so H'H is the Rayleigh-Ritz matrix of E on their span and
+needs no vector more.  Its largest eigenvalue, the square of H's largest
+singular value, is a lower bound of |||E||| and at least every
+|||E1 v|||^2 on the span; times ``SAFETY`` it is the certified factor.  The run on a level starts
 from the prolongated dominant Ritz vector of the level below, plus a small
 random part so that it cannot miss a new mode; only such a warm start may
-stop early, when the largest Ritz modulus settles.
+stop early, when the bound settles.
 
 A state holds the space of its finest level only.  ``extend_solver`` never
 modifies the state it is given: it returns a new state for the next
 refinement level that shares the coarser levels and the dense bottom, which
-is read-only.  Two fields are set after
-construction, both by ``certify_contraction``: ``SolverState.certified_q``
-and ``_Level.ritz``, the dominant Ritz vector of the finest level, from
+is read-only.  Three fields are set after construction, all by
+``certify_contraction``: ``SolverState.certified_q``,
+``SolverState.certify_cycles``, the V-cycles certification took, and
+``_Level.ritz``, the dominant Ritz vector of the finest level, from
 which the next level's certification starts.
 """
 
@@ -152,7 +162,7 @@ class SolverState:
         # (k, B_k): the V-cycle from level k down is the dense B_k, or
         # level 0's exact solve for k = 0
         self.bottom = bottom
-        self.certified_q = None
+        self.certified_q = self.certify_cycles = None
 
     @property
     def matrix(self):
@@ -249,7 +259,7 @@ SMOOTH_SWEEPS = 2
 CYCLES_PER_STEP = 2
 DENSE_BOTTOM = 200  # free DOFs up to which a level's V-cycle is kept dense
 SAFETY = 1.05  # certified factor = worst measured energy ratio * SAFETY
-LANCZOS_STEPS = 8
+LANCZOS_STEPS = 16  # one V-cycle each
 FLOOR = 1e-8   # a Lanczos residual this small spans an invariant subspace
 WARM_NOISE = 0.1  # weight of the random part of a warm start
 
@@ -307,21 +317,28 @@ def _smoother(K):
 
 
 def solver_step(state, rhs, iterate):
-    """One iteration of the contractive solver towards A x = rhs."""
+    """One iteration of the contractive solver towards A x = rhs: the exact
+    solve on a state of one level, else ``CYCLES_PER_STEP`` V-cycle
+    steps."""
     rhs = np.asarray(rhs, dtype=float)
     x = np.asarray(iterate, dtype=float)
     n = state.matrix.shape[0]
     if x.shape != (n,) or rhs.shape != (n,):
         raise ValueError(f"solver step on {n} DOFs got rhs {rhs.shape} and "
                          f"iterate {x.shape}")
-    top = len(state.levels) - 1
-    if top == 0:
+    if len(state.levels) == 1:
         return state.levels[0].solve(rhs)
-    x = x.copy()
     for _ in range(CYCLES_PER_STEP):
-        r = rhs - _product(state.matrix, x, np.zeros(n))
-        x += _vcycle(state, top, np.zeros(n), r)
+        x = _cycle(state, x, rhs - _product(state.matrix, x, np.zeros(n)))
     return x
+
+
+def _cycle(state, x, r):
+    """One V-cycle step from x, whose residual is r = rhs - A x: returns
+    the new array x + B r, and uses r up.  On errors it acts as the
+    one-cycle propagator E1 = I - B A; ``solver_step`` applies it
+    ``CYCLES_PER_STEP`` times.  Unchecked, like ``_product``."""
+    return x + _vcycle(state, len(state.levels) - 1, np.zeros(len(x)), r)
 
 
 def _vcycle(state, j, x, r):
@@ -378,26 +395,36 @@ def certify_contraction(state, ceiling=None):
     """Measured per-step energy contraction factor with a safety margin.
 
     A step is affine, so any error evolves as e <- E e = solver_step(state,
-    0, e) whatever the right-hand side; no reference solution is needed.
-    One Lanczos run on E (see the module docstring) yields lower bounds of
-    |||E|||; returns the largest times SAFETY, clamped below 1.  The run
+    0, e) whatever the right-hand side; no reference solution is needed.  A
+    step is ``CYCLES_PER_STEP`` V-cycle steps, so E = E1^m with E1 the
+    one-cycle propagator, and as E1 is self-adjoint in the energy product,
+    |||E||| = |||E1|||^m.  One Lanczos run on E1 (see ``_lanczos``) yields
+    a lower bound of |||E|||; returns it times SAFETY, clamped below 1, and
+    sets ``state.certify_cycles`` to the V-cycles it took.  A state of one
+    level steps with its exact solve: E = 0, and it takes none.  The run
     starts warm from the level below when that level was certified, and
-    from a random draw otherwise.  Only a warm start may stop when the Ritz
-    values settle: from a random start the dominant eigenvalue can hide
-    behind a cluster that settles first.  Raises NonContractiveError if a
-    bound reaches 1 (or q exceeds ``ceiling``).
+    from a random draw otherwise.  Only a warm start may stop when the
+    bound settles: from a random start the dominant eigenvalue can hide
+    behind a cluster that settles first.  Raises NonContractiveError if
+    the bound reaches 1 (or q exceeds ``ceiling``).
     """
     n = state.matrix.shape[0]
     if state.kind == "direct" or n == 0:
-        state.certified_q = 0.0
+        state.certified_q, state.certify_cycles = 0.0, 0
         return 0.0
     v = np.random.default_rng(0).standard_normal(n)
     v /= state.energy_norm(v)
-    warm = _warm_start(state)
-    if warm is not None:
-        v = warm + WARM_NOISE * v
-        v /= state.energy_norm(v)
-    worst, state.levels[-1].ritz = _lanczos(state, v, warm is not None)
+    if len(state.levels) == 1:
+        # the exact solve: E = 0, so every vector is dominant, and the draw
+        # warm-starts the next level
+        worst, ritz, cycles = 0.0, v, 0
+    else:
+        warm = _warm_start(state)
+        if warm is not None:
+            v = warm + WARM_NOISE * v
+            v /= state.energy_norm(v)
+        worst, ritz, cycles = _lanczos(state, v, warm is not None)
+    state.levels[-1].ritz, state.certify_cycles = ritz, cycles
     q = min(worst * SAFETY, 1.0 - 1e-9)
     if ceiling is not None and q > ceiling:
         raise NonContractiveError(
@@ -421,47 +448,46 @@ def _warm_start(state):
 
 
 def _lanczos(state, v, settle):
-    """Lanczos on E in the energy product from the energy-normalized ``v``.
+    """Lanczos on E1 in the energy product from the energy-normalized ``v``.
 
-    Returns the largest measured ratio |||E v_i||| or Ritz-value modulus,
-    and the Ritz vector of the largest Ritz modulus.  Stops when the energy
-    norm of the next Lanczos residual falls to ``FLOOR`` (an invariant
-    subspace), after ``LANCZOS_STEPS`` steps, or, if ``settle``, when the
-    largest Ritz modulus moves by at most 1% relative after at least two
-    steps.
+    Step k applies one V-cycle, ``_cycle`` from V_k with residual -A V_k,
+    which ``AV`` holds, and orthogonalizes the image against V_0..V_k
+    twice; the coefficients and the energy norm b of what remains form
+    column k of the (k+2) x (k+1) matrix H, so that E1 V = V H over the
+    vectors so far.  Then the Rayleigh-Ritz matrix of E1^2 on their span is
+    H'H, as E1 is self-adjoint, and its largest eigenvalue s^2, s the
+    largest singular value of H, is a lower bound of |||E1|||^2; it is at
+    least every |||E1 V_k|||^2, its diagonal.  Returns the lower bound
+    s^m of |||E||| = |||E1|||^m, m = ``CYCLES_PER_STEP``, its Ritz vector
+    (the top right singular vector of H through V) and the steps taken.
+    Stops when b falls to ``FLOOR`` (an invariant subspace), after
+    ``LANCZOS_STEPS`` steps, or, if ``settle``, when the bound moves by at
+    most 1% relative after at least two steps.
     """
     A = state.matrix
-    zero = np.zeros(len(v))
     # Lanczos vectors and their images under A, one per row
     V = np.empty((LANCZOS_STEPS, len(v)))
     AV = np.empty_like(V)
     V[0], AV[0] = v, _product(A, v, np.zeros(len(v)))
-    alpha, beta = [], []
-    worst = top = 0.0
+    H = np.zeros((LANCZOS_STEPS + 1, LANCZOS_STEPS))
+    worst = 0.0
     for k in range(LANCZOS_STEPS):
-        w = solver_step(state, zero, V[k])
+        w = _cycle(state, V[k], -AV[k])
         Aw = _product(A, w, np.zeros(len(w)))
-        ratio = float(np.sqrt(max(w @ Aw, 0.0)))
         # full reorthogonalization in the energy product, done twice
-        coef = np.zeros(k + 1)
         for _ in range(2):
             c = AV[:k + 1] @ w
             w -= c @ V[:k + 1]
             Aw -= c @ AV[:k + 1]
-            coef += c
-        alpha.append(coef[-1])
-        T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-        theta, S = np.linalg.eigh(T)
-        prev, i = top, int(np.argmax(np.abs(theta)))
-        top = abs(theta[i])
-        worst = max(worst, ratio, top)
+            H[:k + 1, k] += c
+        b = H[k + 1, k] = float(np.sqrt(max(w @ Aw, 0.0)))
+        _, s, right = np.linalg.svd(H[:k + 2, :k + 1])
+        prev, worst = worst, s[0] ** CYCLES_PER_STEP
         if worst >= 1.0:
             raise NonContractiveError(
                 f"{state.kind}: energy-error ratio {worst:.4f} >= 1")
-        b = float(np.sqrt(max(w @ Aw, 0.0)))
         if b <= FLOOR or k + 1 == LANCZOS_STEPS \
-                or (settle and k >= 1 and abs(top - prev) <= 0.01 * top):
+                or (settle and k >= 1 and abs(worst - prev) <= 0.01 * worst):
             break
         V[k + 1], AV[k + 1] = w / b, Aw / b
-        beta.append(b)
-    return worst, S[:, i] @ V[:k + 1]
+    return worst, right[0] @ V[:k + 1], k + 1

@@ -54,13 +54,15 @@ def test_run_summary_is_one_json_object(tmp_path, capsys):
     assert set(facts) == {"algo", "problem", "levels", "records",
                           "stop_reason", "final_dofs", "final_eta",
                           "rate_vs_dofs", "rate_vs_cost", "q_alg",
-                          "q_alg_levels", "C_lin", "q_lin", "violation",
-                          "peak_rss_mb"}
+                          "q_alg_levels", "certify_cycles", "C_lin", "q_lin",
+                          "violation", "peak_rss_mb"}
     assert (facts["algo"], facts["problem"]) == ("single", "kellogg")
     assert facts["levels"] >= 3 and facts["records"] >= facts["levels"]
     assert facts["stop_reason"] == "max_dofs"
     assert len(facts["q_alg_levels"]) == facts["levels"]
     assert max(facts["q_alg_levels"]) == facts["q_alg"]
+    assert len(facts["certify_cycles"]) == facts["levels"]
+    assert facts["certify_cycles"][0] == 0 < min(facts["certify_cycles"][1:])
     assert facts["peak_rss_mb"] > 0
     assert isinstance(facts["final_dofs"], int)
     assert text == json.dumps(facts, indent=2, sort_keys=True) + "\n"

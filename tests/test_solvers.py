@@ -76,8 +76,8 @@ def test_certify_direct_is_zero(square2):
 
 def test_certify_rejects_nonconvergent(square2, monkeypatch):
     state, _ = build_hierarchy(square2, "local_multigrid")
-    # a step that doubles the error: energy ratio 2
-    monkeypatch.setattr(solvers, "solver_step", lambda state, rhs, x: 2 * x)
+    # a V-cycle that doubles the error: energy ratio 2, and 4 per step
+    monkeypatch.setattr(solvers, "_cycle", lambda state, x, r: 2 * x)
     with pytest.raises(NonContractiveError):
         certify_contraction(state)
 
@@ -400,17 +400,18 @@ def test_certification_starts_from_the_level_below():
 
 
 def test_certification_steps_per_level():
-    # kellogg-mg: local MG to eta <= 2.2; the plateau rule took 223 steps
-    # over 51 certified levels, warm-started Lanczos takes 150
+    # kellogg-mg: local MG to eta <= 2.2, 51 certified levels; Lanczos on
+    # the two-cycle step took 5.84 top-level V-cycles per level, on the
+    # one-cycle propagator 2.92
     from afem_lab import driver
 
-    counts = dict(levels=0, steps=0, inside=False)
-    step, certify = solvers.solver_step, driver.certify_contraction
+    counts = dict(levels=0, cycles=0, inside=False)
+    cycle, certify = solvers._cycle, driver.certify_contraction
 
-    def counting_step(*args):
+    def counting_cycle(*args):
         if counts["inside"]:
-            counts["steps"] += 1
-        return step(*args)
+            counts["cycles"] += 1
+        return cycle(*args)
 
     def counting_certify(*args, **kwargs):
         counts["levels"] += 1
@@ -422,13 +423,42 @@ def test_certification_steps_per_level():
 
     prob, mesh = kellogg()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "solver_step", counting_step)
+        mp.setattr(solvers, "_cycle", counting_cycle)
         mp.setattr(driver, "certify_contraction", counting_certify)
         hist = driver.run_single(prob, mesh, theta=0.5, lam=0.01, p=1,
                                  max_dofs=2e4, eta_tol=2.2)
     assert hist.meta["stop_reason"] == "eta_tol"
     assert counts["levels"] == len(hist.meta["q_alg_levels"]) > 40
-    assert counts["steps"] <= 3.0 * counts["levels"]
+    assert counts["cycles"] <= 3.5 * counts["levels"]
+    # the work counter: one entry per certified level, as the wrapper counts
+    cycles = hist.meta["certify_cycles"]
+    assert len(cycles) == counts["levels"]
+    assert sum(cycles) == counts["cycles"] <= 160
+    assert cycles[0] == 0  # level 0 steps with its exact solve
+
+
+def test_solver_step_is_two_one_cycle_steps(monkeypatch):
+    # so E = E1^2; a state of one level steps with its exact solve instead
+    rng = np.random.default_rng(12)
+    for states in (_kellogg_states(), _sparse_kellogg_states(monkeypatch)):
+        for state in list(states)[1:]:
+            A, n = state.matrix, state.matrix.shape[0]
+            for rhs in (np.zeros(n), rng.standard_normal(n)):
+                e = x = rng.standard_normal(n)
+                for _ in range(2):
+                    x = solvers._cycle(state, x, rhs - A @ x)
+                assert solver_step(state, rhs, e).tobytes() == x.tobytes()
+
+
+def test_one_cycle_propagator_is_self_adjoint_in_energy(monkeypatch):
+    # the premise of Lanczos on E1 = I - B A: A E1 is symmetric
+    for states in (_kellogg_states(), _sparse_kellogg_states(monkeypatch)):
+        for state in list(states)[1:]:
+            A = state.matrix.toarray()
+            E1 = np.column_stack([solvers._cycle(state, e, -(A @ e))
+                                  for e in np.eye(len(A))])
+            AE1 = A @ E1
+            assert abs(AE1 - AE1.T).max() <= 1e-12 * abs(AE1).max()
 
 
 def test_product_matches_matmul_bit_for_bit(square2):
