@@ -254,16 +254,19 @@ def _sweep_worker(params):
 def _pool_map(fn, tasks, jobs):
     """``fn`` over ``tasks`` in ``jobs`` worker processes, in the order they
     finish.  The first failed task (it raised, or its worker died) cancels
-    the tasks not started, terminates the workers and is raised."""
+    the tasks not started, terminates the workers and is raised once the
+    pool's threads have ended, so that none can touch a future after it."""
     with ProcessPoolExecutor(jobs) as pool:
         futures = [pool.submit(fn, task) for task in tasks]
         try:
             return [f.result() for f in as_completed(futures)]
         except BaseException:
             workers = list(pool._processes.values())
+            manager = pool._executor_manager_thread
             pool.shutdown(wait=False, cancel_futures=True)
             for proc in workers:
                 proc.terminate()
+            manager.join()
             raise
 
 

@@ -119,45 +119,51 @@ def _div_flux(space, coeffs, prob, pts):
         return _element_diffusion(space, prob)[:, None] * lap
     nl = prob.nonlinearity
     g = space.function_gradients(coeffs, pts)
-    t = (g ** 2).sum(axis=2)
+    t = g[..., 0] ** 2 + g[..., 1] ** 2
     Hg = np.stack([h[..., 0] * g[..., 0] + h[..., 1] * g[..., 1],
                    h[..., 1] * g[..., 0] + h[..., 2] * g[..., 1]], axis=-1)
     return 2.0 * nl.da(t) * (Hg * g).sum(axis=-1) + nl.a(t) * lap
 
 
 def _edge_geometry(space, nq):
-    return space.cached(("edge_geom", nq), None,
-                        lambda: _build_edge_geometry(space.mesh, nq))
+    return space.cached(("edge_geom", nq), None, lambda: _build_edge_geometry(
+        space.mesh, nq, space.degree))
 
 
-def _build_edge_geometry(mesh, nq):
+def _build_edge_geometry(mesh, nq, degree):
+    """Edge data of one space, the interior edges' gathered in ``inner_*``."""
     edges, elem_edges, edge_elems = mesh.edge_tables()
-    # pair[edge, side]: 2 k + s for the owner's local edge k, with s = 1 when
-    # the owner runs along it against the edge's orientation
-    elem, k = np.divmod(np.arange(3 * mesh.n_elements), 3)
-    eid = elem_edges.ravel()
-    pair = np.full((len(edges), 2), -1)
-    pair[eid, (edge_elems[eid, 0] != elem).astype(int)] = \
-        2 * k + (mesh.elements[elem, k] != edges[eid, 0])
+    interior = np.nonzero(edge_elems[:, 1] >= 0)[0]
     t, w = edge_rule(nq)
-    pa = mesh.vertices[edges[:, 0]]
-    d = mesh.vertices[edges[:, 1]] - pa
-    lengths = np.linalg.norm(d, axis=1)
-    normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
+    pa, pb = mesh.vertices.take(edges.T, axis=0)
+    d = pb - pa
+    lengths = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    di, li = d.take(interior, axis=0), lengths[interior]
+    normals = np.column_stack([di[:, 1], -di[:, 0]]) / li[:, None]
     dirichlet = np.sort(mesh.edge_ids(mesh.boundary_edges))
     # edge points on the Dirichlet edges, where the data oscillation is read
     phys = pa[dirichlet, None, :] + t[None, :, None] * d[dirichlet, None, :]
-    return dict(edges=edges, owners=edge_elems, pair=pair, t=t, w=w,
-                lengths=lengths, normals=normals, phys=phys,
-                dirichlet=dirichlet,
-                interior=np.nonzero(edge_elems[:, 1] >= 0)[0])
+    geom = dict(edges=edges, owners=edge_elems, t=t, w=w, lengths=lengths,
+                phys=phys, dirichlet=dirichlet, inner_lengths=li,
+                inner_normals=normals,
+                inner_owners=[edge_elems[interior, side] for side in (0, 1)])
+    if degree > 1:
+        # pair[edge, side]: 2 k + s for the owner's local edge k, with s = 1
+        # when the owner runs along it against the edge's orientation
+        elem, k = np.divmod(np.arange(3 * mesh.n_elements), 3)
+        eid = elem_edges.ravel()
+        pair = np.full((len(edges), 2), -1)
+        pair[eid, (edge_elems[eid, 0] != elem).astype(int)] = \
+            2 * k + (mesh.elements[elem, k] != edges[eid, 0])
+        geom["inner_pair"] = [pair[interior, side] for side in (0, 1)]
+    return geom
 
 
 def _edge_gradients(space, coeffs, geom, side):
     """grad v from one owner of each interior edge at the edge points, for
     p >= 2."""
-    e = geom["owners"][geom["interior"], side]
-    pair = geom["pair"][geom["interior"], side]
+    e = geom["inner_owners"][side]
+    pair = geom["inner_pair"][side]
     # one GEMM per (local edge, direction) table over the edges that use it;
     # gathering all six tables for every edge costs more memory
     tables = space.ref.table("edge_grad", geom["t"])
@@ -165,8 +171,8 @@ def _edge_gradients(space, coeffs, geom, side):
     for k, table in enumerate(tables):
         sel = np.nonzero(pair == k)[0]
         es = e[sel]
-        grads[sel] = contract(coeffs[space.elem_dofs[es]], table) \
-            @ space.inv_jac[es]
+        grads[sel] = contract(coeffs[space.elem_dofs.take(es, axis=0)],
+                              table) @ space.inv_jac.take(es, axis=0)
     return grads
 
 
@@ -174,7 +180,7 @@ def _flux(space, prob, grads, e):
     """A grad v (linear) or a(|grad v|^2) grad v (nonlinear) from the
     gradients ``grads``, shape (n, nq, 2), of the elements ``e``."""
     if prob.is_nonlinear:
-        t = (grads ** 2).sum(axis=-1)
+        t = grads[..., 0] ** 2 + grads[..., 1] ** 2
         return prob.nonlinearity.a(t)[..., None] * grads
     return _element_diffusion(space, prob)[e, None, None] * grads
 
@@ -182,35 +188,33 @@ def _flux(space, prob, grads, e):
 def _edge_terms(space, coeffs, prob, eta2):
     nq = space.degree + 4
     geom = _edge_geometry(space, nq)
-    owners = geom["owners"]
     areas = 0.5 * space.det
 
-    interior = geom["interior"]
-    if len(interior):
+    inner = geom["inner_owners"]
+    if len(inner[0]):
         if space.degree == 1:
             # a P1 flux is constant on each element: one per element serves
             # both owners of every edge, and each jump is one value
             every = np.arange(space.mesh.n_elements)
             flux = _flux(space, prob, space.function_gradients(
                 coeffs, np.zeros((1, 2))), every)
-            f0, f1 = (flux[owners[interior, side]] for side in (0, 1))
+            f0, f1 = (flux.take(e, axis=0) for e in inner)
         else:
             f0, f1 = (_flux(space, prob,
-                            _edge_gradients(space, coeffs, geom, side),
-                            owners[interior, side]) for side in (0, 1))
-        n = geom["normals"][interior]
-        jump = ((f0 - f1) * n[:, None, :]).sum(axis=2)
+                            _edge_gradients(space, coeffs, geom, side), e)
+                      for side, e in enumerate(inner))
+        n, df = geom["inner_normals"], f0 - f1
+        jump = df[..., 0] * n[:, None, 0] + df[..., 1] * n[:, None, 1]
         integral = (jump ** 2 * geom["w"][None, :]).sum(axis=1) \
-            * geom["lengths"][interior]
-        for side in (0, 1):
-            e = owners[interior, side]
+            * geom["inner_lengths"]
+        for e in inner:
             np.add.at(eta2, e, np.sqrt(areas[e]) * integral)
 
     bnd = geom["dirichlet"]
     if prob.dirichlet is not None and len(bnd):
         osc = space.cached(("boundary_oscillation", nq), prob,
                            lambda: _boundary_oscillation(space, prob, geom))
-        e = owners[bnd, 0]
+        e = geom["owners"][bnd, 0]
         np.add.at(eta2, e, np.sqrt(areas[e]) * osc)
 
 

@@ -265,9 +265,10 @@ class Space:
         self.elem_dofs = dof
 
         # geometric data for affine maps
-        c = mesh.element_coords()
-        self.affine = np.stack([c[:, 1] - c[:, 0], c[:, 2] - c[:, 0],
-                                c[:, 0]], axis=1)
+        v0, v1, v2 = mesh.vertices.take(elems.T, axis=0)
+        self.affine = np.empty((mesh.n_elements, 3, 2))
+        self.affine[:, 0], self.affine[:, 1] = v1 - v0, v2 - v0
+        self.affine[:, 2] = v0
         self.origin = self.affine[:, 2]
         Jt = self.affine[:, :2]
         self.det = Jt[:, 0, 0] * Jt[:, 1, 1] - Jt[:, 1, 0] * Jt[:, 0, 1]
@@ -288,7 +289,7 @@ class Space:
         # Dirichlet classification: every boundary edge carries Dirichlet data
         mask = np.zeros(self.n_dofs, dtype=bool)
         mask[mesh.boundary_edges.ravel()] = True
-        eids = mesh.edge_ids(mesh.boundary_edges)
+        eids = mesh.edge_ids(mesh.boundary_edges) if p > 1 else None
         for t in range(p - 1):
             mask[nv + eids * (p - 1) + t] = True
         self.dirichlet_mask = mask

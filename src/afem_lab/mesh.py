@@ -16,6 +16,9 @@ rounds of one bisection then split the scheduled edges, the reference edges
 first.  Children keep their parents' order, ``(v2, v0, m)`` first; a split
 boundary edge ``(a, b)`` becomes ``(a, m)``, ``(m, b)``.  An undirected edge
 is named by one int64 key, ``min * n_vertices + max`` (``_edge_keys``).
+``Mesh.edge_tables`` numbers the edges by one sort of these keys and keeps
+them sorted, so ``edge_ids`` is a search; an edge's first owner is the one
+whose local edge comes first in ``_directed_edges`` order.
 
 Meshes are immutable after construction.  A refined Mesh's ``lineage`` holds
 a (token, parent map) pair per ancestor generation, not the ancestors.
@@ -106,35 +109,41 @@ class Mesh:
         per-element edge ids (local edges 0,1,2 = (v0,v1),(v1,v2),(v2,v0)),
         and the up-to-two adjacent elements per edge (-1 if none)."""
         if self._edge_cache is not None:
-            return self._edge_cache
-        e = self.elements
-        nv = self.n_vertices
-        keys, inv = np.unique(_edge_keys(_directed_edges(e), nv),
-                              return_inverse=True)
-        edges = np.column_stack(np.divmod(keys, nv))
-        elem_edges = inv.reshape(3, -1).T.copy()
-        edge_elems = np.full((len(edges), 2), -1, dtype=np.int64)
-        owner = np.tile(np.arange(len(e)), 3)
-        order = np.argsort(inv, kind="stable")
-        eid_sorted = inv[order]
-        own_sorted = owner[order]
-        first = np.ones(len(eid_sorted), dtype=bool)
-        first[1:] = eid_sorted[1:] != eid_sorted[:-1]
-        edge_elems[eid_sorted[first], 0] = own_sorted[first]
-        second = ~first
-        edge_elems[eid_sorted[second], 1] = own_sorted[second]
-        self._edge_cache = (edges, elem_edges, edge_elems)
-        return self._edge_cache
+            return self._edge_cache[0]
+        n, nv = self.n_elements, self.n_vertices
+        raw = _edge_keys(_directed_edges(self.elements), nv)
+        pos = np.argsort(raw)
+        sorted_keys = raw[pos]
+        first = np.ones(len(pos), dtype=bool)
+        first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        eid = np.cumsum(first) - 1
+        inv = np.empty_like(eid)
+        inv[pos] = eid
+        starts, rest = np.flatnonzero(first), np.flatnonzero(~first)
+        keys = sorted_keys[starts]
+        # each edge's owners by position in ``_directed_edges`` order, lower
+        # first; position 3 n (owner -1) stands in for a missing second one
+        lead, other = pos[starts], np.full(len(keys), 3 * n)
+        other[eid[rest]] = pos[rest]
+        owner = np.append(np.tile(np.arange(n), 3), -1)
+        edge_elems = owner[np.column_stack([np.minimum(lead, other),
+                                            np.maximum(lead, other)])]
+        tables = (np.column_stack(np.divmod(keys, nv)),
+                  inv.reshape(3, -1).T.copy(), edge_elems)
+        self._edge_cache = (tables, keys)
+        return tables
 
     def edge_ids(self, pairs):
         """Rows of ``edge_tables()[0]`` for an (n, 2) array of vertex pairs
-        in either order; ValueError for a pair that is not an edge."""
+        in either order, by a search of the kept keys; ValueError for a
+        pair that is not an edge."""
         pairs = np.asarray(pairs, dtype=np.int64)
         nv = self.n_vertices
         # a vertex out of range would alias another edge's key
         if pairs.size and (pairs.min() < 0 or pairs.max() >= nv):
             raise ValueError("vertex index outside the mesh")
-        keys = _edge_keys(self.edge_tables()[0], nv)
+        self.edge_tables()  # builds the kept keys on first use
+        keys = self._edge_cache[1]
         queries = _edge_keys(pairs, nv)
         pos = np.searchsorted(keys, queries)
         if (pos == len(keys)).any() or (keys[pos] != queries).any():
@@ -173,7 +182,8 @@ def refine(mesh, marked):
     marked_edge[elem_edges[marked, 0]] = True
     # closure: an element with any marked edge must have its reference edge marked
     while True:
-        need = marked_edge[elem_edges].any(axis=1) & ~marked_edge[elem_edges[:, 0]]
+        m = marked_edge[elem_edges]
+        need = (m[:, 1] | m[:, 2]) & ~m[:, 0]
         if not need.any():
             break
         marked_edge[elem_edges[need, 0]] = True
@@ -182,8 +192,8 @@ def refine(mesh, marked):
     new_edge_ids = np.nonzero(marked_edge)[0]
     midpoint_of = np.full(n_edges, -1, dtype=np.int64)
     midpoint_of[new_edge_ids] = mesh.n_vertices + np.arange(len(new_edge_ids))
-    midpoints = 0.5 * (mesh.vertices[edges[new_edge_ids, 0]]
-                       + mesh.vertices[edges[new_edge_ids, 1]])
+    va, vb = mesh.vertices.take(edges.take(new_edge_ids, axis=0).T, axis=0)
+    midpoints = 0.5 * (va + vb)
     new_vertices = np.vstack([mesh.vertices, midpoints])
 
     # two rounds of one bisection; the children of round one bisect on the
@@ -220,7 +230,8 @@ def _in_pairs(first, second, keep_second):
     """Rows ``first[i]`` and, where ``keep_second[i]``, ``second[i]``, in the
     order i = 0, 1, ...; ``first`` and ``second`` have the same shape."""
     keep = np.column_stack([np.ones_like(keep_second), keep_second])
-    return np.stack([first, second], axis=1)[keep]
+    both = np.stack([first, second], axis=1).reshape((-1,) + first.shape[1:])
+    return both.take(np.flatnonzero(keep), axis=0)
 
 
 def _directed_edges(elements):
@@ -233,7 +244,7 @@ def _directed_edges(elements):
 def _edge_keys(pairs, n_vertices):
     """The int64 key ``min * n_vertices + max`` of each undirected vertex
     pair; both vertices must lie in [0, n_vertices)."""
-    return pairs.min(axis=1) * n_vertices + pairs.max(axis=1)
+    return np.minimum(*pairs.T) * n_vertices + np.maximum(*pairs.T)
 
 
 def uniform_refine(mesh):

@@ -214,3 +214,72 @@ def test_oscillation_vanishes_for_linear_data(square2):
     u = prob.dirichlet(space.dof_points)
     ind = compute_indicators(space, u, prob)
     assert ind.total <= 1e-10
+
+
+def test_interior_edge_data_match_a_loop_over_local_edges():
+    # the owners of each interior edge, and the (local edge, direction) of
+    # each owner that picks its edge-gradient table, from a loop over every
+    # element's local edges in the order the edge tables take them
+    from afem_lab.estimator import _edge_geometry
+    from afem_lab.mesh import Mesh
+    rng = np.random.default_rng(11)
+    _, mesh = by_name("kellogg")
+    for _ in range(5):
+        mesh = refine(mesh, rng.choice(mesh.n_elements,
+                                       max(1, mesh.n_elements // 4),
+                                       replace=False))
+        # jittered, so that lengths and normals round as they do in general
+        mesh = Mesh(mesh.vertices + 1e-4 * rng.random(mesh.vertices.shape),
+                    mesh.elements, mesh.boundary_edges)
+        edges = mesh.edge_tables()[0]
+        index = {tuple(e): i for i, e in enumerate(edges.tolist())}
+        owners = [[] for _ in edges]
+        for k in range(3):
+            for elem, tri in enumerate(mesh.elements.tolist()):
+                a, b = tri[k], tri[(k + 1) % 3]
+                owners[index[min(a, b), max(a, b)]].append(
+                    (elem, 2 * k + (a > b)))
+        inner = [pair for pair in owners if len(pair) == 2]
+        interior = [i for i, pair in enumerate(owners) if len(pair) == 2]
+        assert len(inner) + len(mesh.boundary_edges) == len(edges)
+        for p in (1, 2):
+            geom = _edge_geometry(Space(mesh, p), p + 4)
+            for side in (0, 1):
+                assert geom["inner_owners"][side].tolist() == \
+                    [pair[side][0] for pair in inner]
+                if p == 2:
+                    assert geom["inner_pair"][side].tolist() == \
+                        [pair[side][1] for pair in inner]
+            assert (p == 2) == ("inner_pair" in geom)
+            # lengths and unit normals as the full-edge formulas give them
+            d = mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]]
+            lengths = np.linalg.norm(d, axis=1)
+            normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
+            assert geom["inner_lengths"].tobytes() == \
+                lengths[interior].tobytes()
+            assert geom["inner_normals"].tobytes() == \
+                normals[interior].tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_edge_data_stay_with_their_space(p):
+    # the edge data kept for one space never serve another: after the
+    # coarse space and another degree on the same mesh were estimated, the
+    # indicators equal those of a fresh space on a fresh copy of the mesh
+    from afem_lab.mesh import Mesh
+    rng = np.random.default_rng(2)
+    prob, mesh = by_name("kellogg")
+    space = Space(mesh, p)
+    compute_indicators(space, smooth_field(space), prob)
+    for _ in range(3):
+        mesh = refine(mesh, rng.choice(mesh.n_elements,
+                                       max(1, mesh.n_elements // 3),
+                                       replace=False))
+        other = Space(mesh, 3 - p)
+        compute_indicators(other, smooth_field(other), prob)
+        space = Space(mesh, p)
+        got = compute_indicators(space, smooth_field(space), prob)
+        twin = Space(Mesh(mesh.vertices, mesh.elements, mesh.boundary_edges),
+                     p)
+        want = compute_indicators(twin, smooth_field(twin), prob)
+        assert got.per_element.tobytes() == want.per_element.tobytes()

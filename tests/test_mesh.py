@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afem_lab.mesh import (Mesh, ancestor_map, check_conforming, refine,
-                           uniform_refine)
+from afem_lab.mesh import (Mesh, _edge_keys, ancestor_map, check_conforming,
+                           refine, uniform_refine)
 
 
 def barycentric(tri_coords, pts):
@@ -330,12 +330,31 @@ def test_edge_tables_match_row_unique_on_random_nvb_meshes(square2):
         pick = rng.permutation(len(edges))[:20]
         assert np.array_equal(mesh.edge_ids(edges[pick]), pick)
         assert np.array_equal(mesh.edge_ids(edges[pick, ::-1]), pick)
+        # edge_ids searches the keys the mesh kept from building the tables
+        assert np.array_equal(mesh._edge_cache[1],
+                              _edge_keys(edges, mesh.n_vertices))
+        bnd = mesh.boundary_edges
+        ids = mesh.edge_ids(bnd)
+        assert np.array_equal(mesh.edge_ids(bnd[:, ::-1]), ids)
+        assert np.array_equal(edges[ids], np.sort(bnd, axis=1))
+        assert np.all(edge_elems[ids, 1] == -1)
     nv = mesh.n_vertices
     a, b = edges[-1]
     # (0, a * nv + b) would share the key of the edge (a, b)
     for pair in ([0, nv], [0, a * nv + b], [-1, 0]):
         with pytest.raises(ValueError):
             mesh.edge_ids(np.array([pair]))
+
+
+def test_edge_keys_do_not_depend_on_the_memory_order():
+    rng = np.random.default_rng(5)
+    nv = 1000
+    pairs = rng.integers(0, nv, (500, 2))
+    expected = [min(a, b) * nv + max(a, b) for a, b in pairs.tolist()]
+    # C order, Fortran order and rows two apart
+    for layout in (np.ascontiguousarray(pairs), np.asfortranarray(pairs),
+                   np.repeat(pairs, 2, axis=0)[::2]):
+        assert _edge_keys(layout, nv).tolist() == expected
 
 
 def test_ancestor_map_rejects_siblings_and_unrelated_meshes(square2):
