@@ -3,12 +3,12 @@ import pytest
 import scipy.sparse as sp
 
 from afem_lab.estimator import compute_indicators
-from afem_lab.fem import (Nonlinearity, ProblemDef, Space,
+from afem_lab.fem import (Nonlinearity, ProblemDef, SolverError, Space,
                           UnsupportedFormError, assemble_a, assemble_b,
                           assemble_rhs, energy_error_exact, energy_inner,
-                          energy_norm, load_vector, nonlinear_energy,
-                          nonlinear_form, prolongation_matrix,
-                          solve_galerkin_exact)
+                          energy_norm, factorize, load_vector,
+                          nonlinear_energy, nonlinear_form,
+                          prolongation_matrix, solve_galerkin_exact)
 from afem_lab.iteration import zarantonello_rhs
 from afem_lab.mesh import Mesh, ancestor_map, refine, uniform_refine
 from afem_lab.problems import by_name, kellogg, zshape_nonlinear
@@ -744,8 +744,8 @@ def test_nonlinear_exact_solve_factors_once_per_call(monkeypatch):
     calls = []
     for name in ("factorize", "splu"):
         fn = getattr(fem, name)
-        monkeypatch.setattr(fem, name, lambda *a, fn=fn, name=name:
-                            calls.append(name) or fn(*a))
+        monkeypatch.setattr(fem, name, lambda *a, fn=fn, name=name, **kw:
+                            calls.append(name) or fn(*a, **kw))
     prob, mesh = zshape_nonlinear()
     space = Space(uniform_refine(mesh), 1)
     for n in (1, 2):
@@ -757,6 +757,75 @@ def _indicator_mesh(mesh):
     for r in range(4):
         mesh = refine(mesh, np.arange(r % 2, mesh.n_elements, 3))
     return mesh
+
+
+SYMMETRIC_SPLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                      relax=1, options=dict(SymmetricMode=True))
+
+
+def _recording_splu(monkeypatch):
+    # the keywords of each splu call that factorize makes
+    from afem_lab import fem
+    seen = []
+    splu = fem.splu
+    monkeypatch.setattr(fem, "splu",
+                        lambda M, **kw: seen.append(kw) or splu(M, **kw))
+    return seen
+
+
+def _relative_residual(M, solve):
+    rhs = np.cos(np.arange(M.shape[0]))
+    return np.linalg.norm(rhs - M @ solve(rhs)) / np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("name, form, keywords", [
+    ("kellogg", assemble_a, SYMMETRIC_SPLU),
+    ("lshape-convection", assemble_b, {})])
+def test_factorize_takes_the_symmetric_path_for_symmetric_matrices(
+        monkeypatch, name, form, keywords):
+    # the exact stiffness is ordered on A + A' without pivoting; the
+    # convection b-form keeps COLAMD with partial pivoting
+    seen = _recording_splu(monkeypatch)
+    prob, mesh = by_name(name)
+    M = form(Space(_indicator_mesh(mesh), 2), prob)
+    solve = factorize(M)
+    assert seen == [keywords]
+    assert _relative_residual(M, solve) <= 1e-12
+
+
+def test_factorize_takes_the_general_path_one_ulp_off_symmetry(monkeypatch):
+    seen = _recording_splu(monkeypatch)
+    prob, mesh = kellogg()
+    M = assemble_a(Space(_indicator_mesh(mesh), 2), prob).copy()
+    row = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    k = np.nonzero(M.indices != row)[0][0]
+    M.data[k] = np.nextafter(M.data[k], np.inf)
+    solve = factorize(M)
+    assert seen == [{}]
+    assert _relative_residual(M, solve) <= 1e-12
+
+
+def test_factorize_rejects_the_singular_full_stiffness(monkeypatch):
+    # constants span the kernel of the stiffness without Dirichlet rows; the
+    # no-pivoting path must still report it
+    seen = _recording_splu(monkeypatch)
+    prob, mesh = kellogg()
+    M = assemble_a(Space(_indicator_mesh(mesh), 2), prob, reduced=False)
+    with pytest.raises(SolverError):
+        factorize(M)(np.cos(np.arange(M.shape[0])))
+    assert seen == [SYMMETRIC_SPLU]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_dof_points_equal_the_row_wise_scatter(p):
+    # the complex128 scatter writes each point as the (x, y) row copy would,
+    # the last element to hold a DOF winning, bit for bit
+    prob, mesh = kellogg()
+    space = Space(_indicator_mesh(mesh), p)
+    ref = np.zeros((space.n_dofs, 2))
+    ref[space.elem_dofs.ravel()] = \
+        space.physical_points(space.ref.nodes).reshape(-1, 2)
+    assert np.array_equal(space.dof_points.view(np.int64), ref.view(np.int64))
 
 
 @pytest.mark.parametrize("name, p", [
