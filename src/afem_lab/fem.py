@@ -491,12 +491,17 @@ def load_vector(space, prob):
 
 
 def dirichlet_values(space, prob):
-    """Nodal interpolation of the boundary data on the Dirichlet DOFs."""
-    vals = np.zeros(space.n_dofs)
-    if prob.dirichlet is not None and space.dirichlet_mask.any():
-        idx = np.nonzero(space.dirichlet_mask)[0]
-        vals[idx] = np.asarray(prob.dirichlet(space.dof_points[idx]))
-    return vals
+    """Nodal interpolation of the boundary data on the Dirichlet DOFs, zero
+    on the free DOFs.  It is computed once per space and problem and
+    returned read-only; a caller that writes into it copies it first."""
+    def build():
+        vals = np.zeros(space.n_dofs)
+        if prob.dirichlet is not None and space.dirichlet_mask.any():
+            idx = np.nonzero(space.dirichlet_mask)[0]
+            vals[idx] = np.asarray(prob.dirichlet(space.dof_points[idx]))
+        vals.flags.writeable = False
+        return vals
+    return space.cached("dirichlet", prob, build)
 
 
 def assemble_rhs(space, prob):
@@ -576,7 +581,7 @@ def solve_galerkin_exact(space, prob):
     """
     lift = dirichlet_values(space, prob)
     if not prob.is_nonlinear:
-        coeffs = lift
+        coeffs = lift.copy()
         coeffs[space.free] = solve_direct(assemble_b(space, prob),
                                           assemble_rhs(space, prob))
         return coeffs
@@ -610,16 +615,21 @@ def factorize(operator):
 
     A canonical CSR matrix that equals its transpose exactly, pattern and
     values, is ordered by minimum degree on A + A' and factored in
-    SuperLU's symmetric mode with diagonal pivots and no relaxed
-    supernodes (``relax=1``).  Relaxation is off because on these matrices
-    it is what makes the symmetric ordering slow: kellogg's uniform P1
-    matrix at 130561 free DOFs factors in 18.4 s with SuperLU's default
-    ``relax`` and 0.61 s with ``relax=1`` (1.31 s under COLAMD), and the
-    fill, 7.8M nonzeros of L and U against COLAMD's 13.8M, is the same
-    either way.  Every other matrix, the nonsymmetric b-form of a
-    convection problem among them, keeps ``splu``'s default: COLAMD with
-    partial pivoting.  The symmetry test reads the CSC arrays built here:
-    for a canonical CSR matrix they are the CSR arrays of its transpose."""
+    SuperLU's symmetric mode with diagonal pivots, no relaxed supernodes
+    (``relax=1``) and panels of one column (``panel_size=1``).  Relaxation
+    is off because on these matrices it is what makes the symmetric
+    ordering slow: kellogg's uniform P1 matrix at 130561 free DOFs factors
+    in 18.4 s with SuperLU's default ``relax`` and 0.61 s with ``relax=1``
+    (1.31 s under COLAMD), and the fill, 7.8M nonzeros of L and U against
+    COLAMD's 13.8M, is the same either way.  Without relaxation the
+    supernodes hold one or two columns, so a wider panel only adds
+    blocking work: over the 163 matrices of a graded kellogg P2 run to
+    42005 DOFs the summed factor time is 3.28 s with SuperLU's default
+    panel and 2.41 s with panels of one, at the same fill.  Every other
+    matrix, the nonsymmetric b-form of a convection problem among them,
+    keeps ``splu``'s defaults: COLAMD with partial pivoting.  The symmetry
+    test reads the CSC arrays built here: for a canonical CSR matrix they
+    are the CSR arrays of its transpose."""
     M = sp.csc_matrix(operator)
     symmetric = (sp.issparse(operator) and operator.format == "csr"
                  and operator.has_canonical_format
@@ -629,7 +639,8 @@ def factorize(operator):
     try:
         if symmetric:
             lu = splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                      relax=1, options=dict(SymmetricMode=True))
+                      relax=1, panel_size=1,
+                      options=dict(SymmetricMode=True))
         else:
             lu = splu(M)
     except RuntimeError as exc:

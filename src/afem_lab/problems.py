@@ -70,22 +70,27 @@ def _kellogg_polar(pts):
     return r, phi
 
 
+# the quadrants of phi: their upper angles (the last quadrant's is 2 pi),
+# and per quadrant the amplitude of mu and the phase phi - c + s
+_KELLOGG_UPPER = np.array([np.pi / 2, np.pi, 3 * np.pi / 2])
+_KELLOGG_AMP = np.array([np.cos((np.pi / 2 - KELLOGG_BETA) * KELLOGG_EXP),
+                         np.cos(KELLOGG_DELTA * KELLOGG_EXP),
+                         np.cos(KELLOGG_BETA * KELLOGG_EXP),
+                         np.cos((np.pi / 2 - KELLOGG_DELTA) * KELLOGG_EXP)])
+_KELLOGG_C = np.array([np.pi / 2, np.pi, np.pi, 3 * np.pi / 2])
+_KELLOGG_S = np.array([KELLOGG_DELTA, KELLOGG_BETA, -KELLOGG_DELTA,
+                       -KELLOGG_BETA])
+
+
 def _kellogg_mu(phi, derivative=False):
-    """mu(phi), or mu'(phi) with ``derivative``; one branch per quadrant."""
-    a, b, d = KELLOGG_EXP, KELLOGG_BETA, KELLOGG_DELTA
-    # per quadrant: its upper angle, amplitude, and the phase phi - c + s
-    branches = [(np.pi / 2, np.cos((np.pi / 2 - b) * a), np.pi / 2, d),
-                (np.pi, np.cos(d * a), np.pi, b),
-                (3 * np.pi / 2, np.cos(b * a), np.pi, -d),
-                (np.inf, np.cos((np.pi / 2 - d) * a), 3 * np.pi / 2, -b)]
-    out = np.zeros_like(phi)
-    lower = -np.inf
-    for upper, amp, c, s in branches:
-        phase = (phi - c + s) * a
-        val = -a * amp * np.sin(phase) if derivative else amp * np.cos(phase)
-        out = np.where((lower <= phi) & (phi < upper), val, out)
-        lower = upper
-    return out
+    """mu(phi), or mu'(phi) with ``derivative``: each point evaluates the
+    branch of its quadrant only, lower angle included, upper excluded."""
+    a = KELLOGG_EXP
+    q = np.searchsorted(_KELLOGG_UPPER, phi, side="right")
+    phase = (phi - _KELLOGG_C[q] + _KELLOGG_S[q]) * a
+    if derivative:
+        return (-a * _KELLOGG_AMP)[q] * np.sin(phase)
+    return _KELLOGG_AMP[q] * np.cos(phase)
 
 
 def kellogg_exact(pts):

@@ -5,8 +5,8 @@ import scipy.sparse as sp
 from afem_lab.estimator import compute_indicators
 from afem_lab.fem import (Nonlinearity, ProblemDef, SolverError, Space,
                           UnsupportedFormError, assemble_a, assemble_b,
-                          assemble_rhs, energy_error_exact, energy_inner,
-                          energy_norm, factorize, load_vector,
+                          assemble_rhs, dirichlet_values, energy_error_exact,
+                          energy_inner, energy_norm, factorize, load_vector,
                           nonlinear_energy, nonlinear_form,
                           prolongation_matrix, solve_galerkin_exact)
 from afem_lab.iteration import zarantonello_rhs
@@ -212,6 +212,38 @@ def test_dirichlet_lift_reproduces_linear_solution(square2):
     prob = ProblemDef(dirichlet=lambda x: x[:, 0])
     u = solve_galerkin_exact(space, prob)
     assert np.allclose(u, space.dof_points[:, 0], atol=1e-12)
+
+
+def test_dirichlet_data_is_evaluated_once_per_space():
+    # the exact solve and its right-hand side share one interpolant per
+    # level, so the boundary data sees each space's Dirichlet DOFs once
+    import dataclasses
+    from afem_lab.driver import run_exact
+    prob, mesh = kellogg()
+    seen = []
+
+    def dirichlet(x):
+        seen.append(np.array(x))
+        return prob.dirichlet(x)
+    h = run_exact(dataclasses.replace(prob, dirichlet=dirichlet), mesh,
+                  theta=0.5, p=2, max_dofs=400, store_artifacts=True)
+    # levels that leave the boundary alone share their Dirichlet points, so
+    # the calls on some level's Dirichlet points are counted all together
+    bnd = [a["space"].dof_points[a["space"].dirichlet_mask]
+           for a in h.meta["artifacts"]]
+    assert len(bnd) >= 3
+    on_dofs = [x for x in seen if any(np.array_equal(x, b) for b in bnd)]
+    assert len(on_dofs) == len(bnd)
+    assert all(any(np.array_equal(x, b) for x in on_dofs) for b in bnd)
+
+
+def test_dirichlet_values_are_read_only():
+    prob, mesh = kellogg()
+    space = Space(mesh, 2)
+    lift = dirichlet_values(space, prob)
+    assert lift is dirichlet_values(space, prob)
+    with pytest.raises(ValueError):
+        lift[0] = 1.0
 
 
 def test_galerkin_orthogonality_residual(square2):
@@ -760,7 +792,8 @@ def _indicator_mesh(mesh):
 
 
 SYMMETRIC_SPLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                      relax=1, options=dict(SymmetricMode=True))
+                      relax=1, panel_size=1,
+                      options=dict(SymmetricMode=True))
 
 
 def _recording_splu(monkeypatch):

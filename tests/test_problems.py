@@ -4,8 +4,9 @@ import pytest
 from afem_lab.fem import Space, assemble_b
 from afem_lab.mesh import check_conforming
 from afem_lab.problems import (KELLOGG_BETA, KELLOGG_DELTA,
-                               KELLOGG_EXP, ZSHAPE_ALPHA, ZSHAPE_L, by_name,
-                               kellogg, kellogg_coefficient, kellogg_exact,
+                               KELLOGG_EXP, ZSHAPE_ALPHA, ZSHAPE_L,
+                               _kellogg_mu, by_name, kellogg,
+                               kellogg_coefficient, kellogg_exact,
                                kellogg_exact_grad, lshape_convection,
                                zshape_nonlinear)
 
@@ -22,6 +23,36 @@ def test_kellogg_branch_continuity():
         below = np.array([[np.cos(phi - 1e-12), np.sin(phi - 1e-12)]])
         above = np.array([[np.cos(phi + 1e-12), np.sin(phi + 1e-12)]])
         assert abs(kellogg_exact(below)[0] - kellogg_exact(above)[0]) <= 1e-9
+
+
+def _four_branch_mu(phi, derivative=False):
+    # mu(phi) with every branch evaluated on every point, masked per quadrant
+    a, b, d = KELLOGG_EXP, KELLOGG_BETA, KELLOGG_DELTA
+    branches = [(np.pi / 2, np.cos((np.pi / 2 - b) * a), np.pi / 2, d),
+                (np.pi, np.cos(d * a), np.pi, b),
+                (3 * np.pi / 2, np.cos(b * a), np.pi, -d),
+                (np.inf, np.cos((np.pi / 2 - d) * a), 3 * np.pi / 2, -b)]
+    out = np.zeros_like(phi)
+    lower = -np.inf
+    for upper, amp, c, s in branches:
+        phase = (phi - c + s) * a
+        val = -a * amp * np.sin(phase) if derivative else amp * np.cos(phase)
+        out = np.where((lower <= phi) & (phi < upper), val, out)
+        lower = upper
+    return out
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+def test_kellogg_mu_equals_the_four_branch_formula(derivative):
+    # one branch per point gives the masked four-branch profile bit for bit,
+    # the quadrant corners included (pi/2 belongs to the second quadrant)
+    phi = np.concatenate([
+        np.random.default_rng(3).uniform(0, 2 * np.pi, 2000),
+        [0.0, np.pi / 2, np.pi, 3 * np.pi / 2,
+         np.nextafter(np.pi / 2, 0), np.nextafter(2 * np.pi, 0)]])
+    got = _kellogg_mu(phi, derivative)
+    ref = _four_branch_mu(phi, derivative)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 def test_kellogg_interface_flux_continuity():
