@@ -255,7 +255,10 @@ def _pool_map(fn, tasks, jobs):
     """``fn`` over ``tasks`` in ``jobs`` worker processes, in the order they
     finish.  The first failed task (it raised, or its worker died) cancels
     the tasks not started, terminates the workers and is raised once the
-    pool's threads have ended, so that none can touch a future after it."""
+    pool's threads have ended, so that none can touch a future after it.
+    Python 3.11's executor has no public way to terminate its workers, hence
+    ``_processes`` and ``_executor_manager_thread``; ``multiprocessing.Pool``
+    has one but never notices a dead worker, and its map would hang."""
     with ProcessPoolExecutor(jobs) as pool:
         futures = [pool.submit(fn, task) for task in tasks]
         try:

@@ -16,9 +16,9 @@ appended in lexicographic (ell, k, j) order with k = 1..k_stop[ell] and
 j = 1..j_stop[ell, k]; the record index equals the total step counter.
 
 Stop-flag semantics: a flag is the literal stopping inequality evaluated at
-the recorded iterate, OR-ed with "the solver step was exact" (certified
-contraction factor 0), in which case one step settles the algebraic system
-and further iterations would only duplicate it.
+the recorded iterate, OR-ed with "the state steps exactly" (a solver of
+one level), in which case one step settles the algebraic system and further
+iterations would only duplicate it.
 
 Timing: every phase of the loop runs under ``History.clock``, which charges
 its time to the next record appended, so a record's time columns hold all
@@ -224,6 +224,9 @@ def _adapt(history, prob, mesh, p, theta, solve_level, max_dofs, eta_tol,
     solved exactly: there is no solver state and no iterate to carry over.
     With ``theta=None`` every level is refined uniformly.
     """
+    if not (max_dofs is not None and max_dofs < math.inf
+            or eta_tol is not None and eta_tol > 0):
+        raise ValueError("a run needs a finite max_dofs or a positive eta_tol")
     with history.clock("t_refine"):
         space = Space(mesh, p)
         u = None if solver_kind is None else dirichlet_values(space, prob)
@@ -355,7 +358,7 @@ def run_single(prob, mesh0, theta, lam, p=1, solver_kind="local_multigrid",
     if not prob.is_symmetric:
         raise ValueError("the single-solver loop needs the symmetric case "
                          "b(.,.) = a(.,.); use run_nested otherwise")
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("solver-stopping parameter must be positive")
     history = History("single", meta=dict(
         problem=prob.name, theta=theta, lam=lam, p=p, solver=solver_kind))
@@ -369,7 +372,7 @@ def run_single(prob, mesh0, theta, lam, p=1, solver_kind="local_multigrid",
                 u, inc = _solver_step(state, rhs, space, u)
             with history.clock("t_estimate"):
                 ind = compute_indicators(space, u, prob)
-            stop = outer_stop(inc, ind.total, lam) or state.certified_q == 0
+            stop = outer_stop(inc, ind.total, lam) or state.exact
             history.append(ell, k, n_elem=space.mesh.n_elements,
                            n_dof=space.n_free, eta=ind.total, increment=inc,
                            stop_outer=stop)
@@ -417,7 +420,7 @@ def run_nested(prob, mesh0, theta, cfg, p=1, solver_kind="local_multigrid",
                 with history.clock("t_estimate"):
                     ind = compute_indicators(space, u, prob)
                 stop_in = inner_stop(inc, ind.total, outer_inc, cfg) \
-                    or state.certified_q == 0
+                    or state.exact
                 # the outer test reads the iterate that ends the inner loop
                 stop_out = stop_in and outer_stop(outer_inc, ind.total,
                                                   cfg.lambda_sym)

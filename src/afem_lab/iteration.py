@@ -47,9 +47,9 @@ class ZarantonelloConfig:
     q_sym_star: float = None
 
     def __post_init__(self):
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ValueError("damping delta must be positive")
-        if self.lambda_sym <= 0 or self.lambda_alg < 0:
+        if not (self.lambda_sym > 0 and self.lambda_alg >= 0):
             raise ValueError("stopping parameters must be positive")
         if self.q_sym_star is None and self.alpha is not None \
                 and self.L is not None:

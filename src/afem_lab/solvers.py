@@ -13,9 +13,10 @@ Two kinds:
   at desk scale, and squaring it buys the needed margin at the same cost
   per unit of progress.
 A level with no coarser level holds its exact solve from
-``fem.factorize``, made when the level is built: a state with one level,
-that of the ``direct`` kind and level 0 of local multigrid, steps with it
-and never factors again, and it is the V-cycle's solve on level 0.
+``fem.factorize``, made when the level is built: a state with one level
+(``SolverState.exact``), that of the ``direct`` kind and level 0 of local
+multigrid, steps with it and never factors again, and it is the V-cycle's
+solve on level 0.
 
 Each sparse level holds each operator once: A, the rows W of the
 prolongation for the free DOFs the refinement created, ``rows`` = A[S, :]
@@ -33,12 +34,8 @@ residual updates r - A[:, S] z and r[S] - A[S, :] c are a transpose and a
 plain product with ``rows``, both looping over the |S| block rows.  A level
 is built from A's CSR arrays: ``fem.submatrix`` cuts W, ``rows`` and
 A[S, S] by gathers, and K is assembled in one call from the entries of
-A[S, S].  The smoother is factored by SuperLU's incomplete (ILU) driver
-with nothing dropped (``_smoother``): as K is lower triangular nothing
-fills in, so the factor is exact and its solves are bit for bit those of
-``splu``'s, but it holds only what L and U take, 20 to 30 bytes of address
-space per nonzero of K, where ``splu`` keeps the workspace it reserved for
-fill, several hundred.
+A[S, S].  ``_smoother`` factors K exactly, as it is lower triangular, in
+20 to 30 bytes per nonzero, where ``splu`` keeps several hundred.
 
 ``refine`` appends the new vertices and keeps the Dirichlet status of the
 old ones, so the coarse free DOFs come first on the fine level, in order,
@@ -83,19 +80,17 @@ step's residual norm below them, form a (k+1) x k matrix H with
 E1 V = V H, so H'H is the Rayleigh-Ritz matrix of E on their span and
 needs no vector more.  Its largest eigenvalue, the square of H's largest
 singular value, is a lower bound of |||E||| and at least every
-|||E1 v|||^2 on the span; times ``SAFETY`` it is the certified factor.  The run on a level starts
-from the prolongated dominant Ritz vector of the level below, plus a small
-random part so that it cannot miss a new mode; only such a warm start may
-stop early, when the bound settles.
+|||E1 v|||^2 on the span; times ``SAFETY`` it is the certified factor.
+The run on a level starts from the prolongated dominant Ritz vector of the
+level below, plus a small random part so that it cannot miss a new mode;
+only such a warm start may stop early, when the bound settles.
 
-A state holds the space of its finest level only.  ``extend_solver`` never
-modifies the state it is given: it returns a new state for the next
-refinement level that shares the coarser levels and the dense bottom, which
-is read-only.  Three fields are set after construction, all by
-``certify_contraction``: ``SolverState.certified_q``,
-``SolverState.certify_cycles``, the V-cycles certification took, and
-``_Level.ritz``, the dominant Ritz vector of the finest level, from
-which the next level's certification starts.
+A state holds the space of its finest level only, and levels are
+write-once.  ``extend_solver`` never modifies the state it is given: it
+returns a new state for the next refinement level that shares the coarser
+levels and the read-only dense bottom, and hands it the given state's
+dominant Ritz vector ``ritz`` as ``coarse_ritz``.  Certification sets
+``ritz``, ``certified_q`` and ``certify_cycles``, the V-cycles it took.
 """
 
 import numpy as np
@@ -118,18 +113,15 @@ class NonContractiveError(SolverError):
 
 
 class _Level:
-    """Per-level data: the reduced SPD matrix A; on a level with no coarser
-    level, ``solve``, its exact solve; on the others ``new_rows`` = W, the
-    rows of the reduced prolongation P = [I; W] from the level below for
-    the free DOFs the refinement created; the smoothing block S, ``rows`` =
-    A[S, :], ``sweeps``, S repeated ``SMOOTH_SWEEPS`` times, and
-    ``smoother``, the SuperLU factor of the sweep matrix K of A[S, S] in
-    the natural ordering without pivoting, which is pure substitution: no
-    fill, L has K's pattern and U is K's diagonal.  It is a zero-drop
-    incomplete factorization (``_smoother``), exact for triangular K, and
-    holds L and U with no spare workspace.  The block rows and
-    A[S, S] are cut from A's CSR arrays by ``fem.submatrix``, and
-    ``_product`` reads the CSR arrays of A, W and the block rows."""
+    """Per-level data, write-once: set here and never changed.  The reduced
+    SPD matrix A; on a level with no coarser level, ``solve``, its exact
+    solve; on the others ``new_rows`` = W, the rows of the reduced
+    prolongation P = [I; W] from the level below for the free DOFs the
+    refinement created; the smoothing block S, ``rows`` = A[S, :],
+    ``sweeps``, S repeated ``SMOOTH_SWEEPS`` times, and ``smoother``, the
+    exact factor of the sweep matrix K of A[S, S] from ``_smoother``.  The
+    block rows and A[S, S] are cut from A's CSR arrays by ``fem.submatrix``,
+    and ``_product`` reads the CSR arrays of A, W and the block rows."""
 
     def __init__(self, matrix, new_rows=None, smooth_dofs=None):
         for op in (matrix, new_rows):
@@ -145,14 +137,16 @@ class _Level:
             self.sweeps = np.tile(smooth_dofs, SMOOTH_SWEEPS)
             self.smoother = _smoother(
                 _sweep_matrix(submatrix(self.rows, cols=smooth_dofs)))
-        self.ritz = None          # dominant Ritz vector, set by certification
 
 
 class SolverState:
     """Solver on the space of the finest level; only that space is held, so
-    superseded spaces and their caches can be collected."""
+    superseded spaces and their caches can be collected.  Certification
+    sets ``certified_q``, ``certify_cycles`` and ``ritz``; ``levels`` are
+    write-once, and ``coarse_ritz`` is the Ritz vector handed down."""
 
-    def __init__(self, kind, prob, space, levels, bottom=(0, None)):
+    def __init__(self, kind, prob, space, levels, bottom=(0, None),
+                 coarse_ritz=None):
         if kind not in KINDS:
             raise ValueError(f"unknown solver kind {kind!r}")
         self.kind = kind
@@ -162,11 +156,17 @@ class SolverState:
         # (k, B_k): the V-cycle from level k down is the dense B_k, or
         # level 0's exact solve for k = 0
         self.bottom = bottom
-        self.certified_q = self.certify_cycles = None
+        self.coarse_ritz = coarse_ritz
+        self.certified_q = self.certify_cycles = self.ritz = None
 
     @property
     def matrix(self):
         return self.levels[-1].matrix
+
+    @property
+    def exact(self):
+        """A state of one level steps with its exact solve."""
+        return len(self.levels) == 1
 
     def energy_norm(self, e):
         n = self.matrix.shape[0]
@@ -247,7 +247,7 @@ def _new_state(kind, prob, space, coarser=None):
                              f"{n_c} onto {A.shape[0]} DOFs")
         lvl = _Level(A, new_rows=W, smooth_dofs=_new_dof_block(prev, space))
         state = SolverState(kind, prob, space, coarser.levels + [lvl],
-                            bottom=coarser.bottom)
+                            coarser.bottom, coarser.ritz)
         j = len(state.levels) - 1
         if A.shape[0] <= DENSE_BOTTOM and coarser.bottom[0] == j - 1:
             state.bottom = (j, _dense_cycle(state, j))
@@ -326,7 +326,7 @@ def solver_step(state, rhs, iterate):
     if x.shape != (n,) or rhs.shape != (n,):
         raise ValueError(f"solver step on {n} DOFs got rhs {rhs.shape} and "
                          f"iterate {x.shape}")
-    if len(state.levels) == 1:
+    if state.exact:
         return state.levels[0].solve(rhs)
     for _ in range(CYCLES_PER_STEP):
         x = _cycle(state, x, rhs - _product(state.matrix, x, np.zeros(n)))
@@ -395,36 +395,33 @@ def certify_contraction(state, ceiling=None):
     """Measured per-step energy contraction factor with a safety margin.
 
     A step is affine, so any error evolves as e <- E e = solver_step(state,
-    0, e) whatever the right-hand side; no reference solution is needed.  A
-    step is ``CYCLES_PER_STEP`` V-cycle steps, so E = E1^m with E1 the
-    one-cycle propagator, and as E1 is self-adjoint in the energy product,
-    |||E||| = |||E1|||^m.  One Lanczos run on E1 (see ``_lanczos``) yields
+    0, e) whatever the right-hand side; no reference solution is needed.
+    One Lanczos run on the one-cycle propagator E1 (see ``_lanczos``) yields
     a lower bound of |||E|||; returns it times SAFETY, clamped below 1, and
-    sets ``state.certify_cycles`` to the V-cycles it took.  A state of one
-    level steps with its exact solve: E = 0, and it takes none.  The run
-    starts warm from the level below when that level was certified, and
-    from a random draw otherwise.  Only a warm start may stop when the
-    bound settles: from a random start the dominant eigenvalue can hide
-    behind a cluster that settles first.  Raises NonContractiveError if
-    the bound reaches 1 (or q exceeds ``ceiling``).
+    sets ``state.certify_cycles`` to the V-cycles it took and
+    ``state.ritz`` to its dominant Ritz vector.  An ``exact`` state steps
+    with its exact solve: E = 0, it takes none, and its random draw is its
+    Ritz vector.  The run starts warm from ``state.coarse_ritz`` if set, and
+    from a random draw otherwise.  Only a warm start may stop when the bound
+    settles: from a random start the dominant eigenvalue can hide behind a
+    cluster that settles first.  Raises NonContractiveError if the bound
+    reaches 1 (or q exceeds ``ceiling``).
     """
     n = state.matrix.shape[0]
-    if state.kind == "direct" or n == 0:
+    if n == 0:
         state.certified_q, state.certify_cycles = 0.0, 0
         return 0.0
     v = np.random.default_rng(0).standard_normal(n)
     v /= state.energy_norm(v)
-    if len(state.levels) == 1:
-        # the exact solve: E = 0, so every vector is dominant, and the draw
-        # warm-starts the next level
+    if state.exact:  # E = 0, so every vector is dominant
         worst, ritz, cycles = 0.0, v, 0
     else:
-        warm = _warm_start(state)
-        if warm is not None:
-            v = warm + WARM_NOISE * v
+        warm = state.coarse_ritz is not None
+        if warm:
+            v = _warm_start(state) + WARM_NOISE * v
             v /= state.energy_norm(v)
-        worst, ritz, cycles = _lanczos(state, v, warm is not None)
-    state.levels[-1].ritz, state.certify_cycles = ritz, cycles
+        worst, ritz, cycles = _lanczos(state, v, warm)
+    state.ritz, state.certify_cycles = ritz, cycles
     q = min(worst * SAFETY, 1.0 - 1e-9)
     if ceiling is not None and q > ceiling:
         raise NonContractiveError(
@@ -435,15 +432,11 @@ def certify_contraction(state, ceiling=None):
 
 
 def _warm_start(state):
-    """The prolongated dominant Ritz vector of the level below, normalized
-    in energy; None when that level was not certified."""
-    levels = state.levels
-    if len(levels) < 2 or levels[-2].ritz is None:
-        return None
-    ritz, n_c = levels[-2].ritz, len(levels[-2].ritz)
+    """The prolongated ``coarse_ritz``, normalized in energy."""
+    ritz = state.coarse_ritz
     v = np.zeros(state.matrix.shape[0])
-    v[:n_c] = ritz
-    _product(levels[-1].new_rows, ritz, v[n_c:])  # P c = [c; W c]
+    v[:len(ritz)] = ritz
+    _product(state.levels[-1].new_rows, ritz, v[len(ritz):])  # P c = [c; W c]
     return v / state.energy_norm(v)
 
 

@@ -1,4 +1,5 @@
 import io
+import math
 import time
 import warnings
 import weakref
@@ -6,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from afem_lab import driver, solvers
 from afem_lab.analysis import quasi_error_sequence, tailsum_rlinear_equivalence
 from afem_lab.driver import (COLUMNS, CSV_HEADER, TIME_COLUMNS, run_exact,
                              run_nested, run_single, run_uniform,
@@ -110,6 +112,50 @@ def test_run_single_rejects_nonsymmetric():
     prob, mesh = lshape_convection()
     with pytest.raises(ValueError):
         run_single(prob, mesh, theta=0.5, lam=0.1, p=1)
+
+
+def test_run_single_rejects_a_nan_lambda():
+    prob, mesh = kellogg()
+    with pytest.raises(ValueError, match="positive"):
+        run_single(prob, mesh, theta=0.5, lam=math.nan, p=1)
+
+
+@pytest.mark.parametrize("max_dofs", [None, math.nan])
+def test_a_run_without_a_finite_stop_is_rejected(max_dofs, monkeypatch):
+    prob, mesh = kellogg()
+
+    def refuse(*args):
+        raise AssertionError("a run without a finite stop started")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(driver, "Space", refuse)
+        with pytest.raises(ValueError, match="finite max_dofs"):
+            run_exact(prob, mesh, theta=0.5, max_dofs=max_dofs)
+    # a tolerance alone is a stop
+    hist = run_exact(prob, mesh, theta=0.5, max_dofs=max_dofs,
+                     eta_tol=math.inf)
+    assert hist.meta["stop_reason"] == "eta_tol" and len(hist) == 1
+
+
+def test_stop_rule_reads_the_structure_not_the_certificate(monkeypatch):
+    # a state of several levels steps inexactly whatever it certified, so
+    # its loop runs to the stopping inequality even on a certificate of 0
+    prob, mesh = kellogg()
+
+    def run():
+        hist = run_single(prob, mesh, theta=0.5, lam=0.01, p=1,
+                          max_dofs=2000)
+        return hist, [(r["ell"], r["k"], r["n_elem"], r["n_dof"], r["eta"])
+                      for r in hist.records]
+
+    _, want = run()
+    assert max(k for _, k, *_ in want) > 1
+    lanczos = solvers._lanczos
+    monkeypatch.setattr(solvers, "_lanczos",
+                        lambda *args: (0.0,) + lanczos(*args)[1:])
+    hist, got = run()
+    assert set(hist.meta["q_alg_levels"]) == {0.0}
+    assert got == want
 
 
 def test_index_bookkeeping_and_cost_law_nested():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -177,3 +179,12 @@ def test_config_validation():
         with pytest.raises(ValueError, match="q_sym_star"):
             ZarantonelloConfig(delta=0.5, lambda_sym=0.1, lambda_alg=0.1,
                                q_sym_star=q_sym_star)
+
+
+def test_config_rejects_nan_parameters():
+    with pytest.raises(ValueError, match="delta"):
+        ZarantonelloConfig(delta=math.nan, lambda_sym=0.1, lambda_alg=0.1)
+    for lambda_sym, lambda_alg in ((math.nan, 0.1), (0.1, math.nan)):
+        with pytest.raises(ValueError, match="stopping"):
+            ZarantonelloConfig(delta=0.5, lambda_sym=lambda_sym,
+                               lambda_alg=lambda_alg)

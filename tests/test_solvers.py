@@ -379,24 +379,73 @@ def test_certificate_bounds_the_propagator_norm_from_a_cold_start():
     # without a Ritz vector from the level below, Lanczos starts from the
     # random draw alone and must not stop when the Ritz values settle
     for state in _kellogg_states():
-        for lvl in state.levels:
-            lvl.ritz = None
+        state.coarse_ritz = None
         _assert_certifies(certify_contraction(state), state)
 
 
 def test_certification_starts_from_the_level_below():
-    states = list(_kellogg_states(steps=6))
-    certify_contraction(states[0])
-    for coarse, fine in zip(states, states[1:]):
-        kept = coarse.levels[-1].ritz.tobytes()
-        certify_contraction(fine)
+    # as in the driver, each state is certified before the next one is
+    # extended from it, which hands the next its Ritz vector
+    states, kept = [], []
+    for state in _kellogg_states(steps=6):
+        certify_contraction(state)
+        states.append(state)
+        kept.append(state.ritz.tobytes())
+    for coarse, fine, coarse_ritz in zip(states, states[1:], kept):
+        assert fine.coarse_ritz is coarse.ritz
         # the warm start prolongates the Ritz vector below into a new array
-        assert coarse.levels[-1].ritz.tobytes() == kept
+        assert coarse.ritz.tobytes() == coarse_ritz
     for coarse, fine in zip(states, states[1:]):
         assert fine.levels[-2] is coarse.levels[-1]
-        ritz = fine.levels[-1].ritz
+        ritz = fine.ritz
         assert ritz is not None and ritz.shape == (fine.matrix.shape[0],)
         assert np.isclose(ritz @ (fine.matrix @ ritz), 1.0)
+
+
+def _level_contents(lvl):
+    """Each attribute of a level: the object and, for an array or a sparse
+    matrix, the bytes of its arrays."""
+    def content(value):
+        if sp.issparse(value):
+            return tuple(a.tobytes()
+                         for a in (value.data, value.indices, value.indptr))
+        return value.tobytes() if isinstance(value, np.ndarray) else None
+    return {name: (value, content(value)) for name, value in vars(lvl).items()}
+
+
+def test_levels_are_write_once(monkeypatch):
+    # extending and certifying each state in turn, as the driver does,
+    # changes no attribute of any level and no byte of its arrays
+    built = {}
+    for state in _kellogg_states():
+        for lvl in state.levels:
+            built.setdefault(id(lvl), (lvl, _level_contents(lvl)))
+        certify_contraction(state)
+    assert len(built) == 25
+    for lvl, contents in built.values():
+        now = _level_contents(lvl)
+        assert now.keys() == contents.keys()
+        for name, (value, data) in contents.items():
+            assert now[name][0] is value and now[name][1] == data, name
+    # so a finished run holds the Ritz vectors of its top two levels only
+    from afem_lab import driver
+
+    last = []
+
+    def extend(state, space):
+        last[:] = [extend_solver(state, space)]
+        return last[0]
+
+    monkeypatch.setattr(driver, "extend_solver", extend)
+    prob, mesh = kellogg()
+    driver.run_single(prob, mesh, theta=0.5, lam=0.01, p=1, max_dofs=2000)
+    state = last[0]
+    assert len(state.levels) > 10
+    ritz = {id(v): v for obj in (state, *state.levels)
+            for name, v in vars(obj).items()
+            if "ritz" in name and v is not None}
+    assert sorted(len(v) for v in ritz.values()) == [
+        lvl.matrix.shape[0] for lvl in state.levels[-2:]]
 
 
 def test_certification_steps_per_level():
@@ -704,9 +753,14 @@ def test_one_level_multigrid_certifies_exactly_zero(square2):
 
 
 def _sparse_kellogg_states(monkeypatch):
+    """``_kellogg_states`` without a dense bottom, each certified before the
+    next is extended from it, as the driver does."""
     with monkeypatch.context() as mp:
         mp.setattr(solvers, "DENSE_BOTTOM", 0)
-        states = list(_kellogg_states())
+        states = []
+        for state in _kellogg_states():
+            certify_contraction(state)
+            states.append(state)
     assert all(s.bottom == (0, None) for s in states)
     return states
 
@@ -738,8 +792,7 @@ def test_dense_bottom_steps_match_the_sparse_cycle(monkeypatch):
 
 def test_dense_bottom_certifies_as_the_sparse_cycle(monkeypatch):
     q = [certify_contraction(s) for s in _kellogg_states()]
-    q_sparse = [certify_contraction(s)
-                for s in _sparse_kellogg_states(monkeypatch)]
+    q_sparse = [s.certified_q for s in _sparse_kellogg_states(monkeypatch)]
     assert max(q) > 0.3
     assert np.allclose(q, q_sparse, rtol=1e-12, atol=0)
 
