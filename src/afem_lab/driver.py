@@ -227,6 +227,8 @@ def _adapt(history, prob, mesh, p, theta, solve_level, max_dofs, eta_tol,
     if not (max_dofs is not None and max_dofs < math.inf
             or eta_tol is not None and eta_tol > 0):
         raise ValueError("a run needs a finite max_dofs or a positive eta_tol")
+    if theta is not None and not 0.0 < theta <= 1.0:
+        raise ValueError("theta must lie in (0, 1]")
     with history.clock("t_refine"):
         space = Space(mesh, p)
         u = None if solver_kind is None else dirichlet_values(space, prob)
@@ -396,7 +398,11 @@ def run_nested(prob, mesh0, theta, cfg, p=1, solver_kind="local_multigrid",
     When ``cfg`` carries q_sym_star, each certification records q_sym and
     whether lambda_alg < lambda_alg* keeps it below 1 (``meta["q_sym"]``,
     ``meta["lambda_constraint_ok"]``), and the run warns once if not.
+    lambda_alg = 0 needs the ``direct`` kind: only an exact step meets it.
     """
+    if cfg.lambda_alg == 0 and solver_kind != "direct":
+        raise ValueError("lambda_alg = 0 stops the algebraic loop only on "
+                         "an exact step; use the direct solver")
     history = History("nested", meta=dict(
         problem=prob.name, theta=theta, p=p, solver=solver_kind,
         delta=cfg.delta, lambda_sym=cfg.lambda_sym, lambda_alg=cfg.lambda_alg))

@@ -7,16 +7,16 @@ Two kinds:
   adaptive mesh hierarchy.  Smoothing is Gauss-Seidel restricted to the DOFs
   created on each level plus their edge neighbours (two forward sweeps on
   descent, two backward on ascent, so the cycle is symmetric and contracts
-  in the energy norm); the coarsest level is solved exactly.  One solver
+  in the energy norm); each cycle ends on the base (below).  One solver
   step applies two V-cycles (``_cycle``): checkerboard-type coefficient
   jumps degrade the single-cycle factor towards the certification ceiling
   at desk scale, and squaring it buys the needed margin at the same cost
   per unit of progress.
-A level with no coarser level holds its exact solve from
-``fem.factorize``, made when the level is built: a state with one level
-(``SolverState.exact``), that of the ``direct`` kind and level 0 of local
-multigrid, steps with it and never factors again, and it is the V-cycle's
-solve on level 0.
+A hierarchy starts at its base, level 0, whose ``solve`` is the V-cycle's
+one base case.  A level built without a coarser level (``direct``, and the
+initial one of local multigrid) holds its exact solve from
+``fem.factorize``, made with the level: a state topped by one
+(``SolverState.exact``) steps with it and never factors again.
 
 Each sparse level holds each operator once: A, the rows W of the
 prolongation for the free DOFs the refinement created, ``rows`` = A[S, :]
@@ -49,13 +49,15 @@ W c, so that x = P c before the smoothing corrections are added.  The
 transfers thus touch only the refinement patch, and no level below the top
 allocates, copies or adds a vector of its length.
 
-The V-cycle is linear in the residual it is handed, so from the finest level
-k with at most ``DENSE_BOTTOM`` free DOFs down it is one dense matrix B_k:
-the recursion has one base case, level k, where it adds B_k r, or level
-0's exact solve when k = 0.  ``extend_solver`` builds B_j for each new
-level up to that size by running the level's own cycle on the whole
-identity in one call, over the bottom below it.  The method and its
-iterates are those of the sparse recursion up to rounding.
+The V-cycle is linear in the residual it is handed, so a level's cycle is
+one dense matrix B.  For a new level with at most ``DENSE_BOTTOM`` free
+DOFs ``extend_solver`` builds B by running the level's cycle over the
+given state's levels on the whole identity in one call, and rebases: the
+new state holds one level (A, W, ``solve`` = r -> B r) and drops those
+below, which no cycle would visit.  It steps x + B (rhs - A x) like any
+cycle, so it is not exact, and its iterates are those of the sparse
+recursion up to rounding.  Every level keeps its ``matrix``, which the
+traced benchmark (``perfbench/spans.py``) reads.
 
 All vectors are reduced (free DOFs only); the energy norm of a reduced error
 vector e is (e' A e)^(1/2) with A the reduced SPD matrix.  Every sparse
@@ -88,7 +90,7 @@ only such a warm start may stop early, when the bound settles.
 A state holds the space of its finest level only, and levels are
 write-once.  ``extend_solver`` never modifies the state it is given: it
 returns a new state for the next refinement level that shares the coarser
-levels and the read-only dense bottom, and hands it the given state's
+levels, or starts from a new base, and hands it the given state's
 dominant Ritz vector ``ritz`` as ``coarse_ritz``.  Certification sets
 ``ritz``, ``certified_q`` and ``certify_cycles``, the V-cycles it took.
 """
@@ -114,23 +116,24 @@ class NonContractiveError(SolverError):
 
 class _Level:
     """Per-level data, write-once: set here and never changed.  The reduced
-    SPD matrix A; on a level with no coarser level, ``solve``, its exact
-    solve; on the others ``new_rows`` = W, the rows of the reduced
-    prolongation P = [I; W] from the level below for the free DOFs the
-    refinement created; the smoothing block S, ``rows`` = A[S, :],
-    ``sweeps``, S repeated ``SMOOTH_SWEEPS`` times, and ``smoother``, the
-    exact factor of the sweep matrix K of A[S, S] from ``_smoother``.  The
-    block rows and A[S, S] are cut from A's CSR arrays by ``fem.submatrix``,
-    and ``_product`` reads the CSR arrays of A, W and the block rows."""
+    SPD matrix A, kept on every level for ``perfbench/spans.py``; ``solve``
+    on a base: A's exact solve if ``new_rows`` is None, else r -> B r as
+    given; ``new_rows`` = W, the rows of the reduced prolongation P = [I; W]
+    from the level built on for the free DOFs the refinement created; on a
+    sparse level the smoothing block S, ``rows`` = A[S, :], ``sweeps``, S
+    repeated ``SMOOTH_SWEEPS`` times, and ``smoother``, the exact factor of
+    the sweep matrix K of A[S, S] from ``_smoother``.  The block rows and
+    A[S, S] are cut from A's CSR arrays by ``fem.submatrix``, and
+    ``_product`` reads the CSR arrays of A, W and the block rows."""
 
-    def __init__(self, matrix, new_rows=None, smooth_dofs=None):
+    def __init__(self, matrix, new_rows=None, smooth_dofs=None, solve=None):
         for op in (matrix, new_rows):
             if op is not None and not (sp.issparse(op) and op.format == "csr"):
                 raise TypeError("solver levels need CSR operators")
         self.matrix = matrix
         self.new_rows = new_rows
         self.smooth_dofs = smooth_dofs
-        self.solve = factorize(matrix) if new_rows is None else None
+        self.solve = factorize(matrix) if new_rows is None else solve
         self.smoother = self.rows = self.sweeps = None
         if smooth_dofs is not None and len(smooth_dofs):
             self.rows = submatrix(matrix, smooth_dofs)
@@ -141,21 +144,17 @@ class _Level:
 
 class SolverState:
     """Solver on the space of the finest level; only that space is held, so
-    superseded spaces and their caches can be collected.  Certification
-    sets ``certified_q``, ``certify_cycles`` and ``ritz``; ``levels`` are
-    write-once, and ``coarse_ritz`` is the Ritz vector handed down."""
+    superseded spaces and their caches can be collected.  ``levels``, from
+    the base up, are write-once; certification sets ``certified_q``,
+    ``certify_cycles`` and ``ritz``; ``coarse_ritz`` is handed down."""
 
-    def __init__(self, kind, prob, space, levels, bottom=(0, None),
-                 coarse_ritz=None):
+    def __init__(self, kind, prob, space, levels, coarse_ritz=None):
         if kind not in KINDS:
             raise ValueError(f"unknown solver kind {kind!r}")
         self.kind = kind
         self.prob = prob
         self.space = space
         self.levels = levels
-        # (k, B_k): the V-cycle from level k down is the dense B_k, or
-        # level 0's exact solve for k = 0
-        self.bottom = bottom
         self.coarse_ritz = coarse_ritz
         self.certified_q = self.certify_cycles = self.ritz = None
 
@@ -165,8 +164,9 @@ class SolverState:
 
     @property
     def exact(self):
-        """A state of one level steps with its exact solve."""
-        return len(self.levels) == 1
+        """A top level built without a coarser one steps with its exact
+        solve; a rebased one-level state steps with r -> B r."""
+        return self.levels[-1].new_rows is None
 
     def energy_norm(self, e):
         n = self.matrix.shape[0]
@@ -231,7 +231,7 @@ def setup_solver(kind, space, prob):
 
 def extend_solver(state, space):
     """New state for the next refinement level of the same problem; the
-    multigrid hierarchy shares the coarser levels of ``state``."""
+    multigrid hierarchy shares the levels of ``state``, or rebases."""
     return _new_state(state.kind, state.prob, space, coarser=state)
 
 
@@ -245,19 +245,18 @@ def _new_state(kind, prob, space, coarser=None):
             # the V-cycle's unchecked products rely on these sizes
             raise ValueError(f"prolongation rows {W.shape} do not map "
                              f"{n_c} onto {A.shape[0]} DOFs")
-        lvl = _Level(A, new_rows=W, smooth_dofs=_new_dof_block(prev, space))
-        state = SolverState(kind, prob, space, coarser.levels + [lvl],
-                            coarser.bottom, coarser.ritz)
-        j = len(state.levels) - 1
-        if A.shape[0] <= DENSE_BOTTOM and coarser.bottom[0] == j - 1:
-            state.bottom = (j, _dense_cycle(state, j))
-        return state
+        levels = coarser.levels + [
+            _Level(A, new_rows=W, smooth_dofs=_new_dof_block(prev, space))]
+        if A.shape[0] <= DENSE_BOTTOM:  # rebase: r -> B r is the new base
+            levels = [_Level(A, new_rows=W,
+                             solve=_dense_cycle(levels).__matmul__)]
+        return SolverState(kind, prob, space, levels, coarser.ritz)
     return SolverState(kind, prob, space, [_Level(A)])
 
 
 SMOOTH_SWEEPS = 2
 CYCLES_PER_STEP = 2
-DENSE_BOTTOM = 200  # free DOFs up to which a level's V-cycle is kept dense
+DENSE_BOTTOM = 200  # free DOFs up to which a new level is a dense base
 SAFETY = 1.05  # certified factor = worst measured energy ratio * SAFETY
 LANCZOS_STEPS = 16  # one V-cycle each
 FLOOR = 1e-8   # a Lanczos residual this small spans an invariant subspace
@@ -318,8 +317,7 @@ def _smoother(K):
 
 def solver_step(state, rhs, iterate):
     """One iteration of the contractive solver towards A x = rhs: the exact
-    solve on a state of one level, else ``CYCLES_PER_STEP`` V-cycle
-    steps."""
+    solve on an ``exact`` state, else ``CYCLES_PER_STEP`` V-cycle steps."""
     rhs = np.asarray(rhs, dtype=float)
     x = np.asarray(iterate, dtype=float)
     n = state.matrix.shape[0]
@@ -338,25 +336,25 @@ def _cycle(state, x, r):
     the new array x + B r, and uses r up.  On errors it acts as the
     one-cycle propagator E1 = I - B A; ``solver_step`` applies it
     ``CYCLES_PER_STEP`` times.  Unchecked, like ``_product``."""
-    return x + _vcycle(state, len(state.levels) - 1, np.zeros(len(x)), r)
+    levels = state.levels
+    return x + _vcycle(levels, len(levels) - 1, np.zeros(len(x)), r)
 
 
-def _vcycle(state, j, x, r):
+def _vcycle(levels, j, x, r):
     """Level j's V-cycle for one residual r or, in its columns, several: x,
     zero on entry, leaves holding the correction and is returned, and r,
-    C-contiguous, is used up.  The one base case is the bottom level k,
-    which writes B_k r, or level 0's exact solve for k = 0."""
+    C-contiguous, is used up.  The one base case is level 0, which writes
+    its ``solve`` of r: the exact solve, or B r on a rebased base."""
     # r is updated in place after each local correction, and restriction
     # leaves the coarse residual in its prefix, for which the coarse level
     # writes its correction into x's prefix.  So a level costs one product
     # with W and one with its transpose, one forward and one transposed
     # solve with its smoother and one product with its block rows and one
     # with their transpose
-    k, B = state.bottom
-    if j == k:
-        x[...] = state.levels[0].solve(r) if k == 0 else B @ r
+    lvl = levels[j]
+    if j == 0:
+        x[...] = lvl.solve(r)
         return x
-    lvl = state.levels[j]
     S, W = lvl.smooth_dofs, lvl.new_rows
     n_c = W.shape[1]
     if lvl.smoother is not None:
@@ -367,7 +365,7 @@ def _vcycle(state, j, x, r):
         post = r[lvl.sweeps]
     # P' r = r[:n_c] + W' r[n_c:], in place
     _product(W, r[n_c:], r[:n_c], transpose=True)
-    _vcycle(state, j - 1, x[:n_c], r[:n_c])
+    _vcycle(levels, j - 1, x[:n_c], r[:n_c])
     _product(W, x[:n_c], x[n_c:])  # x = P c = [c; W c]
     if lvl.smoother is not None:
         # the block rows only from here on; A[S, :] P c is the coarse
@@ -381,12 +379,12 @@ def _vcycle(state, j, x, r):
     return x
 
 
-def _dense_cycle(state, j):
-    """B_j as a read-only dense matrix: level j's V-cycle run on all columns
-    of the identity at once, over the state's bottom below j; with n_j at
-    most ``DENSE_BOTTOM`` its temporaries stay small."""
-    eye = np.eye(state.levels[j].matrix.shape[0])
-    B = _vcycle(state, j, np.zeros_like(eye), eye)
+def _dense_cycle(levels):
+    """B as a read-only dense matrix: the top level's V-cycle over
+    ``levels`` run on all columns of the identity at once; with at most
+    ``DENSE_BOTTOM`` DOFs on top its temporaries stay small."""
+    eye = np.eye(levels[-1].matrix.shape[0])
+    B = _vcycle(levels, len(levels) - 1, np.zeros_like(eye), eye)
     B.flags.writeable = False
     return B
 

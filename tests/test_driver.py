@@ -137,6 +137,43 @@ def test_a_run_without_a_finite_stop_is_rejected(max_dofs, monkeypatch):
     assert hist.meta["stop_reason"] == "eta_tol" and len(hist) == 1
 
 
+@pytest.mark.parametrize("theta", [0.0, -0.5, 1.5, 5.0, math.nan])
+def test_a_theta_outside_the_unit_interval_is_rejected(theta, monkeypatch):
+    prob, mesh = kellogg()
+    cfg = ZarantonelloConfig(delta=0.5, lambda_sym=0.7, lambda_alg=0.7)
+
+    def refuse(*args):
+        raise AssertionError("a run with a bad theta started")
+
+    monkeypatch.setattr(driver, "Space", refuse)
+    for run in (lambda: run_exact(prob, mesh, theta=theta, max_dofs=1),
+                lambda: run_single(prob, mesh, theta=theta, lam=0.1,
+                                   max_dofs=1),
+                lambda: run_nested(prob, mesh, theta=theta, cfg=cfg,
+                                   max_dofs=1)):
+        with pytest.raises(ValueError, match="theta"):
+            run()
+
+
+def test_lambda_alg_zero_needs_the_direct_solver(monkeypatch):
+    # only an exact step meets the algebraic stop with lambda_alg = 0, so
+    # the local multigrid would run into MAX_INNER on its first sparse level
+    prob, mesh = lshape_convection()
+    cfg = ZarantonelloConfig(delta=0.5, lambda_sym=0.7, lambda_alg=0.0)
+
+    def refuse(*args):
+        raise AssertionError("a run that cannot stop started")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(driver, "Space", refuse)
+        with pytest.raises(ValueError, match="lambda_alg = 0"):
+            run_nested(prob, mesh, theta=0.3, cfg=cfg, p=1,
+                       solver_kind="local_multigrid", max_dofs=60)
+    hist = run_nested(prob, mesh, theta=0.3, cfg=cfg, p=1,
+                      solver_kind="direct", max_dofs=60)
+    assert len(hist.k_stop) > 3 and set(hist.j_stop.values()) == {1}
+
+
 def test_stop_rule_reads_the_structure_not_the_certificate(monkeypatch):
     # a state of several levels steps inexactly whatever it certified, so
     # its loop runs to the stopping inequality even on a certificate of 0

@@ -131,7 +131,9 @@ def test_extend_solver_leaves_its_argument_alone(square2):
     edges = space.mesh.edge_tables()
     fine = Space(refine(space.mesh, {0}), 1)
     new = extend_solver(state, fine)
-    assert new.space is fine and new.levels[:-1] == levels
+    # a new level of at most DENSE_BOTTOM DOFs is a new base on its own
+    below = levels if fine.n_free > solvers.DENSE_BOTTOM else []
+    assert new.space is fine and new.levels[:-1] == below
     assert state.space is space and state.levels == levels
     assert space.mesh.edge_tables() is edges
 
@@ -225,18 +227,18 @@ def test_setup_rejects_non_spd(square2):
                      POISSON)
 
 
-def _vcycle_x_form(state, spaces, j, x, b):
+def _vcycle_x_form(levels, spaces, j, x, b):
     """V-cycle that recomputes the residual b - A x on entry to every level,
     updates all of it with the full products, runs ``SMOOTH_SWEEPS``
     separate triangular solves with tril(A[S, S]) and its transpose and
-    transfers with the full reduced prolongation of ``spaces``, down to the
-    state's dense bottom: the sweep-by-sweep reference of the fused cycle."""
-    lvl = state.levels[j]
-    k, B = state.bottom
+    transfers with the full reduced prolongation of ``spaces``, the spaces
+    of ``levels``, down to level 0: its exact solve, or x + B (b - A x) on
+    a rebased base.  The sweep-by-sweep reference of the fused cycle."""
+    lvl = levels[j]
     if j == 0:
-        return solve_direct(lvl.matrix, b)
-    if j == k:
-        return x + B @ (b - lvl.matrix @ x)
+        if lvl.new_rows is None:
+            return solve_direct(lvl.matrix, b)
+        return x + lvl.solve(b - lvl.matrix @ x)
     S = lvl.smooth_dofs
     lower = sp.tril(lvl.matrix[S][:, S], format="csr")
     x = x.copy()
@@ -246,9 +248,8 @@ def _vcycle_x_form(state, spaces, j, x, b):
         x[S] += dx
         r -= lvl.matrix[:, S] @ dx
     P = reduced_prolongation(spaces[j - 1], spaces[j])
-    e = _vcycle_x_form(state, spaces, j - 1,
-                       np.zeros(state.levels[j - 1].matrix.shape[0]),
-                       P.T @ r)
+    e = _vcycle_x_form(levels, spaces, j - 1,
+                       np.zeros(levels[j - 1].matrix.shape[0]), P.T @ r)
     corr = P @ e
     x += corr
     r -= lvl.matrix @ corr
@@ -261,7 +262,8 @@ def _vcycle_x_form(state, spaces, j, x, b):
 
 @pytest.mark.parametrize("steps", [2, 3, 4])
 def test_vcycle_matches_x_form(square2, steps, monkeypatch):
-    # a bottom of 3 DOFs leaves sparse levels above it on these hierarchies
+    # a base of 3 DOFs, rebased on level 0, leaves sparse levels above it on
+    # these hierarchies
     monkeypatch.setattr(solvers, "DENSE_BOTTOM", 3)
     rng = np.random.default_rng(6)
     for sweeps in (1, 2, 3):
@@ -270,13 +272,14 @@ def test_vcycle_matches_x_form(square2, steps, monkeypatch):
         state, spaces = build_hierarchy(square2, "local_multigrid",
                                         steps=steps)
         top = len(state.levels) - 1
-        assert state.bottom[0] < top
+        assert top > 0 and state.levels[0].new_rows is not None
+        spaces = spaces[-len(state.levels):]
         n = state.matrix.shape[0]
         for _ in range(3):
             rhs, x0 = rng.standard_normal((2, n))
             x = x0.copy()
             for _ in range(solvers.CYCLES_PER_STEP):
-                x = _vcycle_x_form(state, spaces, top, x, rhs)
+                x = _vcycle_x_form(state.levels, spaces, top, x, rhs)
             kept = rhs.tobytes(), x0.tobytes()
             step = solver_step(state, rhs, x0)
             assert state.energy_norm(step - x) \
@@ -302,10 +305,10 @@ def _forbid_factorization(monkeypatch):
 
 
 def test_certify_needs_no_reference_factorization(square2, monkeypatch):
-    # a bottom of 3 DOFs leaves sparse levels, whose smoothers the cycles run
+    # a base of 3 DOFs leaves sparse levels, whose smoothers the cycles run
     monkeypatch.setattr(solvers, "DENSE_BOTTOM", 3)
     state, _ = build_hierarchy(square2, "local_multigrid")
-    assert state.bottom[0] < len(state.levels) - 1
+    assert len(state.levels) > 1
     _forbid_factorization(monkeypatch)
     assert 0.0 < certify_contraction(state) < 1.0
 
@@ -396,7 +399,8 @@ def test_certification_starts_from_the_level_below():
         # the warm start prolongates the Ritz vector below into a new array
         assert coarse.ritz.tobytes() == coarse_ritz
     for coarse, fine in zip(states, states[1:]):
-        assert fine.levels[-2] is coarse.levels[-1]
+        # built on the coarse hierarchy, or a new base on its own
+        assert fine.levels[:-1] in (coarse.levels, [])
         ritz = fine.ritz
         assert ritz is not None and ritz.shape == (fine.matrix.shape[0],)
         assert np.isclose(ritz @ (fine.matrix @ ritz), 1.0)
@@ -413,6 +417,14 @@ def _level_contents(lvl):
     return {name: (value, content(value)) for name, value in vars(lvl).items()}
 
 
+def _assert_unchanged(lvl, contents):
+    """``lvl`` holds the objects and bytes ``_level_contents`` recorded."""
+    now = _level_contents(lvl)
+    assert now.keys() == contents.keys()
+    for name, (value, data) in contents.items():
+        assert now[name][0] is value and now[name][1] == data, name
+
+
 def test_levels_are_write_once(monkeypatch):
     # extending and certifying each state in turn, as the driver does,
     # changes no attribute of any level and no byte of its arrays
@@ -423,10 +435,7 @@ def test_levels_are_write_once(monkeypatch):
         certify_contraction(state)
     assert len(built) == 25
     for lvl, contents in built.values():
-        now = _level_contents(lvl)
-        assert now.keys() == contents.keys()
-        for name, (value, data) in contents.items():
-            assert now[name][0] is value and now[name][1] == data, name
+        _assert_unchanged(lvl, contents)
     # so a finished run holds the Ritz vectors of its top two levels only
     from afem_lab import driver
 
@@ -510,8 +519,11 @@ def test_one_cycle_propagator_is_self_adjoint_in_energy(monkeypatch):
             assert abs(AE1 - AE1.T).max() <= 1e-12 * abs(AE1).max()
 
 
-def test_product_matches_matmul_bit_for_bit(square2):
+def test_product_matches_matmul_bit_for_bit(square2, monkeypatch):
+    # no dense base: every level above level 0 is sparse
+    monkeypatch.setattr(solvers, "DENSE_BOTTOM", 0)
     state, _ = build_hierarchy(square2, "local_multigrid")
+    assert len(state.levels) == 5
     rng = np.random.default_rng(7)
     ops = [state.levels[0].matrix]
     for lvl in state.levels[1:]:
@@ -551,20 +563,20 @@ def test_vcycle_allocates_no_vector_of_a_level_below_the_top():
     # every level writes its correction into the prefix of the one above,
     # so a step holds the top level's iterate, residual, correction and one
     # product, each sparse level's smoothing work (a solve and the saved
-    # r[S], m |S| floats each), the bottom's product and a few small objects
+    # r[S], m |S| floats each), the base's product and a few small objects
     # per level: ``budget``.  One vector per sparse level below the top, as
     # a cycle that zeroes a correction on each level allocates, would add
     # ``below`` floats; the peak stays within half of that
     import tracemalloc
 
     state = list(_kellogg_states(steps=80))[-1]
-    k, top = state.bottom[0], len(state.levels) - 1
+    top = len(state.levels) - 1
     sizes = [lvl.matrix.shape[0] for lvl in state.levels]
-    below = sum(sizes[k + 1:top])
-    smooth = sum(len(lvl.smooth_dofs) for lvl in state.levels[k + 1:])
-    budget = (4 * sizes[top] + 2 * solvers.SMOOTH_SWEEPS * smooth + sizes[k]
-              + 128 * (top - k))
-    assert top - k > 50 and below > budget
+    below = sum(sizes[1:top])
+    smooth = sum(len(lvl.smooth_dofs) for lvl in state.levels[1:])
+    budget = (4 * sizes[top] + 2 * solvers.SMOOTH_SWEEPS * smooth + sizes[0]
+              + 128 * top)
+    assert top > 50 and below > budget
     rhs, x0 = np.random.default_rng(12).standard_normal((2, sizes[top]))
     tracemalloc.start()
     try:
@@ -586,8 +598,11 @@ def _same_arrays(got, want):
                      (got.data, want.data)))
 
 
-def test_submatrix_matches_fancy_indexing(square2):
+def test_submatrix_matches_fancy_indexing(square2, monkeypatch):
+    # no dense base: the top level is sparse
+    monkeypatch.setattr(solvers, "DENSE_BOTTOM", 0)
     state, spaces = build_hierarchy(square2, "local_multigrid")
+    assert len(state.levels) == 5
     coarse, fine = spaces[-2:]
     lvl = state.levels[-1]
     S = lvl.smooth_dofs
@@ -622,7 +637,9 @@ def _sweep_matrix_reference(block, m):
 @pytest.mark.parametrize("sweeps", [1, 2, 3])
 def test_sweep_matrix_equals_the_block_form(sweeps, monkeypatch):
     monkeypatch.setattr(solvers, "SMOOTH_SWEEPS", sweeps)
+    monkeypatch.setattr(solvers, "DENSE_BOTTOM", 0)  # 12 sparse levels
     state = list(_kellogg_states(steps=12))[-1]
+    assert len(state.levels) == 13
     for lvl in state.levels[1:]:
         block = lvl.rows[:, lvl.smooth_dofs]
         K = solvers._sweep_matrix(block)
@@ -631,13 +648,15 @@ def test_sweep_matrix_equals_the_block_form(sweeps, monkeypatch):
         assert K.format == "csc" and _same_arrays(K, want)
 
 
-def test_levels_hold_each_operator_once(square2):
+def test_levels_hold_each_operator_once(square2, monkeypatch):
     # one SuperLU factor per smoothing block, and of the CSR operators only
     # the matrix, the prolongation's rows for the new DOFs and the block's
     # rows
     from scipy.sparse.linalg import SuperLU
 
+    monkeypatch.setattr(solvers, "DENSE_BOTTOM", 0)  # four sparse levels
     state, _ = build_hierarchy(square2, "local_multigrid")
+    assert len(state.levels) == 5
     for coarse, lvl in zip(state.levels, state.levels[1:]):
         assert len(lvl.smooth_dofs) > 0
         held = vars(lvl).values()
@@ -650,13 +669,15 @@ def test_levels_hold_each_operator_once(square2):
         assert lvl.rows.shape == (len(lvl.smooth_dofs), n)
 
 
-def test_smoothers_are_pure_substitution():
+def test_smoothers_are_pure_substitution(monkeypatch):
     # no pivoting, no reordering and no fill: L holds the entries of the
     # sweep matrix K and U its diagonal, and the zero-drop incomplete
     # factor solves bit for bit as the complete one, for a vector and for
-    # the column blocks of the dense bottom's cycle
+    # the column blocks of a dense base's cycle
     rng = np.random.default_rng(4)
+    monkeypatch.setattr(solvers, "DENSE_BOTTOM", 0)  # 12 sparse levels
     state = list(_kellogg_states(steps=12))[-1]
+    assert len(state.levels) == 13
     for lvl in state.levels[1:]:
         S = lvl.smooth_dofs
         K = solvers._sweep_matrix(lvl.rows[:, S])
@@ -701,17 +722,19 @@ def test_smoother_holds_no_spare_workspace():
 
 
 def test_prolongation_is_identity_on_old_free_dofs():
-    # the premise of the transfers: on every sparse level the reduced
-    # prolongation is [I; W], and W averages at most two parents
+    # the premise of the transfers: on every level built on a coarser one,
+    # the rebased base included, the reduced prolongation is [I; W], and W
+    # averages at most two parents
     states = list(_kellogg_states())
-    state = states[-1]
-    k = state.bottom[0]
-    assert k < len(state.levels) - 1
+    levels = states[-1].levels
+    assert len(levels) > 1 and levels[0].new_rows is not None
+    # the space below the base, then the space of each level
+    spaces = [s.space for s in states[-len(levels) - 1:]]
     held = new = 0
-    for j in range(k + 1, len(state.levels)):
-        W = state.levels[j].new_rows
+    for lvl, coarse, fine in zip(levels, spaces, spaces[1:]):
+        W = lvl.new_rows
         n_c = W.shape[1]
-        P = reduced_prolongation(states[j - 1].space, states[j].space)
+        P = reduced_prolongation(coarse, fine)
         assert P.shape == (n_c + W.shape[0], n_c)
         assert (P != sp.vstack([sp.identity(n_c), W])).nnz == 0
         assert np.diff(W.indptr).max() <= 2
@@ -753,29 +776,39 @@ def test_one_level_multigrid_certifies_exactly_zero(square2):
 
 
 def _sparse_kellogg_states(monkeypatch):
-    """``_kellogg_states`` without a dense bottom, each certified before the
-    next is extended from it, as the driver does."""
+    """``_kellogg_states`` without a dense base, each certified before the
+    next is extended from it, as the driver does: every state's base is the
+    initial level with its exact solve."""
     with monkeypatch.context() as mp:
         mp.setattr(solvers, "DENSE_BOTTOM", 0)
         states = []
         for state in _kellogg_states():
             certify_contraction(state)
             states.append(state)
-    assert all(s.bottom == (0, None) for s in states)
+    assert all(s.levels[0].new_rows is None for s in states)
     return states
 
 
+def _dense_base(state):
+    """B of a rebased base, whose ``solve`` is B's product, else None."""
+    base = state.levels[0]
+    return None if base.new_rows is None else base.solve.__self__
+
+
 def test_dense_bottom_is_the_finest_small_level():
+    # the base is the finest level of at most DENSE_BOTTOM DOFs, and the
+    # state holds it and the levels above it only
+    sizes = []
     for state in _kellogg_states():
-        sizes = [lvl.matrix.shape[0] for lvl in state.levels]
-        k, B = state.bottom
-        assert k == max(j for j, n in enumerate(sizes)
-                        if n <= solvers.DENSE_BOTTOM)
+        sizes.append(state.matrix.shape[0])
+        k = max(j for j, n in enumerate(sizes) if n <= solvers.DENSE_BOTTOM)
+        assert [lvl.matrix.shape[0] for lvl in state.levels] == sizes[k:]
+        B = _dense_base(state)
         if k == 0:
             assert B is None
         else:
             assert B.shape == (sizes[k], sizes[k]) and not B.flags.writeable
-    # the last graded state has sparse levels above its dense bottom
+    # the last graded state has sparse levels above its dense base
     assert 0 < k < len(sizes) - 1
 
 
@@ -800,26 +833,68 @@ def test_dense_bottom_certifies_as_the_sparse_cycle(monkeypatch):
 def test_steps_and_certification_leave_the_dense_bottom_alone():
     rng = np.random.default_rng(11)
     for state in _kellogg_states():
-        B = state.bottom[1]
+        B = _dense_base(state)
         if B is None:
             continue
         data = B.tobytes()
         n = state.matrix.shape[0]
         solver_step(state, *rng.standard_normal((2, n)))
         certify_contraction(state)
-        assert state.bottom[1] is B and not B.flags.writeable
+        assert _dense_base(state) is B and not B.flags.writeable
         assert B.tobytes() == data
 
 
 def test_extend_solver_leaves_the_dense_bottom_alone():
     states = list(_kellogg_states(steps=20))
     for coarse, fine in zip(states, states[1:]):
-        k, B = coarse.bottom
+        B = _dense_base(coarse)
         if B is None:
             continue
         data = B.tobytes()
         fresh = extend_solver(coarse, fine.space)
-        assert coarse.bottom[0] == k and coarse.bottom[1] is B
-        assert B.tobytes() == data
-        if fresh.bottom[0] == k:
-            assert fresh.bottom[1] is B
+        assert _dense_base(coarse) is B and B.tobytes() == data
+        if len(fresh.levels) > 1:
+            assert _dense_base(fresh) is B
+
+
+def test_a_rebased_one_level_state_is_not_exact():
+    # its one level is the dense cycle B of the hierarchy it was built on:
+    # a step is CYCLES_PER_STEP steps x + B (rhs - A x), not an exact solve,
+    # and certification measures it
+    state = list(_kellogg_states(steps=3))[-1]
+    assert len(state.levels) == 1 and not state.exact
+    A, B = state.matrix, _dense_base(state)
+    rhs, x0 = np.random.default_rng(13).standard_normal((2, A.shape[0]))
+    x = x0 + B @ (rhs - A @ x0)
+    assert solvers._cycle(state, x0, rhs - A @ x0).tobytes() == x.tobytes()
+    for _ in range(solvers.CYCLES_PER_STEP - 1):
+        x = x + B @ (rhs - A @ x)
+    assert solver_step(state, rhs, x0).tobytes() == x.tobytes()
+    assert certify_contraction(state) > 0.0 and state.certify_cycles > 0
+
+
+def test_no_state_holds_a_level_below_its_base():
+    # extending each state in turn, across the rebases up to DENSE_BOTTOM
+    # DOFs and past them, changes neither the list of levels it is given
+    # nor a byte of any level; the new state holds its base, whose B is
+    # read-only, and the sparse levels above it only
+    states = list(_kellogg_states())
+    for coarse, fine in zip(states, states[1:]):
+        levels = list(coarse.levels)
+        built = [_level_contents(lvl) for lvl in levels]
+        fresh = extend_solver(coarse, fine.space)
+        assert coarse.levels == levels
+        for lvl, contents in zip(levels, built):
+            _assert_unchanged(lvl, contents)
+        rebased = fresh.matrix.shape[0] <= solvers.DENSE_BOTTOM
+        assert fresh.levels[:-1] == ([] if rebased else levels)
+        base, above = fresh.levels[0], fresh.levels[1:]
+        assert base.matrix.shape[0] <= solvers.DENSE_BOTTOM
+        assert base.smoother is None and base.new_rows is not None
+        assert all(lvl.matrix.shape[0] > solvers.DENSE_BOTTOM
+                   and lvl.solve is None for lvl in above)
+        B = _dense_base(fresh)
+        assert not B.flags.writeable
+        with pytest.raises(ValueError):
+            B[0, 0] = 0.0
+    assert len(fresh.levels) > 1
