@@ -95,7 +95,8 @@ def _volume_terms(space, coeffs, prob):
         R = -_div_flux(space, coeffs, prob, pts)
     if convection is not None:
         bv = np.asarray(convection(flat)).reshape(shape + (2,))
-        R = R + (bv * space.function_gradients(coeffs, pts)).sum(axis=-1)
+        g = space.function_gradients(coeffs, pts)
+        R = R + (bv[..., 0] * g[..., 0] + bv[..., 1] * g[..., 1])
     if prob.reaction is not None:
         c = np.asarray(prob.reaction(flat)).reshape(shape)
         R = R + c * space.function_values(coeffs, pts)
@@ -118,11 +119,11 @@ def _div_flux(space, coeffs, prob, pts):
     if not prob.is_nonlinear:
         return _element_diffusion(space, prob)[:, None] * lap
     nl = prob.nonlinearity
-    g = space.function_gradients(coeffs, pts)
-    t = g[..., 0] ** 2 + g[..., 1] ** 2
-    Hg = np.stack([h[..., 0] * g[..., 0] + h[..., 1] * g[..., 1],
-                   h[..., 1] * g[..., 0] + h[..., 2] * g[..., 1]], axis=-1)
-    return 2.0 * nl.da(t) * (Hg * g).sum(axis=-1) + nl.a(t) * lap
+    g0, g1 = np.moveaxis(space.function_gradients(coeffs, pts), -1, 0)
+    t = g0 ** 2 + g1 ** 2
+    gHg = (h[..., 0] * g0 + h[..., 1] * g1) * g0 \
+        + (h[..., 1] * g0 + h[..., 2] * g1) * g1
+    return 2.0 * nl.da(t) * gHg + nl.a(t) * lap
 
 
 def _edge_geometry(space, nq):
@@ -205,8 +206,10 @@ def _edge_terms(space, coeffs, prob, eta2):
                       for side, e in enumerate(inner))
         n, df = geom["inner_normals"], f0 - f1
         jump = df[..., 0] * n[:, None, 0] + df[..., 1] * n[:, None, 1]
-        integral = (jump ** 2 * geom["w"][None, :]).sum(axis=1) \
-            * geom["inner_lengths"]
+        # numpy's row sum, left to right for nq = p + 4 < 8 terms, by columns
+        sq, w = np.broadcast_to(jump ** 2, (len(jump), nq)), geom["w"]
+        integral = sum((sq[:, k] * w[k] for k in range(1, nq)),
+                       sq[:, 0] * w[0]) * geom["inner_lengths"]
         for e in inner:
             np.add.at(eta2, e, np.sqrt(areas[e]) * integral)
 

@@ -127,7 +127,7 @@ class _RefElem:
     def table(self, kind, pts):
         """The table of the method named ``kind`` at the points, built once
         per points and kept: "eval" (nq, nl), "grad" (nq, nl, 2), "hess"
-        (nq, nl, 3), a pair table, or "edge_grad" at edge parameters."""
+        (nq, nl, 3), a pair table, "point_map" or "edge_grad" at edges."""
         pts = np.asarray(pts, dtype=float)
         key = (kind, pts.shape, pts.tobytes())
         if key not in self._tables:
@@ -152,6 +152,11 @@ class _RefElem:
         """N_m N_l, shape (nq, nl * nl)."""
         N = self.table("eval", pts)
         return np.einsum("qm,ql->qml", N, N).reshape(len(N), -1)
+
+    def point_map(self, pts):
+        """The map of ``Space.physical_points``: kron(X^T, I_2), X the rows
+        (xi, eta, 1) of the points."""
+        return np.kron(np.column_stack([pts, np.ones(len(pts))]).T, np.eye(2))
 
     def edge_grad(self, t):
         """Gradients at the points t of each edge in each direction, shape
@@ -232,7 +237,7 @@ class Space:
 
     Geometry: ``affine`` (n_elements, 3, 2), C-contiguous, holds per element
     the rows v1 - v0, v2 - v0 (J^T, with J the Jacobian) and v0, so that
-    ``physical_points`` is one GEMM; ``origin`` is a view of the last row,
+    ``physical_points`` is one 2-D GEMM; ``origin`` views the last row,
     and ``det`` and ``inv_jac`` (K = J^-1) come from the first two.
     """
 
@@ -322,11 +327,12 @@ class Space:
     # -- evaluation helpers -------------------------------------------------
 
     def physical_points(self, ref_pts):
-        """Map reference points to each element, shape (ne, nq, 2): one GEMM
-        of the points (xi, eta, 1) with ``affine``, so the origin is added
-        inside the product and not by a broadcast over a length-2 axis."""
-        ref_pts = np.asarray(ref_pts, dtype=float)
-        return np.column_stack([ref_pts, np.ones(len(ref_pts))]) @ self.affine
+        """Map reference points to each element, shape (ne, nq, 2): one 2-D
+        GEMM of ``affine`` as (ne, 6) with ``point_map``, which adds the
+        origin inside and gives the bits of the stacked X @ affine."""
+        ne = len(self.affine)
+        return (self.affine.reshape(ne, 6) @ self.ref.table(
+            "point_map", ref_pts)).reshape(ne, -1, 2)
 
     def wdet(self, w):
         """Quadrature weights times |det J| per element, shape (ne, nq)."""
@@ -336,8 +342,8 @@ class Space:
         return coeffs[self.elem_dofs] @ self.ref.table("eval", ref_pts).T
 
     def function_gradients(self, coeffs, ref_pts):
-        return contract(coeffs[self.elem_dofs],
-                        self.ref.table("grad", ref_pts)) @ self.inv_jac
+        g = contract(coeffs[self.elem_dofs], self.ref.table("grad", ref_pts))
+        return k_product(g, self.inv_jac)
 
     def function_hessians(self, coeffs, ref_pts):
         """Physical Hessians (ne, nq, 3) as xx, xy, yy: K^T H K at each
@@ -360,6 +366,20 @@ def contract(local, table):
     nq, nl, c = table.shape
     flat = table.transpose(1, 0, 2).reshape(nl, nq * c)
     return (local @ flat).reshape(-1, nq, c)
+
+
+def k_product(v, K):
+    """v @ K per element, v (n, 2) or (n, nq, 2), K (n, 2, 2) or a view.
+    A stacked product makes one BLAS call per element: worth it for nq > 1,
+    while one vector is faster as the sums v0 K_0j + v1 K_1j on K's
+    entries.  Those are signed powers of two on the NVB meshes of the
+    shipped problems, so the sums give the stacked bits; on other geometry
+    they may move by an ulp."""
+    if v.ndim == 3 and v.shape[1] > 1:
+        return v @ K
+    K = K if v.ndim == 2 else K[:, None]
+    return np.stack([v[..., 0] * K[..., 0, j] + v[..., 1] * K[..., 1, j]
+                     for j in (0, 1)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +451,12 @@ def _local_stiffness(space, prob):
     w det a K K^T, (ne, nq * 4), times the reference pair table."""
     pts, w = triangle_rule(2 * space.degree)
     a = _diffusion_at(prob, space.physical_points(pts).reshape(-1, 2))
-    K = space.inv_jac
-    metric = (space.wdet(w) * a.reshape(len(K), -1))[:, :, None, None] \
-        * (K @ K.transpose(0, 2, 1))[:, None]
-    nl = space.ref.n_local
-    local = (metric.reshape(len(K), -1)
+    k00, k01, k10, k11 = space.inv_jac.reshape(-1, 4).T
+    off = k00 * k10 + k01 * k11
+    KKt = np.stack([k00 * k00 + k01 * k01, off, off, k10 * k10 + k11 * k11], 1)
+    ne, nl = len(KKt), space.ref.n_local
+    metric = (space.wdet(w) * a.reshape(ne, -1))[:, :, None] * KKt[:, None]
+    local = (metric.reshape(ne, -1)
              @ space.ref.table("stiffness", pts)).reshape(-1, nl, nl)
     return 0.5 * (local + local.transpose(0, 2, 1))
 
@@ -537,9 +558,10 @@ def nonlinear_form(space, prob, coeffs):
     ne, n_local = space.mesh.n_elements, space.ref.n_local
     gpts, gw = _gradient_rule(space, pts, w)
     g = space.function_gradients(coeffs, gpts)
-    flux = (nl.a((g ** 2).sum(axis=2)) * space.wdet(gw))[:, :, None] * g
+    t = nl.a(g[..., 0] ** 2 + g[..., 1] ** 2) * space.wdet(gw)
     dN = space.ref.table("grad", gpts).transpose(0, 2, 1).reshape(-1, n_local)
-    local = (flux @ space.inv_jac.transpose(0, 2, 1)).reshape(ne, -1) @ dN
+    local = k_product(t[:, :, None] * g, space.inv_jac.transpose(0, 2, 1)
+                      ).reshape(ne, -1) @ dN
     if prob.reaction is not None:
         phys = space.physical_points(pts).reshape(-1, 2)
         c = np.asarray(prob.reaction(phys)).reshape(ne, -1)
@@ -710,8 +732,8 @@ def _prolongation(coarse, fine):
     owner[fine.elem_dofs] = np.arange(fine.mesh.n_elements)[:, None]
     held = np.flatnonzero(owner >= 0)
     anc = ancestor_map(fine.mesh, coarse.mesh)[owner[held]]
-    loc = np.einsum("dij,dj->di", coarse.inv_jac[anc],
-                    fine.dof_points[held] - coarse.origin[anc])
+    x = fine.dof_points.take(held, axis=0) - coarse.origin.take(anc, axis=0)
+    loc = k_product(x, coarse.inv_jac.take(anc, axis=0).transpose(0, 2, 1))
 
     vals = coarse.ref.eval(loc)
     vals[np.abs(vals) < 1e-13] = 0.0

@@ -29,13 +29,15 @@ K of ``_sweep_matrix`` (L on the diagonal blocks, U below them) on r[S]
 repeated m times, and the correction is the last block.  As A is
 symmetric, the m backward sweeps are the transposed solve with K, whose
 correction is the first block.  A level visit thus makes two SuperLU calls,
-each on r[S] repeated m times, gathered by one index array, and the
-residual updates r - A[:, S] z and r[S] - A[S, :] c are a transpose and a
-plain product with ``rows``, both looping over the |S| block rows.  A level
-is built from A's CSR arrays: ``fem.submatrix`` cuts W, ``rows`` and
-A[S, S] by gathers, and K is assembled in one call from the entries of
-A[S, S].  ``_smoother`` factors K exactly, as it is lower triangular, in
-20 to 30 bytes per nonzero, where ``splu`` keeps several hundred.
+each on r[S] repeated m times, gathered by one index array, and four
+direct kernel calls: the two transfers with W and the residual updates
+r - A[:, S] z and r[S] - A[S, :] c, a transpose and a plain product with
+``rows`` over its |S| rows.  z is negated in place, so that it is added to
+r and subtracted from x[S], gathered and scattered once.  A level is built
+from A's CSR arrays: ``fem.submatrix`` cuts W, ``rows`` and A[S, S] by
+gathers, and K is assembled in one call from the entries of A[S, S].
+``_smoother`` factors K exactly, as it is lower triangular, in 20 to 30
+bytes per nonzero, where ``splu`` keeps several hundred.
 
 ``refine`` appends the new vertices and keeps the Dirichlet status of the
 old ones, so the coarse free DOFs come first on the fine level, in order,
@@ -61,8 +63,8 @@ traced benchmark (``perfbench/spans.py``) reads.
 
 All vectors are reduced (free DOFs only); the energy norm of a reduced error
 vector e is (e' A e)^(1/2) with A the reduced SPD matrix.  Every sparse
-product of a solver step is ``_product``, which calls the compiled kernel
-that ``M @ x`` or ``M.T @ x`` ends in on the CSR arrays of M, without
+product of a solver step calls a kernel of ``_KERNELS``, the compiled one
+that ``M @ x`` or ``M.T @ x`` ends in, on the CSR arrays of M, without
 scipy's per-call dispatch, so the operators of a ``_Level`` must be CSR.
 It checks no shape: the kernel would read past the end of a short vector.
 So shapes are checked where a vector enters from outside, by
@@ -123,8 +125,8 @@ class _Level:
     sparse level the smoothing block S, ``rows`` = A[S, :], ``sweeps``, S
     repeated ``SMOOTH_SWEEPS`` times, and ``smoother``, the exact factor of
     the sweep matrix K of A[S, S] from ``_smoother``.  The block rows and
-    A[S, S] are cut from A's CSR arrays by ``fem.submatrix``, and
-    ``_product`` reads the CSR arrays of A, W and the block rows."""
+    A[S, S] are cut from A's CSR arrays by ``fem.submatrix``, and the
+    kernels of ``_KERNELS`` read the CSR arrays of A, W and the block rows."""
 
     def __init__(self, matrix, new_rows=None, smooth_dofs=None, solve=None):
         for op in (matrix, new_rows):
@@ -263,23 +265,21 @@ FLOOR = 1e-8   # a Lanczos residual this small spans an invariant subspace
 WARM_NOISE = 0.1  # weight of the random part of a warm start
 
 
+# scipy's CSR product kernels (plain; transposed, M read as CSC) for a
+# vector and for a column block
+_KERNELS = ((_sparsetools.csr_matvec, _sparsetools.csc_matvec),
+            (_sparsetools.csr_matvecs, _sparsetools.csc_matvecs))
+
+
 def _product(M, x, out, transpose=False):
     """``out += M @ x``, or ``M.T @ x`` if ``transpose``, for a CSR matrix M
     and a float vector or column block x, bit for bit with scipy's product
-    when ``out`` is zero: the compiled kernel that it ends in (M.T is M's
-    arrays read as CSC), without its per-call dispatch.  Unchecked: the
-    caller guarantees the shapes and a C-contiguous float64 ``out``, which
-    is returned."""
+    when ``out`` is zero: the compiled kernel that it ends in, without its
+    per-call dispatch.  Unchecked: the caller guarantees the shapes and a
+    C-contiguous float64 ``out``, which is returned."""
     n_row, n_col = M.shape[::-1] if transpose else M.shape
-    args = (M.indptr, M.indices, M.data)
-    if x.ndim == 1:
-        kernel = (_sparsetools.csc_matvec if transpose
-                  else _sparsetools.csr_matvec)
-        kernel(n_row, n_col, *args, x, out)
-    else:
-        kernel = (_sparsetools.csc_matvecs if transpose
-                  else _sparsetools.csr_matvecs)
-        kernel(n_row, n_col, x.shape[1], *args, x.ravel(), out.ravel())
+    _KERNELS[x.ndim - 1][transpose](n_row, n_col, *x.shape[1:], M.indptr,
+                                    M.indices, M.data, x, out)
     return out
 
 
@@ -355,27 +355,32 @@ def _vcycle(levels, j, x, r):
     if j == 0:
         x[...] = lvl.solve(r)
         return x
-    S, W = lvl.smooth_dofs, lvl.new_rows
-    n_c = W.shape[1]
-    if lvl.smoother is not None:
-        z = lvl.smoother.solve(r[lvl.sweeps])
-        z = z[-len(S):]  # the last block sums the corrections of all sweeps
-        _product(lvl.rows, -z, r, transpose=True)
+    W, rows, S = lvl.new_rows, lvl.rows, lvl.smooth_dofs
+    (n_f, n_c), vecs = W.shape, r.shape[1:]
+    plain, transposed = _KERNELS[len(vecs)]
+    w_csr = W.indptr, W.indices, W.data
+    if rows is not None:
+        s_csr = rows.indptr, rows.indices, rows.data
+        # minus the last block, which sums the corrections of all sweeps:
+        # negated in place, it is added to r and subtracted from x[S]
+        z = lvl.smoother.solve(r[lvl.sweeps])[-len(S):]
+        np.negative(z, out=z)
+        transposed(n_c + n_f, len(S), *vecs, *s_csr, z, r)
         # r[S] once per sweep, saved before restriction overwrites r[:n_c]
         post = r[lvl.sweeps]
     # P' r = r[:n_c] + W' r[n_c:], in place
-    _product(W, r[n_c:], r[:n_c], transpose=True)
+    transposed(n_c, n_f, *vecs, *w_csr, r[n_c:], r[:n_c])
     _vcycle(levels, j - 1, x[:n_c], r[:n_c])
-    _product(W, x[:n_c], x[n_c:])  # x = P c = [c; W c]
-    if lvl.smoother is not None:
-        # the block rows only from here on; A[S, :] P c is the coarse
-        # correction's residual, taken before z joins x
-        Ac = _product(lvl.rows, x, np.zeros((len(S),) + r.shape[1:]))
-        x[S] += z
-        copies = post.reshape((-1,) + Ac.shape)  # one per sweep
-        copies -= Ac
-        z = lvl.smoother.solve(post, trans="T")
-        x[S] += z[:len(S)]
+    plain(n_f, n_c, *vecs, *w_csr, x[:n_c], x[n_c:])  # x = P c = [c; W c]
+    if rows is not None:
+        # A[S, :] P c is the coarse correction's residual, taken before the
+        # corrections join x, which gathers and scatters x[S] once for both
+        Ac = np.zeros(z.shape)
+        plain(len(S), n_c + n_f, *vecs, *s_csr, x, Ac)
+        post.reshape((-1,) + Ac.shape)[...] -= Ac  # one copy per sweep
+        np.subtract(x[S], z, out=z)
+        z += lvl.smoother.solve(post, trans="T")[:len(S)]
+        x[S] = z
     return x
 
 

@@ -340,6 +340,26 @@ def test_csv_schema(square2, tmp_path):
     assert row[1] == "" and row[2] == ""  # k and j blank for run_exact
 
 
+def test_csv_floats_read_back_exactly():
+    # eta and increment are written with 17 significant digits, so the CSVs
+    # of two runs compare as exact floats in a same-work check
+    prob, mesh = kellogg()
+    hist = run_single(prob, mesh, theta=0.5, lam=0.01, p=1,
+                      solver_kind="local_multigrid", max_dofs=600)
+    buf = io.StringIO()
+    hist.to_csv(buf)
+    rows = [dict(zip(CSV_HEADER.split(","), line.split(",")))
+            for line in buf.getvalue().splitlines()[1:]]
+    assert len(rows) == len(hist.records) > 20
+    assert sum(r["increment"] is not None for r in hist.records) > 10
+    for row, rec in zip(rows, hist.records):
+        for name in ("eta", "increment"):
+            if rec[name] is None:
+                assert row[name] == ""
+            else:
+                assert float(row[name]).hex() == rec[name].hex()
+
+
 @pytest.mark.parametrize("entry", ["exact", "uniform", "single", "nested"])
 def test_each_record_carries_the_work_since_the_previous_one(entry):
     prob, mesh = kellogg()

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from afem_lab import estimator
 from afem_lab.estimator import (Q_RED, Indicators, compute_indicators,
                                 estimator_total)
-from afem_lab.fem import (ProblemDef, Space, prolongation_matrix,
-                          solve_galerkin_exact)
+from afem_lab.fem import (ProblemDef, Space, contract, k_product,
+                          prolongation_matrix, solve_galerkin_exact)
 from afem_lab.mesh import refine, uniform_refine
 from afem_lab.problems import by_name
+from afem_lab.quadrature import triangle_rule
 
 POISSON = ProblemDef(load=lambda x: np.ones(len(x)))
 
@@ -283,3 +285,121 @@ def test_edge_data_stay_with_their_space(p):
                      p)
         want = compute_indicators(twin, smooth_field(twin), prob)
         assert got.per_element.tobytes() == want.per_element.tobytes()
+
+
+def _gradients_reference(space, coeffs, table, elems, stacked):
+    """grad v of the elements ``elems`` from a reference gradient table: if
+    ``stacked``, by numpy's stacked product with K, one BLAS call per
+    element, else by ``fem.k_product``."""
+    g = contract(coeffs[space.elem_dofs[elems]], table)
+    K = space.inv_jac[elems]
+    return g @ K if stacked else k_product(g, K)
+
+
+def _indicators_reference(space, coeffs, prob, stacked):
+    """``compute_indicators`` as first written: every short sum by
+    ``.sum(axis=...)``, the edge rule's among them, and the gradients by
+    ``_gradients_reference``."""
+    every = np.arange(space.mesh.n_elements)
+    nq = space.degree + 4
+    geom = estimator._edge_geometry(space, nq)
+    # volume terms
+    pts, w = triangle_rule(2 * space.degree + (4 if prob.is_nonlinear else 2))
+    flat = space.physical_points(pts).reshape(-1, 2)
+    shape = (space.mesh.n_elements, len(w))
+    g = _gradients_reference(space, coeffs, space.ref.table("grad", pts),
+                             every, stacked)
+    R = np.zeros(shape)
+    if space.degree > 1:
+        h = space.function_hessians(coeffs, pts)
+        lap = h[..., 0] + h[..., 2]
+        if prob.is_nonlinear:
+            nl = prob.nonlinearity
+            t = g[..., 0] ** 2 + g[..., 1] ** 2
+            Hg = np.stack([h[..., 0] * g[..., 0] + h[..., 1] * g[..., 1],
+                           h[..., 1] * g[..., 0] + h[..., 2] * g[..., 1]],
+                          axis=-1)
+            R = R - (2.0 * nl.da(t) * (Hg * g).sum(axis=-1) + nl.a(t) * lap)
+        else:
+            R = R - estimator._element_diffusion(space, prob)[:, None] * lap
+    if prob.convection is not None and not prob.is_nonlinear:
+        bv = np.asarray(prob.convection(flat)).reshape(shape + (2,))
+        R = R + (bv * g).sum(axis=-1)
+    if prob.reaction is not None:
+        c = np.asarray(prob.reaction(flat)).reshape(shape)
+        R = R + c * space.function_values(coeffs, pts)
+    if prob.load is not None:
+        R = R - np.asarray(prob.load(flat)).reshape(shape)
+    eta2 = 0.5 * space.det * (R ** 2 * space.wdet(w)).sum(axis=1)
+    # interior edges
+    if space.degree == 1:
+        flux = estimator._flux(space, prob, _gradients_reference(
+            space, coeffs, space.ref.table("grad", np.zeros((1, 2))), every,
+            stacked), every)
+        f0, f1 = (flux[e] for e in geom["inner_owners"])
+    else:
+        f0, f1 = [], []
+        tables = space.ref.table("edge_grad", geom["t"])
+        for f, e, pair in zip((f0, f1), geom["inner_owners"],
+                              geom["inner_pair"]):
+            grads = np.empty((len(e), nq, 2))
+            for k, table in enumerate(tables):
+                sel = pair == k
+                grads[sel] = _gradients_reference(space, coeffs, table,
+                                                  e[sel], stacked)
+            f.append(estimator._flux(space, prob, grads, e))
+        f0, f1 = f0[0], f1[0]
+    n, df = geom["inner_normals"], f0 - f1
+    jump = df[..., 0] * n[:, None, 0] + df[..., 1] * n[:, None, 1]
+    integral = (jump ** 2 * geom["w"][None, :]).sum(axis=1) \
+        * geom["inner_lengths"]
+    areas = 0.5 * space.det
+    for e in geom["inner_owners"]:
+        np.add.at(eta2, e, np.sqrt(areas[e]) * integral)
+    # boundary data oscillation
+    if prob.dirichlet is not None:
+        e = geom["owners"][geom["dirichlet"], 0]
+        np.add.at(eta2, e, np.sqrt(areas[e]) * estimator._boundary_oscillation(
+            space, prob, geom))
+    return eta2
+
+
+# the indicators sum squares of fluxes whose K products move by an ulp or
+# two on a jittered mesh; they stay within this many ulps of the largest
+INDICATOR_ULPS = 16
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_indicators_equal_the_first_kernels(kernel_mesh, p):
+    # on the NVB mesh bit for bit with numpy's stacked K products and row
+    # sums; on the jittered mesh bit for bit with the row sums, the edge
+    # rule's among them, and within INDICATOR_ULPS with the stacked products
+    prob, mesh, jittered = kernel_mesh
+    for m in (mesh, jittered):
+        space = Space(m, p)
+        v = smooth_field(space)
+        got = compute_indicators(space, v, prob).per_element
+        sums = _indicators_reference(space, v, prob, stacked=False)
+        assert got.tobytes() == sums.tobytes()
+        stacked = _indicators_reference(space, v, prob, stacked=True)
+        if m is mesh:
+            assert got.tobytes() == stacked.tobytes()
+        else:
+            assert np.abs(got - stacked).max() \
+                <= INDICATOR_ULPS * np.finfo(float).eps * got.max()
+
+
+@pytest.mark.parametrize("nq", [5, 6, 7])
+def test_edge_rule_sum_is_the_row_sum(nq):
+    # numpy sums fewer than 8 terms of a row left to right; the estimator
+    # sums the same terms by columns, for one jump per edge (p = 1) or one
+    # per point, bit for bit on random data
+    rng = np.random.default_rng(nq)
+    w = rng.random(nq)
+    for jump in (rng.standard_normal((4000, 1)),
+                 rng.standard_normal((4000, nq))):
+        sq = np.broadcast_to(jump ** 2, (len(jump), nq))
+        cols = sq[:, 0] * w[0]
+        for k in range(1, nq):
+            cols += sq[:, k] * w[k]
+        assert cols.tobytes() == (jump ** 2 * w[None, :]).sum(axis=1).tobytes()

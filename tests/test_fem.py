@@ -4,14 +4,18 @@ import scipy.sparse as sp
 
 from afem_lab.estimator import compute_indicators
 from afem_lab.fem import (Nonlinearity, ProblemDef, SolverError, Space,
-                          UnsupportedFormError, assemble_a, assemble_b,
-                          assemble_rhs, dirichlet_values, energy_error_exact,
-                          energy_inner, energy_norm, factorize, load_vector,
+                          UnsupportedFormError, _diffusion_at, _gradient_rule,
+                          _local_lower_order, _local_stiffness, assemble_a,
+                          assemble_b, assemble_rhs, contract,
+                          dirichlet_values, energy_error_exact, energy_inner,
+                          energy_norm, factorize, load_vector,
                           nonlinear_energy, nonlinear_form,
-                          prolongation_matrix, solve_galerkin_exact)
+                          prolongation_matrix, reference_element,
+                          solve_galerkin_exact)
 from afem_lab.iteration import zarantonello_rhs
 from afem_lab.mesh import Mesh, ancestor_map, refine, uniform_refine
 from afem_lab.problems import by_name, kellogg, zshape_nonlinear
+from afem_lab.quadrature import triangle_rule
 
 POISSON = ProblemDef(load=lambda x: np.ones(len(x)))
 
@@ -880,3 +884,155 @@ def test_indicators_match_recorded_values(name, p):
     ref = np.array(recorded[f"{name}-p{p}"])
     assert eta2.shape == ref.shape
     assert np.all(np.abs(eta2 - ref) <= 1e-12 * np.abs(ref))
+
+
+# ---------------------------------------------------------------------------
+# the element kernels as first written, on numpy's stacked products of tiny
+# matrices (one BLAS call per element): the references of the kernels that
+# are written on K's entries and of the point map's 2-D GEMM
+
+
+def _stacked_points(space, pts):
+    return np.column_stack([pts, np.ones(len(pts))]) @ space.affine
+
+
+def _stacked_gradients(space, coeffs, pts):
+    return contract(coeffs[space.elem_dofs],
+                    space.ref.table("grad", pts)) @ space.inv_jac
+
+
+def _stacked_local_stiffness(space, prob):
+    pts, w = triangle_rule(2 * space.degree)
+    a = _diffusion_at(prob, _stacked_points(space, pts).reshape(-1, 2))
+    K = space.inv_jac
+    metric = (space.wdet(w) * a.reshape(len(K), -1))[:, :, None, None] \
+        * (K @ K.transpose(0, 2, 1))[:, None]
+    nl = space.ref.n_local
+    local = (metric.reshape(len(K), -1)
+             @ space.ref.table("stiffness", pts)).reshape(-1, nl, nl)
+    return 0.5 * (local + local.transpose(0, 2, 1))
+
+
+def _stacked_local_lower_order(space, prob):
+    pts, w = triangle_rule(2 * space.degree)
+    phys = _stacked_points(space, pts).reshape(-1, 2)
+    ne, nl = space.mesh.n_elements, space.ref.n_local
+    wdet = space.wdet(w)
+    bvec = np.asarray(prob.convection(phys)).reshape(ne, -1, 2)
+    bref = (bvec @ space.inv_jac.transpose(0, 2, 1)) * wdet[:, :, None]
+    local = bref.reshape(ne, -1) @ space.ref.table("convection", pts)
+    c = np.asarray(prob.reaction(phys)).reshape(ne, -1)
+    local += (c * wdet) @ space.ref.table("mass", pts)
+    return local.reshape(ne, nl, nl)
+
+
+def _stacked_nonlinear_form(space, prob, coeffs):
+    nl = prob.nonlinearity
+    pts, w = triangle_rule(2 * space.degree + 4)
+    ne, n_local = space.mesh.n_elements, space.ref.n_local
+    gpts, gw = _gradient_rule(space, pts, w)
+    g = _stacked_gradients(space, coeffs, gpts)
+    flux = (nl.a((g ** 2).sum(axis=2)) * space.wdet(gw))[:, :, None] * g
+    dN = space.ref.table("grad", gpts).transpose(0, 2, 1).reshape(-1, n_local)
+    local = (flux @ space.inv_jac.transpose(0, 2, 1)).reshape(ne, -1) @ dN
+    phys = _stacked_points(space, pts).reshape(-1, 2)
+    c = np.asarray(prob.reaction(phys)).reshape(ne, -1)
+    u = space.function_values(coeffs, pts)
+    local += (c * u * space.wdet(w)) @ space.ref.table("eval", pts)
+    out = np.zeros(space.n_dofs)
+    np.add.at(out, space.elem_dofs.ravel(), local.ravel())
+    return out
+
+
+def _einsum_prolongation(coarse, fine):
+    owner = np.full(fine.n_dofs, -1)
+    owner[fine.elem_dofs] = np.arange(fine.mesh.n_elements)[:, None]
+    held = np.flatnonzero(owner >= 0)
+    anc = ancestor_map(fine.mesh, coarse.mesh)[owner[held]]
+    loc = np.einsum("dij,dj->di", coarse.inv_jac[anc],
+                    fine.dof_points[held] - coarse.origin[anc])
+    vals = coarse.ref.eval(loc)
+    vals[np.abs(vals) < 1e-13] = 0.0
+    rows = np.repeat(held, coarse.ref.n_local)
+    cols = coarse.elem_dofs[anc].ravel()
+    P = sp.coo_matrix((vals.ravel(), (rows, cols)),
+                      shape=(fine.n_dofs, coarse.n_dofs)).tocsr()
+    P.eliminate_zeros()
+    return P
+
+
+def _point_sets(p):
+    return [reference_element(p).nodes, triangle_rule(2 * p)[0],
+            triangle_rule(2 * p + 4)[0], np.full((1, 2), 1.0 / 3.0)]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_point_map_equals_the_stacked_product(kernel_mesh, p):
+    # the zeros of kron(X^T, I_2) add nothing, so the 2-D GEMM gives the
+    # stacked product's bits on any geometry: the NVB mesh, the jittered
+    # one and random affine data
+    _, mesh, jittered = kernel_mesh
+    for m in (mesh, jittered):
+        space = Space(m, p)
+        for pts in _point_sets(p):
+            assert space.physical_points(pts).tobytes() \
+                == _stacked_points(space, pts).tobytes()
+    affine = np.random.default_rng(p).standard_normal((300, 3, 2))
+    for pts in _point_sets(p):
+        got = affine.reshape(300, 6) @ reference_element(p).table(
+            "point_map", pts)
+        want = np.column_stack([pts, np.ones(len(pts))]) @ affine
+        assert got.reshape(want.shape).tobytes() == want.tobytes()
+
+
+def _k_product_pairs(space, prob, v):
+    """(kernel, stacked reference) for each kernel that multiplies by K."""
+    nonlinear = zshape_nonlinear()[0]
+    convection = by_name("lshape-convection")[0]
+    pts = triangle_rule(2 * space.degree + 2)[0]
+    centroid = np.full((1, 2), 1.0 / 3.0)  # one point: the sums on K
+    return [
+        (space.function_gradients(v, pts), _stacked_gradients(space, v, pts)),
+        (space.function_gradients(v, centroid),
+         _stacked_gradients(space, v, centroid)),
+        (_local_stiffness(space, prob), _stacked_local_stiffness(space, prob)),
+        (_local_lower_order(space, convection),
+         _stacked_local_lower_order(space, convection)),
+        (nonlinear_form(space, nonlinear, v),
+         _stacked_nonlinear_form(space, nonlinear, v))]
+
+
+# two-term sums v0 K_0j + v1 K_1j, rounded once per product or fused by
+# BLAS, differ by an ulp of the larger term; carried through the element
+# GEMMs the kernels stay within this many ulps of their largest entry
+K_PRODUCT_ULPS = 8
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_k_products_equal_the_stacked_products(kernel_mesh, p):
+    # NVB keeps K's entries at signed powers of two, so on the NVB mesh each
+    # product is exact and every kernel equals its stacked reference bit for
+    # bit; on the jittered mesh within K_PRODUCT_ULPS.  numpy's einsum fuses
+    # no multiply-add, so the prolongation equals it on both meshes
+    prob, mesh, jittered = kernel_mesh
+    rng = np.random.default_rng(p)
+    for m, ulps in ((mesh, 0), (jittered, K_PRODUCT_ULPS)):
+        space = Space(m, p)
+        for got, want in _k_product_pairs(space, prob, _smooth_field(space)):
+            assert got.shape == want.shape
+            if ulps == 0:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert np.abs(got - want).max() \
+                    <= ulps * np.finfo(float).eps * np.abs(want).max()
+        fine = Space(refine(m, rng.choice(m.n_elements, m.n_elements // 3,
+                                          replace=False)), p)
+        assert _same_csr(prolongation_matrix(space, fine),
+                         _einsum_prolongation(space, fine))
+
+
+def _same_csr(got, want):
+    return got.shape == want.shape and all(
+        a.tobytes() == b.tobytes() for a, b in (
+            (got.indptr, want.indptr), (got.indices, want.indices),
+            (got.data, want.data)))

@@ -288,6 +288,66 @@ def test_vcycle_matches_x_form(square2, steps, monkeypatch):
             assert (rhs.tobytes(), x0.tobytes()) == kept
 
 
+def _vcycle_reference(levels, j, x, r):
+    """``solvers._vcycle`` before its level visit was trimmed: z negated
+    into a new array, x[S] gathered and scattered once per correction and
+    every product through ``_product``."""
+    lvl = levels[j]
+    if j == 0:
+        x[...] = lvl.solve(r)
+        return x
+    S, W = lvl.smooth_dofs, lvl.new_rows
+    n_c = W.shape[1]
+    if lvl.smoother is not None:
+        z = lvl.smoother.solve(r[lvl.sweeps])[-len(S):]
+        solvers._product(lvl.rows, -z, r, transpose=True)
+        post = r[lvl.sweeps]
+    solvers._product(W, r[n_c:], r[:n_c], transpose=True)
+    _vcycle_reference(levels, j - 1, x[:n_c], r[:n_c])
+    solvers._product(W, x[:n_c], x[n_c:])
+    if lvl.smoother is not None:
+        Ac = solvers._product(lvl.rows, x,
+                              np.zeros((len(S),) + r.shape[1:]))
+        x[S] += z
+        copies = post.reshape((-1,) + Ac.shape)
+        copies -= Ac
+        z = lvl.smoother.solve(post, trans="T")
+        x[S] += z[:len(S)]
+    return x
+
+
+def test_vcycle_equals_the_untrimmed_level_visit(monkeypatch):
+    # over a chain certified level by level, as the driver runs it, with
+    # dense bases and without: for one residual, for a column block and
+    # for the identity block of each dense base's build, bit for bit
+    built = []
+    dense_cycle = solvers._dense_cycle
+
+    def record(levels):
+        built.append((levels, dense_cycle(levels)))
+        return built[-1][1]
+
+    monkeypatch.setattr(solvers, "_dense_cycle", record)
+    rng = np.random.default_rng(14)
+    chain = list(_kellogg_states())
+    for state in chain:
+        certify_contraction(state)
+    for state in chain + _sparse_kellogg_states(monkeypatch):
+        levels, n = state.levels, state.matrix.shape[0]
+        top = len(levels) - 1
+        for r in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            got = solvers._vcycle(levels, top, np.zeros_like(r), r.copy())
+            want = _vcycle_reference(levels, top, np.zeros_like(r),
+                                     r.copy())
+            assert got.tobytes() == want.tobytes()
+    assert len(built) > 1
+    for levels, B in built:
+        eye = np.eye(levels[-1].matrix.shape[0])
+        want = _vcycle_reference(levels, len(levels) - 1, np.zeros_like(eye),
+                                 eye)
+        assert B.tobytes() == want.tobytes()
+
+
 def _forbid_factorization(monkeypatch):
     """Every SuperLU factorization routine that ``fem`` or ``solvers``
     imports fails the test when called."""
@@ -648,10 +708,30 @@ def test_sweep_matrix_equals_the_block_form(sweeps, monkeypatch):
         assert K.format == "csc" and _same_arrays(K, want)
 
 
+def _arrays(value):
+    """The arrays held in a value: a sparse matrix's, or any in a tuple,
+    list or dict."""
+    if sp.issparse(value):
+        return [value.data, value.indices, value.indptr]
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in _arrays(v)]
+    return []
+
+
+def _array_bytes(values):
+    unique = {id(a): a for v in values for a in _arrays(v)}
+    return sum(a.nbytes for a in unique.values())
+
+
 def test_levels_hold_each_operator_once(square2, monkeypatch):
-    # one SuperLU factor per smoothing block, and of the CSR operators only
-    # the matrix, the prolongation's rows for the new DOFs and the block's
-    # rows
+    # one SuperLU factor per smoothing block and no other object but arrays;
+    # of the CSR operators only the matrix, the prolongation's rows for the
+    # new DOFs and the block's rows, and no array beside theirs, the sweep
+    # indices' and S's, not even a negated copy of an operator
     from scipy.sparse.linalg import SuperLU
 
     monkeypatch.setattr(solvers, "DENSE_BOTTOM", 0)  # four sparse levels
@@ -660,9 +740,12 @@ def test_levels_hold_each_operator_once(square2, monkeypatch):
     for coarse, lvl in zip(state.levels, state.levels[1:]):
         assert len(lvl.smooth_dofs) > 0
         held = vars(lvl).values()
-        assert sum(isinstance(v, SuperLU) for v in held) == 1
+        others = [v for v in held if v is not None and not _arrays(v)]
+        assert len(others) == 1 and isinstance(others[0], SuperLU)
         assert [id(v) for v in held if sp.issparse(v)] \
             == [id(lvl.matrix), id(lvl.new_rows), id(lvl.rows)]
+        assert _array_bytes(held) == _array_bytes(
+            [lvl.matrix, lvl.new_rows, lvl.rows, lvl.sweeps, lvl.smooth_dofs])
         n_c, n = coarse.matrix.shape[0], lvl.matrix.shape[0]
         assert lvl.new_rows.shape == (n - n_c, n_c)
         assert lvl.new_rows.nnz == lvl.new_rows.count_nonzero()
