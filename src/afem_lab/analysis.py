@@ -83,6 +83,26 @@ def max_rlinear_violation(a, C_lin, q_lin):
     return float(np.exp(worst) / C_lin)
 
 
+def _criterion_constants(a, b, delta):
+    """The least C1 and C2 of the boundedness and summability hypotheses at
+    each index l < min(len(a), len(b)), as C[:, l], and the N that attains
+    each, as N[:, l].  An index with a[l] = 0 gets 0 if the tail b[l:] is 0
+    and inf otherwise."""
+    n = min(len(a), len(b))
+    b2 = np.concatenate([[0.0], np.cumsum(b ** 2)])
+    C, N = np.zeros((2, n)), np.zeros((2, n), dtype=int)
+    for ell in range(n):
+        sums = (b2[ell + 1:] - b2[ell]) \
+            / np.arange(1.0, len(b) - ell + 1) ** (1 - delta)
+        N[:, ell] = np.argmax(b[ell:]), np.argmax(sums)
+        b_max, sum_max = b[ell + N[0, ell]], float(sums[N[1, ell]])
+        if a[ell] > 0:
+            C[:, ell] = b_max / a[ell], sum_max / a[ell] ** 2
+        elif b_max > 0:
+            C[:, ell] = math.inf
+    return C, N
+
+
 def rlinear_constants_from_criterion(a, b, q, C1, C2, delta):
     """Constructive (C_lin, q_lin) from the tail-summability criterion.
 
@@ -92,8 +112,8 @@ def rlinear_constants_from_criterion(a, b, q, C1, C2, delta):
         b[l+N] <= C1 a[l],
         sum_{l'=l}^{l+N} b[l']^2 <= C2 (N+1)^(1-delta) a[l]^2
 
-    on the finite input (raising CriterionError with the first failing pair)
-    and then runs the proof pipeline.
+    on the finite input (the last two by ``_criterion_constants``), raising
+    CriterionError at the first failing l, and then runs the proof pipeline.
     """
     a = _finite(a, "sequence")
     b = _finite(b, "perturbation sequence")
@@ -105,30 +125,22 @@ def rlinear_constants_from_criterion(a, b, q, C1, C2, delta):
         raise ValueError("perturbation sequence too short")
     tol = 1e-12
 
-    for ell in range(len(a) - 1):
-        bound = q * a[ell] + b[ell]
-        if a[ell + 1] > bound * (1 + tol) + 1e-300:
-            raise CriterionError(
-                f"perturbed contraction fails at l={ell}: "
-                f"{a[ell + 1]:.6e} > q*a+b = {bound:.6e}")
-    suffmax = np.maximum.accumulate(b[::-1])[::-1]
-    for ell in range(min(len(a), len(b))):
-        if suffmax[ell] > C1 * a[ell] * (1 + tol) + 1e-300:
-            m = ell + int(np.argmax(b[ell:]))
-            raise CriterionError(
-                f"boundedness fails: b[{m}] = {b[m]:.6e} > C1*a[{ell}] "
-                f"= {C1 * a[ell]:.6e}")
-    b2 = np.concatenate([[0.0], np.cumsum(b ** 2)])
-    for ell in range(min(len(a), len(b))):
-        N = np.arange(len(b) - ell)
-        sums = b2[ell + N + 1] - b2[ell]
-        bounds = C2 * (N + 1.0) ** (1.0 - delta) * a[ell] ** 2
-        bad = sums > bounds * (1 + tol) + 1e-300
+    bound = q * a[:-1] + b[:max(len(a) - 1, 0)]
+    bad = a[1:] > bound * (1 + tol) + 1e-300
+    if bad.any():
+        ell = bad.argmax()
+        raise CriterionError(
+            f"perturbed contraction fails at l={ell}: "
+            f"{a[ell + 1]:.6e} > q*a+b = {bound[ell]:.6e}")
+    least, attained = _criterion_constants(a, b, delta)
+    for k, (name, given) in enumerate((("boundedness", C1),
+                                       ("summability", C2))):
+        bad = least[k] > given * (1 + tol)
         if bad.any():
-            Nbad = int(N[bad][0])
+            ell = bad.argmax()
             raise CriterionError(
-                f"summability fails at l={ell}, N={Nbad}: "
-                f"{sums[Nbad]:.6e} > {bounds[Nbad]:.6e}")
+                f"{name} fails at l={ell}, N={attained[k, ell]}: needs "
+                f"C{k + 1} >= {least[k, ell]:.6e} > {given:.6e}")
 
     # proof pipeline: deterministic epsilon, then the sign change of M_n
     eps = 0.5
@@ -402,9 +414,10 @@ def verify_axioms(history, prob, rng=None):
 def random_criterion_instance(rng):
     """Random (a, b, q, C1, C2, delta) satisfying the criterion hypotheses.
 
-    The constants are measured from the generated sequences, so the
-    hypotheses hold by construction.  q and delta stay in a regime where the
-    constructive index n0 is computable.
+    The constants are the largest that ``_criterion_constants`` measures
+    on the generated sequences, so the hypotheses hold by construction.  q
+    and delta stay in a regime where the constructive index n0 is
+    computable.
     """
     q = rng.uniform(0.2, 0.8)
     delta = rng.uniform(0.5, 1.0)
@@ -414,14 +427,5 @@ def random_criterion_instance(rng):
     a[0] = rng.uniform(0.5, 2.0)
     for ell in range(n - 1):
         a[ell + 1] = q * a[ell] + b[ell] * rng.uniform(0.0, 1.0)
-    suffmax = np.maximum.accumulate(b[::-1])[::-1]
-    C1 = float((suffmax / a).max()) + 1e-12
-    C2 = 0.0
-    b2 = np.concatenate([[0.0], np.cumsum(b ** 2)])
-    for ell in range(n):
-        N = np.arange(n - ell)
-        sums = b2[ell + N + 1] - b2[ell]
-        C2 = max(C2, float((sums / ((N + 1.0) ** (1 - delta))).max())
-                 / a[ell] ** 2)
-    return a, b, q, C1, max(C2, 1e-12), delta
-
+    C1, C2 = _criterion_constants(a, b, delta)[0].max(axis=1)
+    return a, b, q, float(C1) + 1e-12, max(float(C2), 1e-12), delta

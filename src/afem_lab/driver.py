@@ -47,8 +47,8 @@ from .iteration import (check_lambda_constraint, inner_stop,
                         lambda_alg_star, outer_stop, zarantonello_rhs)
 from .marking import doerfler_mark
 from .mesh import refine, uniform_refine
-from .solvers import (certify_contraction, extend_solver, setup_solver,
-                      solver_step)
+from .solvers import (NonContractiveError, certify_contraction,
+                      extend_solver, setup_solver, solver_step)
 
 __all__ = ["History", "LedgerError", "run_exact", "run_uniform", "run_single",
            "run_nested", "weighted_cost_table", "CSV_HEADER"]
@@ -295,10 +295,15 @@ def _solver_step(state, rhs, space, u):
 
 
 def _certify(history, state, cfg):
-    """Certify the solver of the current level.  With a Zarantonello
-    ``cfg``, recheck q_sym < 1 of the inexact iteration against the running
-    maximum q_alg; q_sym can only grow, so warn once, when it reaches 1."""
-    q = certify_contraction(state, ceiling=MG_CEILING)
+    """Certify the solver of the current level and reject a factor above
+    ``MG_CEILING``.  With a Zarantonello ``cfg``, recheck q_sym < 1 of the
+    inexact iteration against the running maximum q_alg; q_sym can only
+    grow, so warn once, when it reaches 1."""
+    q = certify_contraction(state)
+    if q > MG_CEILING:
+        raise NonContractiveError(
+            f"{state.kind}: certified contraction {q:.4f} exceeds the "
+            f"ceiling {MG_CEILING}")
     history.meta.setdefault("q_alg_levels", []).append(q)
     history.meta.setdefault("certify_cycles", []).append(state.certify_cycles)
     q_alg = history.meta["q_alg"] = max(history.meta["q_alg_levels"])

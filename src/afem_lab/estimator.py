@@ -83,9 +83,8 @@ def compute_indicators(space, v, prob):
 def _volume_terms(space, coeffs, prob):
     bump = 4 if prob.is_nonlinear else 2
     pts, w = triangle_rule(2 * space.degree + bump)
-    convection = None if prob.is_nonlinear else prob.convection
-    if space.degree == 1 and convection is None and prob.reaction is None \
-            and prob.load is None:
+    if space.degree == 1 and prob.convection is None \
+            and prob.reaction is None and prob.load is None:
         return np.zeros(space.mesh.n_elements)
     flat = space.physical_points(pts).reshape(-1, 2)
     shape = (space.mesh.n_elements, len(w))
@@ -93,8 +92,8 @@ def _volume_terms(space, coeffs, prob):
     R = 0.0
     if space.degree > 1:
         R = -_div_flux(space, coeffs, prob, pts)
-    if convection is not None:
-        bv = np.asarray(convection(flat)).reshape(shape + (2,))
+    if prob.convection is not None:
+        bv = np.asarray(prob.convection(flat)).reshape(shape + (2,))
         g = space.function_gradients(coeffs, pts)
         R = R + (bv[..., 0] * g[..., 0] + bv[..., 1] * g[..., 1])
     if prob.reaction is not None:

@@ -206,6 +206,12 @@ class ProblemDef:
     exact_solution: tuple = None   # (value, gradient) callables
     name: str = ""
 
+    def __post_init__(self):
+        # the nonlinear form, the Zarantonello step and the estimator of a
+        # nonlinear problem have no convection term
+        if self.is_nonlinear and self.convection is not None:
+            raise ValueError("a nonlinear problem cannot have a convection")
+
     @property
     def is_nonlinear(self):
         return self.nonlinearity is not None

@@ -63,13 +63,14 @@ traced benchmark (``perfbench/spans.py``) reads.
 
 All vectors are reduced (free DOFs only); the energy norm of a reduced error
 vector e is (e' A e)^(1/2) with A the reduced SPD matrix.  Every sparse
-product of a solver step calls a kernel of ``_KERNELS``, the compiled one
+product of a level visit calls a kernel of ``_KERNELS``, the compiled one
 that ``M @ x`` or ``M.T @ x`` ends in, on the CSR arrays of M, without
-scipy's per-call dispatch, so the operators of a ``_Level`` must be CSR.
-It checks no shape: the kernel would read past the end of a short vector.
-So shapes are checked where a vector enters from outside, by
-``solver_step`` and ``SolverState.energy_norm``, and ``_new_state`` checks
-W's shape against the level below once, when it builds the level.
+scipy's per-call dispatch, so the operators of a ``_Level`` must be CSR;
+the products outside the V-cycle, a few per step, are scipy's ``@``.  A
+kernel checks no shape: it would read past the end of a short vector.  So
+shapes are checked where a vector enters from outside, by ``solver_step``
+and ``SolverState.energy_norm``, and ``_new_state`` checks W's shape
+against the level below once, when it builds the level.
 
 Certification measures the norm of the error propagator E of a step (a
 step with right-hand side 0).  A step is ``CYCLES_PER_STEP`` = 2 steps of
@@ -94,7 +95,8 @@ write-once.  ``extend_solver`` never modifies the state it is given: it
 returns a new state for the next refinement level that shares the coarser
 levels, or starts from a new base, and hands it the given state's
 dominant Ritz vector ``ritz`` as ``coarse_ritz``.  Certification sets
-``ritz``, ``certified_q`` and ``certify_cycles``, the V-cycles it took.
+``ritz`` and ``certify_cycles``, the V-cycles it took, and returns the
+certified factor; the driver holds it to its ceiling and records it.
 """
 
 import numpy as np
@@ -147,8 +149,8 @@ class _Level:
 class SolverState:
     """Solver on the space of the finest level; only that space is held, so
     superseded spaces and their caches can be collected.  ``levels``, from
-    the base up, are write-once; certification sets ``certified_q``,
-    ``certify_cycles`` and ``ritz``; ``coarse_ritz`` is handed down."""
+    the base up, are write-once; certification sets ``certify_cycles`` and
+    ``ritz``; ``coarse_ritz`` is handed down."""
 
     def __init__(self, kind, prob, space, levels, coarse_ritz=None):
         if kind not in KINDS:
@@ -158,7 +160,7 @@ class SolverState:
         self.space = space
         self.levels = levels
         self.coarse_ritz = coarse_ritz
-        self.certified_q = self.certify_cycles = self.ritz = None
+        self.certify_cycles = self.ritz = None
 
     @property
     def matrix(self):
@@ -174,10 +176,9 @@ class SolverState:
         n = self.matrix.shape[0]
         e = np.asarray(e, dtype=float)
         if e.shape != (n,):
-            # the kernel does not check: it would read past the end of e
+            # checked where a vector enters, as in ``solver_step``
             raise ValueError(f"energy norm on {n} DOFs got {e.shape}")
-        return float(np.sqrt(max(e @ _product(self.matrix, e, np.zeros(n)),
-                                 0.0)))
+        return float(np.sqrt(max(e @ (self.matrix @ e), 0.0)))
 
 
 def _check_spd(matrix):
@@ -266,21 +267,9 @@ WARM_NOISE = 0.1  # weight of the random part of a warm start
 
 
 # scipy's CSR product kernels (plain; transposed, M read as CSC) for a
-# vector and for a column block
+# vector and for a column block; each adds M x into its last argument
 _KERNELS = ((_sparsetools.csr_matvec, _sparsetools.csc_matvec),
             (_sparsetools.csr_matvecs, _sparsetools.csc_matvecs))
-
-
-def _product(M, x, out, transpose=False):
-    """``out += M @ x``, or ``M.T @ x`` if ``transpose``, for a CSR matrix M
-    and a float vector or column block x, bit for bit with scipy's product
-    when ``out`` is zero: the compiled kernel that it ends in, without its
-    per-call dispatch.  Unchecked: the caller guarantees the shapes and a
-    C-contiguous float64 ``out``, which is returned."""
-    n_row, n_col = M.shape[::-1] if transpose else M.shape
-    _KERNELS[x.ndim - 1][transpose](n_row, n_col, *x.shape[1:], M.indptr,
-                                    M.indices, M.data, x, out)
-    return out
 
 
 def _sweep_matrix(block):
@@ -327,7 +316,7 @@ def solver_step(state, rhs, iterate):
     if state.exact:
         return state.levels[0].solve(rhs)
     for _ in range(CYCLES_PER_STEP):
-        x = _cycle(state, x, rhs - _product(state.matrix, x, np.zeros(n)))
+        x = _cycle(state, x, rhs - state.matrix @ x)
     return x
 
 
@@ -335,7 +324,7 @@ def _cycle(state, x, r):
     """One V-cycle step from x, whose residual is r = rhs - A x: returns
     the new array x + B r, and uses r up.  On errors it acts as the
     one-cycle propagator E1 = I - B A; ``solver_step`` applies it
-    ``CYCLES_PER_STEP`` times.  Unchecked, like ``_product``."""
+    ``CYCLES_PER_STEP`` times.  Unchecked, like ``_KERNELS``."""
     levels = state.levels
     return x + _vcycle(levels, len(levels) - 1, np.zeros(len(x)), r)
 
@@ -394,7 +383,7 @@ def _dense_cycle(levels):
     return B
 
 
-def certify_contraction(state, ceiling=None):
+def certify_contraction(state):
     """Measured per-step energy contraction factor with a safety margin.
 
     A step is affine, so any error evolves as e <- E e = solver_step(state,
@@ -408,11 +397,11 @@ def certify_contraction(state, ceiling=None):
     from a random draw otherwise.  Only a warm start may stop when the bound
     settles: from a random start the dominant eigenvalue can hide behind a
     cluster that settles first.  Raises NonContractiveError if the bound
-    reaches 1 (or q exceeds ``ceiling``).
+    reaches 1; a tighter ceiling is the caller's to enforce.
     """
     n = state.matrix.shape[0]
     if n == 0:
-        state.certified_q, state.certify_cycles = 0.0, 0
+        state.certify_cycles = 0
         return 0.0
     v = np.random.default_rng(0).standard_normal(n)
     v /= state.energy_norm(v)
@@ -425,21 +414,13 @@ def certify_contraction(state, ceiling=None):
             v /= state.energy_norm(v)
         worst, ritz, cycles = _lanczos(state, v, warm)
     state.ritz, state.certify_cycles = ritz, cycles
-    q = min(worst * SAFETY, 1.0 - 1e-9)
-    if ceiling is not None and q > ceiling:
-        raise NonContractiveError(
-            f"{state.kind}: certified contraction {q:.4f} exceeds the "
-            f"ceiling {ceiling}")
-    state.certified_q = q
-    return q
+    return min(worst * SAFETY, 1.0 - 1e-9)
 
 
 def _warm_start(state):
     """The prolongated ``coarse_ritz``, normalized in energy."""
     ritz = state.coarse_ritz
-    v = np.zeros(state.matrix.shape[0])
-    v[:len(ritz)] = ritz
-    _product(state.levels[-1].new_rows, ritz, v[len(ritz):])  # P c = [c; W c]
+    v = np.concatenate([ritz, state.levels[-1].new_rows @ ritz])  # P c
     return v / state.energy_norm(v)
 
 
@@ -464,12 +445,12 @@ def _lanczos(state, v, settle):
     # Lanczos vectors and their images under A, one per row
     V = np.empty((LANCZOS_STEPS, len(v)))
     AV = np.empty_like(V)
-    V[0], AV[0] = v, _product(A, v, np.zeros(len(v)))
+    V[0], AV[0] = v, A @ v
     H = np.zeros((LANCZOS_STEPS + 1, LANCZOS_STEPS))
     worst = 0.0
     for k in range(LANCZOS_STEPS):
         w = _cycle(state, V[k], -AV[k])
-        Aw = _product(A, w, np.zeros(len(w)))
+        Aw = A @ w
         # full reorthogonalization in the energy product, done twice
         for _ in range(2):
             c = AV[:k + 1] @ w

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from afem_lab.analysis import (CriterionError, fit_rate_loglog,
-                               max_rlinear_violation,
+from afem_lab.analysis import (CriterionError, _criterion_constants,
+                               fit_rate_loglog, max_rlinear_violation,
+                               random_criterion_instance,
                                rates_complexity_bounds, rates_equals_complexity,
                                rlinear_constants_from_criterion,
                                tailsum_rlinear_equivalence, verify_axioms)
@@ -203,12 +204,133 @@ def test_sequence_inputs_must_be_finite(call, bad):
 
 
 def test_criterion_property_sample():
-    from afem_lab.analysis import random_criterion_instance
     rng = np.random.default_rng(42)
     for _ in range(60):
         a, b, q, C1, C2, delta = random_criterion_instance(rng)
         fit = rlinear_constants_from_criterion(a, b, q, C1, C2, delta)
         assert fit.ok(), (q, C1, C2, delta)
+
+
+def _hypotheses_reference(a, b, q, C1, C2, delta):
+    """The first failing hypothesis of the criterion, by the loops that
+    checked them on each index before ``_criterion_constants`` measured
+    them, or None."""
+    a, b, tol = np.asarray(a, float), np.asarray(b, float), 1e-12
+    for ell in range(len(a) - 1):
+        if a[ell + 1] > (q * a[ell] + b[ell]) * (1 + tol) + 1e-300:
+            return "perturbed contraction"
+    suffmax = np.maximum.accumulate(b[::-1])[::-1]
+    for ell in range(min(len(a), len(b))):
+        if suffmax[ell] > C1 * a[ell] * (1 + tol) + 1e-300:
+            return "boundedness"
+    b2 = np.concatenate([[0.0], np.cumsum(b ** 2)])
+    for ell in range(min(len(a), len(b))):
+        N = np.arange(len(b) - ell)
+        sums = b2[ell + N + 1] - b2[ell]
+        bounds = C2 * (N + 1.0) ** (1.0 - delta) * a[ell] ** 2
+        if (sums > bounds * (1 + tol) + 1e-300).any():
+            return "summability"
+    return None
+
+
+def _measured_reference(a, b, delta):
+    """C1 and C2 as ``random_criterion_instance`` measured them itself."""
+    n = len(a)
+    suffmax = np.maximum.accumulate(b[::-1])[::-1]
+    C1 = float((suffmax / a).max()) + 1e-12
+    C2 = 0.0
+    b2 = np.concatenate([[0.0], np.cumsum(b ** 2)])
+    for ell in range(n):
+        N = np.arange(n - ell)
+        sums = b2[ell + N + 1] - b2[ell]
+        C2 = max(C2, float((sums / ((N + 1.0) ** (1 - delta))).max())
+                 / a[ell] ** 2)
+    return C1, max(C2, 1e-12)
+
+
+def _failing_hypothesis(a, b, q, C1, C2, delta):
+    try:
+        rlinear_constants_from_criterion(a, b, q, C1, C2, delta)
+    except CriterionError as err:
+        return str(err).partition(" fail")[0]
+    return None
+
+
+def test_criterion_constants_are_measured_once():
+    # random instances read C1 and C2 from the routine the criterion checks
+    # against, bit for bit with their own former measurement
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        a, b, q, C1, C2, delta = random_criterion_instance(rng)
+        want = _measured_reference(a, b, delta)
+        assert (C1.hex(), C2.hex()) == tuple(c.hex() for c in want)
+
+
+def test_criterion_decides_as_its_hypothesis_loops():
+    # perturbed copies of random instances: constants cut below their
+    # measured values and sequences pushed above the contraction; the
+    # cuts stay clear of the 1e-12 rounding slack, where the two ways of
+    # comparing may round apart
+    rng = np.random.default_rng(8)
+    seen = set()
+    for _ in range(100):
+        a, b, q, C1, C2, delta = random_criterion_instance(rng)
+        bumped = a * rng.uniform(1.0, 1.02, len(a))
+        for args in ((a, b, q, C1, C2, delta), (bumped, b, q, C1, C2, delta),
+                     (a, b, q, 0.9 * C1, C2, delta),
+                     (a, b, q, C1, 0.9 * C2, delta),
+                     (a, b, q, 0.5 * C1, 0.5 * C2, delta),
+                     (a, b, q, C1, C2, 0.5 * delta)):
+            want = _hypotheses_reference(*args)
+            assert _failing_hypothesis(*args) == want
+            seen.add(want)
+    assert seen == {None, "perturbed contraction", "boundedness",
+                    "summability"}
+
+
+_DECAY = 0.5 ** np.arange(12)
+
+
+@pytest.mark.parametrize("case, message", [
+    # a[1] = 0.8 > q a[0] + b[0]; b = 0 meets the other two
+    ((np.array([1.0, 0.8, 0.2, 0.1]), np.zeros(4), 0.5, 1.0, 1.0, 1.0),
+     "perturbed contraction fails at l=0"),
+    # b = 0.1 a needs C1 >= 0.1; the tail sums need C2 >= 0.0134
+    ((_DECAY, 0.1 * _DECAY, 0.5, 0.05, 1.0, 1.0),
+     "boundedness fails at l=0, N=0"),
+    ((_DECAY, 0.1 * _DECAY, 0.5, 0.2, 0.01, 1.0),
+     "summability fails at l=0, N=11"),
+], ids=["contraction", "boundedness", "summability"])
+def test_criterion_names_the_one_broken_hypothesis(case, message):
+    a, b, q, C1, C2, delta = case
+    least = _criterion_constants(a, b, delta)[0].max(axis=1)
+    broken = {"perturbed contraction": bool(
+                  (a[1:] > q * a[:-1] + b[:-1]).any()),
+              "boundedness": bool(least[0] > C1),
+              "summability": bool(least[1] > C2)}
+    assert [name for name, bad in broken.items() if bad] == [
+        message.partition(" fail")[0]]
+    with pytest.raises(CriterionError, match=message):
+        rlinear_constants_from_criterion(*case)
+
+
+def test_criterion_constants_where_a_vanishes():
+    # a[l] = 0 takes 0 under a zero tail of b and inf under a nonzero one,
+    # without a 0/0
+    a = np.array([1.0, 0.5, 0.0, 0.0])
+    with np.errstate(all="raise"):
+        C, _ = _criterion_constants(a, np.array([0.5, 0, 0, 0.0]), 1.0)
+        assert list(C[0]) == [0.5, 0.0, 0.0, 0.0]
+        assert list(C[1, 2:]) == [0.0, 0.0]
+        assert rlinear_constants_from_criterion(
+            a, np.array([0.5, 0, 0, 0.0]), 0.5, 0.5, 1.0, 1.0).ok()
+        tail = np.array([0.5, 0, 0, 0.1])
+        C, N = _criterion_constants(a, tail, 1.0)
+        assert C[:, 2:].tolist() == [[math.inf] * 2] * 2
+        # the tail's nonzero entry is b[3], N = 1 past l = 2
+        assert N[0, 2] == 1
+        with pytest.raises(CriterionError, match="boundedness fails at l=2"):
+            rlinear_constants_from_criterion(a, tail, 0.5, 1e6, 1e6, 1.0)
 
 
 def test_verify_axioms_small_kellogg():

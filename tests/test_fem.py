@@ -60,6 +60,18 @@ def test_convection_matrix_matches_symbolic_oracle():
     assert np.allclose(skew, (conv_exact - conv_exact.T), atol=1e-14)
 
 
+def test_nonlinear_problem_rejects_a_convection():
+    # the nonlinear form, the Zarantonello step and the estimator have no
+    # convection term, so the combination is refused where it is built
+    import dataclasses
+
+    prob, _ = zshape_nonlinear()
+    with pytest.raises(ValueError, match="convection"):
+        dataclasses.replace(prob, convection=lambda x: x)
+    with pytest.raises(ValueError, match="convection"):
+        ProblemDef(convection=lambda x: x, nonlinearity=prob.nonlinearity)
+
+
 def test_assembly_is_deterministic(square2):
     space = Space(uniform_refine(square2), 1)
     prob = ProblemDef(convection=lambda x: x,

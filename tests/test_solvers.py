@@ -82,10 +82,29 @@ def test_certify_rejects_nonconvergent(square2, monkeypatch):
         certify_contraction(state)
 
 
-def test_certify_ceiling(square2):
-    state, _ = build_hierarchy(square2, "local_multigrid")
-    with pytest.raises(NonContractiveError):
-        certify_contraction(state, ceiling=1e-6)
+def test_the_driver_enforces_the_ceiling(monkeypatch):
+    # certification measures, the driver rejects: the first level whose
+    # factor exceeds MG_CEILING stops the run, and the same state certifies
+    # without raising
+    from afem_lab import driver
+
+    certified = []
+
+    def certify(state):
+        certified.append(state)
+        return certify_contraction(state)
+
+    monkeypatch.setattr(driver, "MG_CEILING", 1e-6)
+    monkeypatch.setattr(driver, "certify_contraction", certify)
+    prob, mesh = kellogg()
+    with pytest.raises(NonContractiveError) as caught:
+        driver.run_single(prob, mesh, theta=0.5, lam=0.01, p=1,
+                          max_dofs=2000)
+    state = certified[-1]
+    q = certify_contraction(state)
+    assert len(certified) > 1 and q > 1e-6
+    assert str(caught.value) == (f"local_multigrid: certified contraction "
+                                 f"{q:.4f} exceeds the ceiling 1e-06")
 
 
 def test_solver_step_is_linear(square2):
@@ -288,10 +307,17 @@ def test_vcycle_matches_x_form(square2, steps, monkeypatch):
             assert (rhs.tobytes(), x0.tobytes()) == kept
 
 
+def _after_identity(M):
+    """[I, M] in CSR.  Its product with [y; u] sums, in row i, y[i] first
+    and then M's row i in column order, as the cycle's kernels add M u into
+    y; ``y + M @ u`` would round differently."""
+    return sp.hstack([sp.identity(M.shape[0]), M], format="csr")
+
+
 def _vcycle_reference(levels, j, x, r):
     """``solvers._vcycle`` before its level visit was trimmed: z negated
     into a new array, x[S] gathered and scattered once per correction and
-    every product through ``_product``."""
+    every product by scipy's ``@``."""
     lvl = levels[j]
     if j == 0:
         x[...] = lvl.solve(r)
@@ -300,14 +326,13 @@ def _vcycle_reference(levels, j, x, r):
     n_c = W.shape[1]
     if lvl.smoother is not None:
         z = lvl.smoother.solve(r[lvl.sweeps])[-len(S):]
-        solvers._product(lvl.rows, -z, r, transpose=True)
+        r = _after_identity(lvl.rows.T) @ np.concatenate([r, -z])
         post = r[lvl.sweeps]
-    solvers._product(W, r[n_c:], r[:n_c], transpose=True)
+    r[:n_c] = _after_identity(W.T) @ r  # P' r, P = [I; W]
     _vcycle_reference(levels, j - 1, x[:n_c], r[:n_c])
-    solvers._product(W, x[:n_c], x[n_c:])
+    x[n_c:] = W @ x[:n_c]
     if lvl.smoother is not None:
-        Ac = solvers._product(lvl.rows, x,
-                              np.zeros((len(S),) + r.shape[1:]))
+        Ac = lvl.rows @ x
         x[S] += z
         copies = post.reshape((-1,) + Ac.shape)
         copies -= Ac
@@ -579,36 +604,12 @@ def test_one_cycle_propagator_is_self_adjoint_in_energy(monkeypatch):
             assert abs(AE1 - AE1.T).max() <= 1e-12 * abs(AE1).max()
 
 
-def test_product_matches_matmul_bit_for_bit(square2, monkeypatch):
-    # no dense base: every level above level 0 is sparse
+def test_vectors_are_checked_where_they_enter(square2, monkeypatch):
+    # the cycle's kernels check no shape: a bad vector is refused before
+    # it reaches them
     monkeypatch.setattr(solvers, "DENSE_BOTTOM", 0)
     state, _ = build_hierarchy(square2, "local_multigrid")
-    assert len(state.levels) == 5
-    rng = np.random.default_rng(7)
-    ops = [state.levels[0].matrix]
-    for lvl in state.levels[1:]:
-        ops += [lvl.matrix, lvl.new_rows, lvl.rows]
-    matrix = state.matrix
-    ops += [matrix[:, []].tocsr(), sp.csr_matrix((0, 3))]
-    assert all(op is not None for op in ops)
-    for op in ops:
-        for transpose, ref in ((False, op), (True, op.T)):
-            for shape in ((), (1,), (5,)):
-                X = rng.standard_normal((ref.shape[1],) + shape)
-                want = ref @ X
-                # _product adds the product into out and returns it
-                out = np.zeros(want.shape)
-                Y = solvers._product(op, X, out, transpose)
-                assert Y is out and Y.shape == want.shape
-                assert Y.tobytes() == want.tobytes()
-                base = rng.standard_normal(want.shape)
-                out = base.copy()
-                Y = solvers._product(op, X, out, transpose)
-                assert Y is out
-                assert np.abs(Y - (base + want)).max(initial=0.0) \
-                    <= 1e-15 * np.abs(base + want).max(initial=1.0)
-    # _product checks no shape: vectors are checked where they enter
-    n = matrix.shape[0]
+    n = state.matrix.shape[0]
     for bad in (np.zeros(n - 1), np.zeros(()), np.zeros((n, 1)),
                 np.zeros((n, 1, 1))):
         with pytest.raises(ValueError):
@@ -855,7 +856,6 @@ def test_one_level_multigrid_certifies_exactly_zero(square2):
         uniform_refine(square2)), 1), POISSON)
     assert len(state.levels) == 1 and state.matrix.shape[0] > 1
     assert certify_contraction(state) == 0.0
-    assert state.certified_q == 0.0
 
 
 def _sparse_kellogg_states(monkeypatch):
@@ -908,7 +908,10 @@ def test_dense_bottom_steps_match_the_sparse_cycle(monkeypatch):
 
 def test_dense_bottom_certifies_as_the_sparse_cycle(monkeypatch):
     q = [certify_contraction(s) for s in _kellogg_states()]
-    q_sparse = [s.certified_q for s in _sparse_kellogg_states(monkeypatch)]
+    with monkeypatch.context() as mp:
+        mp.setattr(solvers, "DENSE_BOTTOM", 0)
+        # each certified before the next is extended from it
+        q_sparse = [certify_contraction(s) for s in _kellogg_states()]
     assert max(q) > 0.3
     assert np.allclose(q, q_sparse, rtol=1e-12, atol=0)
 
